@@ -7,6 +7,8 @@ schedule (still CPU-bound; expect hours).
 """
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,10 @@ from repro.experiments.table1 import Table1Scale
 from repro.rl import FloorplanAgent
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "default")
+
+# The scalar reference implementations the hot-path benches time against
+# live with the golden tests in tests/oracles.py.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def bench_scale() -> Table1Scale:

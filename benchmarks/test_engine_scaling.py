@@ -15,20 +15,17 @@ import numpy as np
 import pytest
 
 from _util import check, save_artifact
+from oracles import hpwl, pack_reference, state_centers, wire_mask_reference
 
-from repro.baselines import SequencePair, inflated_shapes, pack_reference
+from repro.baselines import SequencePair, inflated_shapes
 from repro.baselines.common import evaluate_coords
 from repro.baselines.seqpair import pack_coords
 from repro.circuits import get_circuit
 from repro.config import NUM_SHAPES
 from repro.engine import ArtifactCache, Executor, TaskSpec
 from repro.floorplan import FloorplanEnv
-from repro.floorplan.masks import (
-    dead_space_mask,
-    positional_mask,
-    wire_mask_reference,
-)
-from repro.floorplan.metrics import hpwl, hpwl_lower_bound, state_centers
+from repro.floorplan.masks import dead_space_mask, positional_mask
+from repro.floorplan.metrics import hpwl_lower_bound
 
 GRID_CIRCUITS = ("ota1", "ota2", "bias1")
 GRID_SEEDS = range(4)

@@ -32,6 +32,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from _util import RESULTS_DIR, check, save_artifact
+from oracles import encode_reference
 
 from repro import nn
 from repro.circuits import get_circuit
@@ -230,7 +231,7 @@ def _reference_collect(ppo, vecenv, observations, rollout_steps=None):
     def batch(obs):
         masks = np.stack([o.masks for o in obs]).astype(np.float64, copy=False)
         action_mask = np.stack([o.action_mask for o in obs])
-        encoded = [ppo._encode(o) for o in obs]
+        encoded = [encode_reference(ppo, o) for o in obs]
         node = np.stack([e[0] for e in encoded]).astype(np.float64, copy=False)
         graph = np.stack([e[1] for e in encoded]).astype(np.float64, copy=False)
         return masks, node, graph, action_mask
@@ -292,8 +293,8 @@ def _measure():
 
     # Warm both embedding caches for every circuit, outside the clocks.
     for o in _vecenv().reset():
-        fast.ppo._encode(o)
-        seed_like.ppo._encode(o)
+        encode_reference(fast.ppo, o)
+        encode_reference(seed_like.ppo, o)
 
     # --- act (inference) steps/sec, fast path only ---------------------
     vec = _vecenv()

@@ -22,7 +22,6 @@ from .seqpair import (
     change_shape,
     pack,
     pack_coords,
-    pack_reference,
     random_neighbor,
     swap_in_both,
     swap_in_minus,
@@ -49,7 +48,6 @@ __all__ = [
     "inflated_shapes",
     "pack",
     "pack_coords",
-    "pack_reference",
     "particle_swarm",
     "random_neighbor",
     "rects_overlap",

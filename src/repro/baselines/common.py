@@ -20,7 +20,6 @@ import numpy as np
 from ..circuits.netlist import Circuit
 from ..config import REWARD_ALPHA, REWARD_BETA, REWARD_GAMMA
 from ..floorplan.metrics import (
-    hpwl,
     hpwl_lower_bound,
     incidence_hpwl,
     incidence_hpwl_batch,

@@ -9,9 +9,8 @@ gamma_minus)`` encodes relative block positions —
   precedes it in ``gamma_minus``.
 
 Packing evaluates the two constraint graphs with a longest-path sweep
-over position-rank arrays (:func:`pack_coords`); the classic O(n^2)
-double loop is retained as :func:`pack_reference` and the fast path is
-golden-tested bit-identical to it.
+over position-rank arrays (:func:`pack_coords`), golden-tested
+bit-identical to the classic O(n^2) double loop.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def pack_coords(
     smaller ``gamma_plus`` rank — a prefix-max over an array indexed by
     plus-rank (and symmetrically a suffix-max for below).  This replaces
     the reference's O(n^2) Python double loop with C-speed slice maxima
-    and is bit-identical to :func:`pack_reference` (golden-tested).
+    and is bit-identical to the double loop (golden-tested).
     """
     n = pair.num_blocks
     if len(sizes) != n:
@@ -105,52 +104,12 @@ def pack(
     ``sizes[b][s]`` is the (width, height) of block ``b`` under shape
     ``s``.  Longest-path over the horizontal / vertical constraint graphs
     yields the minimal compliant placement; see :func:`pack_coords` for
-    the sweep itself.  Output is bit-identical to :func:`pack_reference`.
+    the sweep itself.
     """
     x, y, w, h = pack_coords(pair, sizes)
     return [
         PlacedRect(b, pair.shapes[b], float(x[b]), float(y[b]), float(w[b]), float(h[b]))
         for b in range(pair.num_blocks)
-    ]
-
-
-def pack_reference(
-    pair: SequencePair,
-    sizes: Sequence[Sequence[Tuple[float, float]]],
-) -> List[PlacedRect]:
-    """Scalar reference for :func:`pack`: the classic O(n^2) double loop.
-    Kept as the golden pin for the vectorized longest-path."""
-    n = pair.num_blocks
-    if len(sizes) != n:
-        raise ValueError(f"expected sizes for {n} blocks, got {len(sizes)}")
-    pos_plus = {b: i for i, b in enumerate(pair.gamma_plus)}
-    pos_minus = {b: i for i, b in enumerate(pair.gamma_minus)}
-    widths = np.array([sizes[b][pair.shapes[b]][0] for b in range(n)])
-    heights = np.array([sizes[b][pair.shapes[b]][1] for b in range(n)])
-
-    x = np.zeros(n)
-    for b in pair.gamma_minus:
-        best = 0.0
-        for a in range(n):
-            if a == b:
-                continue
-            if pos_plus[a] < pos_plus[b] and pos_minus[a] < pos_minus[b]:
-                best = max(best, x[a] + widths[a])
-        x[b] = best
-
-    y = np.zeros(n)
-    for b in pair.gamma_minus:
-        best = 0.0
-        for a in range(n):
-            if a == b:
-                continue
-            if pos_plus[a] > pos_plus[b] and pos_minus[a] < pos_minus[b]:
-                best = max(best, y[a] + heights[a])
-        y[b] = best
-
-    return [
-        PlacedRect(b, pair.shapes[b], float(x[b]), float(y[b]), float(widths[b]), float(heights[b]))
-        for b in range(n)
     ]
 
 

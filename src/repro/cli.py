@@ -21,8 +21,8 @@ override with ``--cache-dir`` or ``$REPRO_CACHE_DIR``).
 
 Observability flags (every subcommand): ``--metrics PATH`` / ``--trace
 PATH`` enable ``repro.obs`` telemetry and write metrics / Chrome-trace
-JSONL on exit (the trace covers engine process workers, ``ProcessVecEnv``
-workers, and serve pool workers on one wall-clock axis); ``--profile
+JSONL on exit (the trace covers engine process workers, including the
+serve baseline pool, on one wall-clock axis); ``--profile
 PATH`` runs the sampling profiler and writes collapsed flamegraph
 stacks; ``--log-level LEVEL`` (or ``$REPRO_LOG_LEVEL``) and
 ``-q/--quiet`` control diagnostic verbosity.  ``repro report`` renders

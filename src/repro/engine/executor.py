@@ -22,6 +22,7 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -160,6 +161,12 @@ class Executor:
         :class:`~repro.resil.PoolRebuildLimitError` is raised.  Rebuilds
         resubmit only unfinished tasks and do **not** consume per-task
         retries — a pool crash cannot be attributed to one task.
+    keep_pool:
+        Keep one worker pool alive across :meth:`map_tasks` calls, for a
+        long-lived caller such as the solve server; :meth:`close` shuts
+        it down.  Concurrent calls share the pool, every task goes to it
+        (no in-process shortcut for a lone task), and tasks get no
+        ``context``.
     """
 
     def __init__(
@@ -170,6 +177,7 @@ class Executor:
         progress: Optional[ProgressFn] = None,
         policy: Optional[RetryPolicy] = None,
         max_pool_rebuilds: int = 5,
+        keep_pool: bool = False,
     ):
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
@@ -183,7 +191,15 @@ class Executor:
         if max_pool_rebuilds < 0:
             raise ValueError("max_pool_rebuilds must be >= 0")
         self.max_pool_rebuilds = max_pool_rebuilds
+        self.keep_pool = keep_pool
         self.stats = ExecutorStats()
+        #: The kept pool (``keep_pool``); the lock makes one caller the
+        #: one that replaces it when it breaks under concurrent calls.
+        self._pool = None
+        self._pool_lock = threading.Lock()
+        #: Kept pools discarded after a crash or a stuck worker, over the
+        #: executor's lifetime (``stats`` covers only the latest call).
+        self.pools_discarded = 0
 
     # -- fault-tolerance plumbing --------------------------------------
     def _policy_for(self, spec: TaskSpec) -> RetryPolicy:
@@ -208,6 +224,8 @@ class Executor:
         self, specs: Sequence[TaskSpec], context: Any = None
     ) -> List[TaskResult]:
         """Run every spec; returns results aligned with ``specs`` order."""
+        if self.keep_pool and context is not None:
+            raise ValueError("an executor that keeps its pool takes no context")
         specs = list(specs)
         start = time.perf_counter()
         self.stats = ExecutorStats(total=len(specs))
@@ -271,7 +289,7 @@ class Executor:
         # backend under chaos: an injected kill_worker would then take
         # out the coordinating process instead of a pool worker.
         inline = self.backend == "serial" or (
-            len(pending) <= 1
+            len(pending) <= 1 and not self.keep_pool
             and not (self.backend == "process" and chaos.enabled())
         )
         if inline:
@@ -335,6 +353,35 @@ class Executor:
         except Exception:
             pass
 
+    def _acquire_pool(self, context: Any, telemetry: bool, n_pending: int):
+        """A fresh pool for this call, or the kept pool (``keep_pool``)."""
+        if not self.keep_pool:
+            return self._make_pool(context, telemetry, n_pending)
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = self._make_pool(context, telemetry, self.workers)
+            return self._pool
+
+    def _discard_pool(self, pool) -> None:
+        """Kill a broken pool (or one holding a stuck worker).
+
+        A kept pool is forgotten first, so the next :meth:`_acquire_pool`
+        starts its replacement; a concurrent caller that reports the same
+        pool later finds it already gone and just picks up the new one.
+        """
+        with self._pool_lock:
+            if pool is self._pool:
+                self._pool = None
+                self.pools_discarded += 1
+        self._teardown_pool(pool, kill=True)
+
+    def close(self) -> None:
+        """Shut the kept pool down (``keep_pool``); idempotent."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            self._teardown_pool(pool)
+
     def _run_pool(
         self,
         specs: Sequence[TaskSpec],
@@ -362,11 +409,12 @@ class Executor:
         attempts = {i: 0 for i in pending}    # failed attempts consumed
         ready_at = {i: 0.0 for i in pending}  # backoff: no resubmit before
         unfinished = set(pending)
-        pool = self._make_pool(context, telemetry, len(pending))
+        pool = self._acquire_pool(context, telemetry, len(pending))
         inflight: Dict[concurrent.futures.Future, int] = {}
         deadlines: Dict[concurrent.futures.Future, Optional[float]] = {}
         rebuilds = 0
         failure: Optional[BaseException] = None
+        broken = False
 
         def submit_one(index: int) -> None:
             spec = specs[index]
@@ -475,15 +523,20 @@ class Executor:
                         "worker pool broke with %d unfinished tasks; "
                         "rebuilding (%d/%d)",
                         len(unfinished), rebuilds, self.max_pool_rebuilds)
-                    self._teardown_pool(pool, kill=True)
+                    self._discard_pool(pool)
                     inflight.clear()
                     deadlines.clear()
-                    pool = self._make_pool(context, telemetry,
-                                           len(unfinished))
+                    pool = self._acquire_pool(context, telemetry,
+                                              len(unfinished))
         finally:
-            if failure is None and not inflight:
+            if self.keep_pool and not broken:
+                # The pool is healthy and stays; only this call's
+                # leftovers (after a task failure) are dropped.
+                for future in inflight:
+                    future.cancel()
+            elif failure is None and not inflight and not self.keep_pool:
                 pool.shutdown(wait=True)
             else:
-                self._teardown_pool(pool, kill=True)
+                self._discard_pool(pool)
         if failure is not None:
             raise failure

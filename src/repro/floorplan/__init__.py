@@ -12,19 +12,16 @@ from .masks import (
     positional_mask,
     positional_masks,
     wire_mask,
-    wire_mask_reference,
 )
 from .metrics import (
     aspect_ratio,
     dead_space,
     final_reward,
     floorplan_area,
-    hpwl,
     hpwl_lower_bound,
     incidence_hpwl,
     incidence_hpwl_batch,
     intermediate_reward,
-    state_centers,
     state_hpwl,
 )
 from .routability import (
@@ -33,13 +30,7 @@ from .routability import (
     routability_reward,
 )
 from .state import FloorplanState, PlacedBlock
-from .vecenv import (
-    ProcessVecEnv,
-    StackedObservations,
-    VecEnv,
-    make_vecenv,
-    stack_observations,
-)
+from .vecenv import StackedObservations, VecEnv, stack_observations
 
 __all__ = [
     "CanvasGrid",
@@ -51,9 +42,7 @@ __all__ = [
     "PlacedBlock",
     "RoutabilityEstimate",
     "StackedObservations",
-    "ProcessVecEnv",
     "VecEnv",
-    "make_vecenv",
     "estimate_routability",
     "routability_reward",
     "stack_observations",
@@ -66,7 +55,6 @@ __all__ = [
     "encode_action",
     "final_reward",
     "floorplan_area",
-    "hpwl",
     "hpwl_lower_bound",
     "incidence_hpwl",
     "incidence_hpwl_batch",
@@ -76,8 +64,6 @@ __all__ = [
     "placement_masks",
     "positional_mask",
     "positional_masks",
-    "state_centers",
     "state_hpwl",
     "wire_mask",
-    "wire_mask_reference",
 ]

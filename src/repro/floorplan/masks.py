@@ -14,9 +14,8 @@ Six 32x32 masks form the pixel-level state:
 All computations are vectorized over the grid, and an observation shares
 one occupancy integral image across every derived channel.  The wire
 mask reads the state's incrementally maintained per-net bounding boxes
-(see :mod:`repro.floorplan.state`) so it is O(incident nets) per shape;
-the scalar implementation it replaced is retained as
-:func:`wire_mask_reference` and pinned bit-identical by the golden tests.
+(see :mod:`repro.floorplan.state`) so it is O(incident nets) per shape,
+pinned bit-identical to a per-net scalar loop by the golden tests.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ def _grid_coords(side: float, n: int) -> np.ndarray:
 
 from ..circuits.constraints import Constraint, ConstraintKind
 from ..config import NUM_SHAPES
-from .metrics import state_centers
 from .state import FloorplanState
 
 
@@ -267,7 +265,7 @@ def wire_mask(
     All incident nets are evaluated in one stacked numpy broadcast over
     the state's incrementally maintained per-net bounding boxes —
     O(incident nets) instead of O(all nets x all blocks) — and the result
-    is bit-identical to :func:`wire_mask_reference` (golden-tested).
+    is bit-identical to a per-net scalar loop (golden-tested).
     ``valid`` optionally supplies the precomputed placement mask.
     """
     n = state.grid.n
@@ -300,42 +298,6 @@ def wire_mask(
         increase = increase / peak
     if valid is None:
         valid = placement_mask(state, shape_index)
-    increase[~valid] = 1.0
-    return increase
-
-
-def wire_mask_reference(
-    state: FloorplanState, shape_index: int, hpwl_min: float
-) -> np.ndarray:
-    """Scalar reference for :func:`wire_mask`: per-net Python loop over
-    ``state_centers``.  Kept as the golden pin for the vectorized path."""
-    n = state.grid.n
-    block = state.current_block
-    variant = state.shape_sets[block][shape_index]
-    cell = state.grid.cell
-    cx = np.arange(n) * cell + variant.width / 2.0   # center x per column
-    cy = np.arange(n) * cell + variant.height / 2.0  # center y per row
-
-    centers = state_centers(state)
-    increase = np.zeros((n, n))
-    for net in state.circuit.nets:
-        if block not in net.blocks:
-            continue
-        xs = [centers[b][0] for b in net.blocks if b in centers]
-        ys = [centers[b][1] for b in net.blocks if b in centers]
-        if not xs:
-            continue
-        lo_x, hi_x = min(xs), max(xs)
-        lo_y, hi_y = min(ys), max(ys)
-        dx = np.maximum(lo_x - cx, 0.0) + np.maximum(cx - hi_x, 0.0)  # (n,)
-        dy = np.maximum(lo_y - cy, 0.0) + np.maximum(cy - hi_y, 0.0)  # (n,)
-        increase += dy[:, np.newaxis] + dx[np.newaxis, :]
-
-    increase /= max(hpwl_min, HPWL_MIN_FLOOR)
-    peak = increase.max()
-    if peak > 1.0:
-        increase = increase / peak
-    valid = placement_mask(state, shape_index)
     increase[~valid] = 1.0
     return increase
 

@@ -9,53 +9,20 @@ from __future__ import annotations
 
 import time
 from math import sqrt
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..circuits.netlist import Circuit, Net
+from ..circuits.netlist import Circuit
 from ..config import REWARD_ALPHA, REWARD_BETA, REWARD_GAMMA
 from ..obs import OBS
-from .state import FloorplanState, PlacedBlock
-
-
-def hpwl(
-    nets: Sequence[Net],
-    centers: Mapping[int, Tuple[float, float]],
-    partial: bool = True,
-) -> float:
-    """Half-perimeter wirelength over nets (paper Eq. 3).
-
-    This is the scalar *reference* implementation: the incremental /
-    vectorized fast paths (:func:`state_hpwl`, :func:`incidence_hpwl`)
-    are pinned bit-identical to it by the golden tests.
-
-    Parameters
-    ----------
-    nets:
-        Block-level nets.
-    centers:
-        Mapping from block index to its center.  With ``partial=True``,
-        nets with fewer than two placed members contribute zero (used for
-        intermediate rewards during an episode).  With ``partial=False``
-        every member of every net must be placed: a net with *any*
-        unplaced member — one, some, or all of them — raises ``KeyError``.
-    """
-    total = 0.0
-    for net in nets:
-        xs = [centers[b][0] for b in net.blocks if b in centers]
-        ys = [centers[b][1] for b in net.blocks if b in centers]
-        if not partial and len(xs) < net.degree:
-            raise KeyError(f"net {net.name}: unplaced blocks in full-HPWL mode")
-        if len(xs) < 2:
-            continue
-        total += (max(xs) - min(xs)) + (max(ys) - min(ys))
-    return total
+from .state import FloorplanState
 
 
 def _sum_like_reference(spans: np.ndarray) -> float:
-    """Sequential left-to-right accumulation, matching :func:`hpwl`'s
-    ``total +=`` loop bit for bit (numpy's pairwise summation does not)."""
+    """Sequential left-to-right accumulation, matching a scalar
+    ``total +=`` loop over nets bit for bit (numpy's pairwise summation
+    does not)."""
     total = 0.0
     for span in spans.tolist():
         total += span
@@ -67,7 +34,7 @@ def incidence_hpwl(circuit: Circuit, cx: np.ndarray, cy: np.ndarray) -> float:
 
     ``cx[b]`` / ``cy[b]`` hold block ``b``'s center; every block must be
     covered.  Vectorized over the precomputed ``circuit.incidence``
-    structure and bit-identical to ``hpwl(..., partial=False)``.
+    structure and bit-identical to the scalar per-net HPWL loop.
     """
     inc = circuit.incidence
     if inc.num_nets == 0:
@@ -107,16 +74,12 @@ def incidence_hpwl_batch(circuit: Circuit, cx: np.ndarray, cy: np.ndarray) -> np
     return totals
 
 
-def state_centers(state: FloorplanState) -> Dict[int, Tuple[float, float]]:
-    return {index: block.center for index, block in state.placed.items()}
-
-
 def state_hpwl(state: FloorplanState, partial: bool = True) -> float:
     """HPWL of a (possibly partial) floorplan state.
 
     Served from the state's incrementally maintained per-net bounding
     boxes: O(nets) per call instead of O(nets x blocks), and bit-identical
-    to the :func:`hpwl` reference over ``state_centers``.
+    to the scalar per-net HPWL loop over block centers.
 
     Instrumented for ``repro.obs``: with telemetry enabled each call
     feeds the ``env.hpwl.seconds`` histogram; disabled, the only cost is

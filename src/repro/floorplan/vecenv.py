@@ -1,46 +1,31 @@
-"""Vectorized environment wrappers: serial and process-backed stepping.
+"""Vectorized environment: a fixed batch of envs stepped in lockstep.
 
 The paper gathers experience from 16 parallel environments (Sec. V-A).
 ``VecEnv`` steps a list of environments sequentially while presenting the
 batched interface PPO expects; the batch dimension is what matters for
-learning dynamics.  ``ProcessVecEnv`` provides the same interface with
-each environment living in its own worker process (Stable-Baselines3
-``SubprocVecEnv`` style) for true multi-core stepping; both are
-deterministic given the same action sequence, so rollouts are
-bit-identical across backends.  :func:`make_vecenv` selects a backend by
-name (``"serial"`` / ``"process"``).
+learning dynamics.
 """
 
 from __future__ import annotations
 
 import inspect
-import multiprocessing
-import time
-import traceback
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.netlist import Circuit
 from ..graph.hetero import HeteroGraph
-from ..obs import OBS, adopt_trace, drain_worker, get_logger, merge_worker, trace_context
-from ..resil import WorkerCrashedError
-from ..resil import chaos
 from .env import FloorplanEnv, Observation
-
-logger = get_logger("vecenv")
 
 
 @dataclass
 class StackedObservations:
     """A batch of observations in array form, ready for batched inference.
 
-    Produced by :func:`stack_observations` (or the ``*_stacked`` vec-env
-    methods) so the policy's batched path consumes one contiguous stack
-    per field instead of re-marshalling a list of per-env observations
-    on every forward.
+    Produced by :func:`stack_observations` (or :meth:`VecEnv.step_stacked`)
+    so the policy's batched path consumes one contiguous stack per field
+    instead of re-marshalling a list of per-env observations on every
+    forward.
     """
 
     masks: np.ndarray          #: (B, 6, n, n) stacked observation masks
@@ -70,23 +55,7 @@ def stack_observations(observations: Sequence[Observation]) -> StackedObservatio
     )
 
 
-class _StackedStepMixin:
-    """Stacked-interface adapters shared by every vec-env backend."""
-
-    def reset_stacked(self) -> StackedObservations:
-        """Like :meth:`reset`, returning a :class:`StackedObservations`."""
-        return stack_observations(self.reset())
-
-    def step_stacked(
-        self, actions: Sequence[int]
-    ) -> Tuple[StackedObservations, np.ndarray, np.ndarray, List[Dict]]:
-        """Like :meth:`step`, with the observations stacked for the
-        batched inference path."""
-        observations, rewards, dones, infos = self.step(actions)
-        return stack_observations(observations), rewards, dones, infos
-
-
-class VecEnv(_StackedStepMixin):
+class VecEnv:
     """A fixed batch of :class:`FloorplanEnv` with auto-reset semantics."""
 
     def __init__(self, envs: Sequence[FloorplanEnv]):
@@ -130,6 +99,14 @@ class VecEnv(_StackedStepMixin):
             infos.append(info)
         return observations, rewards, dones, infos
 
+    def step_stacked(
+        self, actions: Sequence[int]
+    ) -> Tuple[StackedObservations, np.ndarray, np.ndarray, List[Dict]]:
+        """Like :meth:`step`, with the observations stacked for the
+        batched inference path."""
+        observations, rewards, dones, infos = self.step(actions)
+        return stack_observations(observations), rewards, dones, infos
+
     def set_task(self, maker: Callable[..., None]) -> None:
         """Apply a task-switching callable to each env (curriculum hook).
 
@@ -150,406 +127,3 @@ class VecEnv(_StackedStepMixin):
                 maker(i, env)
             else:
                 maker(i)
-
-
-# ---------------------------------------------------------------------------
-# Process-backed stepping
-# ---------------------------------------------------------------------------
-
-class _RemoteError:
-    """Exception surrogate shipped worker -> parent (with the traceback)."""
-
-    def __init__(self, exc: BaseException):
-        self.message = f"{type(exc).__name__}: {exc}"
-        self.traceback = traceback.format_exc()
-
-
-def _subproc_worker(conn, circuit: Circuit, hpwl_min, target_aspect,
-                    obs_enabled: bool = False, trace_ctx=None,
-                    flow_id: Optional[str] = None, index: int = 0) -> None:
-    """Worker loop: owns one env, services reset/step/set_circuit/close.
-
-    Exceptions from the env are sent back as :class:`_RemoteError` so the
-    parent re-raises them with the worker traceback instead of dying on a
-    bare ``EOFError``; the worker stays alive for subsequent commands.
-
-    With ``obs_enabled`` the worker records env telemetry into its own
-    process-local registry *and tracer* (joined to the parent's trace via
-    ``trace_ctx``; ``flow_id`` terminates the parent's spawn flow arrow),
-    records one ``vecenv.episode`` span per episode, and ships combined
-    payloads to the parent at every episode end (inside ``info["obs"]``)
-    and on the explicit ``"obs"`` drain command, so one parent-side
-    report — and one merged trace — covers the fleet.
-    """
-    # (Re)arm telemetry explicitly: spawn starts disabled, fork inherits
-    # the parent's registry contents *and trace buffer* — reset both so
-    # only worker-side telemetry ships back.
-    OBS.enabled = obs_enabled
-    if obs_enabled:
-        OBS.registry.reset()
-        OBS.tracer.reset()
-        adopt_trace(trace_ctx)
-        if flow_id is not None:
-            OBS.tracer.flow_end("vecenv.worker", flow_id)
-    env = FloorplanEnv(circuit, hpwl_min=hpwl_min, target_aspect=target_aspect)
-    ep_start = time.perf_counter()
-    ep_steps = 0
-    total_steps = 0  # lifetime counter: chaos site keys stay unique
-    try:
-        while True:
-            cmd, data = conn.recv()
-            try:
-                if cmd == "reset":
-                    ep_start = time.perf_counter()
-                    ep_steps = 0
-                    conn.send(env.reset())
-                elif cmd == "step":
-                    if chaos.enabled():
-                        # Deterministic crash site: worker index + its
-                        # lifetime step count.  A respawned worker restarts
-                        # the count, so the cross-process once-markers are
-                        # what keep it from dying at the same site again.
-                        chaos.kill_env_worker(f"env{index}:step{total_steps}")
-                    total_steps += 1
-                    obs, reward, done, info = env.step(int(data))
-                    ep_steps += 1
-                    if done:
-                        # Auto-reset in the worker, mirroring VecEnv semantics.
-                        info["terminal_observation"] = obs
-                        obs = env.reset()
-                        if obs_enabled:
-                            now = time.perf_counter()
-                            OBS.tracer.add_complete(
-                                "vecenv.episode", ep_start, now,
-                                {"steps": ep_steps},
-                            )
-                            info["obs"] = drain_worker()
-                        ep_start = time.perf_counter()
-                        ep_steps = 0
-                    conn.send((obs, reward, done, info))
-                elif cmd == "set_circuit":
-                    env.set_circuit(data)
-                    conn.send(True)
-                elif cmd == "obs":
-                    conn.send(drain_worker() if obs_enabled else None)
-                elif cmd == "close":
-                    conn.close()
-                    break
-            except Exception as exc:  # noqa: BLE001 — forwarded to parent
-                conn.send(_RemoteError(exc))
-    except (EOFError, KeyboardInterrupt):
-        pass
-
-
-def _shutdown_workers(conns, procs) -> None:
-    """Close worker pipes and reap (or kill) the processes.
-
-    Module-level so :func:`weakref.finalize` can call it without keeping
-    the env alive; runs on explicit ``close()``, on garbage collection of
-    an un-closed env, and at interpreter exit (finalizers are atexit-run),
-    so forgotten envs never leak worker processes.
-    """
-    for conn in conns:
-        try:
-            conn.send(("close", None))
-            conn.close()
-        except (OSError, BrokenPipeError):
-            pass
-    for proc in procs:
-        proc.join(timeout=5)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=1)
-
-
-class ProcessVecEnv(_StackedStepMixin):
-    """Batch of :class:`FloorplanEnv` stepped in worker processes.
-
-    Presents the same ``reset`` / ``step`` interface as :class:`VecEnv`,
-    with each environment living in its own process connected by a pipe;
-    all workers step concurrently, then results are gathered in env
-    order.  Stepping is deterministic given the action sequence, so
-    rollouts match the serial :class:`VecEnv` bit for bit (see
-    ``tests/test_determinism.py``).
-
-    Lifecycle: use as a context manager (``with ProcessVecEnv(...) as
-    venv:``) or call :meth:`close`.  A finalizer also tears the workers
-    down when an un-closed env is garbage collected, so forgetting
-    ``close()`` cannot leak worker processes.
-
-    ``reset_hook`` is not supported in this mode — auto-reset happens
-    inside the worker before the parent observes ``done``, so a parent
-    hook could not run "before reset".  The curriculum trainer keeps
-    using the serial :class:`VecEnv` for that reason.
-    """
-
-    def __init__(
-        self,
-        circuits: Sequence[Circuit],
-        hpwl_min: Optional[float] = None,
-        target_aspect: Optional[float] = None,
-        start_method: Optional[str] = None,
-        step_timeout: Optional[float] = None,
-        respawn: bool = False,
-    ):
-        """``step_timeout`` bounds how long one worker reply may take
-        (``None`` waits forever on a *live* worker — a dead one is
-        detected by polling either way); ``respawn=True`` turns a worker
-        crash into a terminated episode (``info["worker_crashed"]``) on
-        a freshly spawned worker instead of a
-        :class:`~repro.resil.WorkerCrashedError`."""
-        # Shared with the task engine (lazy import: baselines pull in this
-        # package, so a top-level engine import would be circular-ish).
-        from ..engine.executor import default_start_method
-
-        if not circuits:
-            raise ValueError("ProcessVecEnv needs at least one circuit")
-        if step_timeout is not None and step_timeout <= 0:
-            raise ValueError("step_timeout must be positive (or None)")
-        ctx = multiprocessing.get_context(start_method or default_start_method())
-        # Telemetry enablement is captured at construction: workers born
-        # while obs is off stay dark (enable obs before building the env
-        # to cover the fleet).
-        self._obs_enabled = OBS.enabled
-        self._ctx = ctx
-        self._trace_ctx = trace_context()
-        self._circuits = list(circuits)
-        self._hpwl_min = hpwl_min
-        self._target_aspect = target_aspect
-        self.step_timeout = step_timeout
-        self.respawn = respawn
-        self._conns = []
-        self._procs = []
-        for index in range(len(self._circuits)):
-            conn, proc = self._spawn_worker(index)
-            self._conns.append(conn)
-            self._procs.append(proc)
-        # The finalizer captures the *list objects*: respawn replaces
-        # elements in place, so teardown always sees the live workers.
-        self._finalizer = weakref.finalize(
-            self, _shutdown_workers, self._conns, self._procs
-        )
-
-    def _spawn_worker(self, index: int):
-        """Start worker ``index`` (initial spawn and crash respawn)."""
-        parent, child = self._ctx.Pipe()
-        # One flow arrow per worker: spawn here, terminated by the
-        # worker when it comes up (Perfetto draws fleet startup).
-        flow_id = (OBS.tracer.flow_start("vecenv.worker")
-                   if self._obs_enabled else None)
-        proc = self._ctx.Process(
-            target=_subproc_worker,
-            args=(child, self._circuits[index], self._hpwl_min,
-                  self._target_aspect, self._obs_enabled, self._trace_ctx,
-                  flow_id, index),
-            daemon=True,
-        )
-        proc.start()
-        child.close()
-        return parent, proc
-
-    def respawn_worker(self, index: int) -> None:
-        """Replace a crashed worker with a fresh one (env state is lost).
-
-        The replacement starts un-reset; callers must ``reset`` it (the
-        auto-respawn path in :meth:`step` does) before stepping.  Conn
-        and process are replaced *in place* so the teardown finalizer,
-        which holds the list objects, keeps covering the whole fleet.
-        """
-        if self._closed:
-            raise RuntimeError("ProcessVecEnv is closed")
-        old_conn, old_proc = self._conns[index], self._procs[index]
-        try:
-            old_conn.close()
-        except OSError:
-            pass
-        if old_proc.is_alive():
-            old_proc.terminate()
-        old_proc.join(timeout=5)
-        self._conns[index], self._procs[index] = self._spawn_worker(index)
-        if OBS.enabled:
-            OBS.registry.inc("vecenv.respawns")
-        logger.warning("respawned vecenv worker %d", index)
-
-    @property
-    def num_envs(self) -> int:
-        return len(self._conns)
-
-    @property
-    def _closed(self) -> bool:
-        return not self._finalizer.alive
-
-    @property
-    def reset_hook(self):
-        return None
-
-    @reset_hook.setter
-    def reset_hook(self, hook) -> None:
-        if hook is not None:
-            raise NotImplementedError(
-                "reset_hook is unsupported under process-backed stepping; "
-                "use the serial VecEnv (or set_circuits between rollouts)"
-            )
-
-    #: Liveness poll period while waiting on a worker reply (seconds).
-    _POLL_INTERVAL = 0.05
-
-    def _recv(self, index: int):
-        """Receive from worker ``index`` without ever blocking forever.
-
-        Polls the pipe in short intervals interleaved with
-        ``Process.is_alive()`` checks, so a worker that died mid-command
-        (OOM kill, segfault, injected crash) surfaces as a typed
-        :class:`~repro.resil.WorkerCrashedError` naming the worker —
-        where a bare ``conn.recv()`` would hang the trainer forever.
-        ``step_timeout`` additionally bounds the wait on a *live* but
-        unresponsive worker.
-        """
-        conn, proc = self._conns[index], self._procs[index]
-        deadline = (time.perf_counter() + self.step_timeout
-                    if self.step_timeout is not None else None)
-        while not conn.poll(self._POLL_INTERVAL):
-            if not proc.is_alive():
-                # The reply may have raced in just before death.
-                if conn.poll(0):
-                    break
-                raise self._crashed(index, exitcode=proc.exitcode)
-            if deadline is not None and time.perf_counter() >= deadline:
-                raise self._crashed(
-                    index,
-                    reason=(f"sent no reply within {self.step_timeout:g}s "
-                            f"(step_timeout)"),
-                )
-        try:
-            payload = conn.recv()
-        except (EOFError, OSError):
-            raise self._crashed(index, exitcode=proc.exitcode) from None
-        if isinstance(payload, _RemoteError):
-            raise RuntimeError(
-                f"env worker failed: {payload.message}\n"
-                f"--- worker traceback ---\n{payload.traceback}"
-            )
-        return payload
-
-    def _crashed(self, index: int, exitcode=None,
-                 reason=None) -> WorkerCrashedError:
-        if OBS.enabled:
-            OBS.registry.inc("vecenv.crashes")
-        if exitcode is None and reason is None:
-            # The pipe can report EOF a beat before the dying process is
-            # reapable; a short join makes the exit status available.
-            self._procs[index].join(timeout=1.0)
-            exitcode = self._procs[index].exitcode
-        error = WorkerCrashedError(index, exitcode=exitcode, reason=reason)
-        logger.warning("%s", error)
-        return error
-
-    def reset(self) -> List[Observation]:
-        if self._closed:
-            raise RuntimeError("ProcessVecEnv is closed")
-        for conn in self._conns:
-            conn.send(("reset", None))
-        return [self._recv(i) for i in range(self.num_envs)]
-
-    def step(self, actions: Sequence[int]) -> Tuple[List[Observation], np.ndarray, np.ndarray, List[Dict]]:
-        """Step every env concurrently; finished envs auto-reset in-worker."""
-        if self._closed:
-            raise RuntimeError("ProcessVecEnv is closed")
-        if len(actions) != self.num_envs:
-            raise ValueError(f"expected {self.num_envs} actions, got {len(actions)}")
-        for conn, action in zip(self._conns, actions):
-            try:
-                conn.send(("step", int(action)))
-            except (OSError, BrokenPipeError):
-                pass  # dead worker: the recv below raises (or respawns)
-        observations: List[Observation] = []
-        rewards = np.zeros(self.num_envs)
-        dones = np.zeros(self.num_envs, dtype=bool)
-        infos: List[Dict] = []
-        for i in range(self.num_envs):
-            try:
-                obs, reward, done, info = self._recv(i)
-            except WorkerCrashedError as crash:
-                if not self.respawn:
-                    raise
-                # Opt-in degraded mode: the crashed episode terminates
-                # with zero reward on a fresh worker; training continues
-                # with one lost episode instead of dying.  Off by
-                # default — auto-respawn changes rollout content, so the
-                # determinism-sensitive paths never enable it.
-                self.respawn_worker(i)
-                self._conns[i].send(("reset", None))
-                obs = self._recv(i)
-                reward, done = 0.0, True
-                info = {"worker_crashed": True, "worker_index": i,
-                        "crash": str(crash)}
-            snap = info.pop("obs", None)
-            if snap:
-                merge_worker(snap, label="vecenv-worker")
-            observations.append(obs)
-            rewards[i] = reward
-            dones[i] = done
-            infos.append(info)
-        return observations, rewards, dones, infos
-
-    def drain_obs(self) -> None:
-        """Merge every worker's pending telemetry into the parent registry.
-
-        Episode-end shipping covers completed episodes; this picks up the
-        partial tail (also runs automatically from :meth:`close`).
-        """
-        if self._closed or not self._obs_enabled:
-            return
-        for conn in self._conns:
-            conn.send(("obs", None))
-        for i in range(self.num_envs):
-            snap = self._recv(i)
-            if snap:
-                merge_worker(snap, label="vecenv-worker")
-
-    def set_circuits(self, circuits: Sequence[Circuit]) -> None:
-        """Swap every worker's circuit (requires a subsequent reset)."""
-        if self._closed:
-            raise RuntimeError("ProcessVecEnv is closed")
-        if len(circuits) != self.num_envs:
-            raise ValueError(f"expected {self.num_envs} circuits, got {len(circuits)}")
-        self._circuits = list(circuits)  # respawns must use the new grid
-        for conn, circuit in zip(self._conns, circuits):
-            conn.send(("set_circuit", circuit))
-        for i in range(self.num_envs):
-            self._recv(i)
-
-    def close(self) -> None:
-        """Idempotent teardown: detaches and runs the worker finalizer."""
-        try:
-            self.drain_obs()
-        except (OSError, BrokenPipeError, RuntimeError):
-            pass  # workers already gone; telemetry tail is best-effort
-        self._finalizer()
-
-    def __enter__(self) -> "ProcessVecEnv":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def make_vecenv(
-    circuits: Sequence[Circuit],
-    backend: str = "serial",
-    hpwl_min: Optional[float] = None,
-    target_aspect: Optional[float] = None,
-):
-    """Build a vectorized env over ``circuits`` with the chosen backend.
-
-    ``"serial"`` returns the classic :class:`VecEnv`; ``"process"``
-    returns a :class:`ProcessVecEnv` stepping each env in its own worker.
-    """
-    if backend == "serial":
-        return VecEnv([
-            FloorplanEnv(c, hpwl_min=hpwl_min, target_aspect=target_aspect)
-            for c in circuits
-        ])
-    if backend == "process":
-        return ProcessVecEnv(circuits, hpwl_min=hpwl_min, target_aspect=target_aspect)
-    raise ValueError(f"unknown vecenv backend {backend!r} (serial|process)")

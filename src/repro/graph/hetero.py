@@ -24,7 +24,7 @@ import numpy as np
 RELATIONS: Tuple[str, ...] = ("connect", "h_align", "v_align", "h_sym", "v_sym")
 
 #: Per-process salt + monotonic counter backing ``HeteroGraph.uid``.  The
-#: salt keeps uids unique across vec-env worker processes (a bare counter
+#: salt keeps uids unique across worker processes (a bare counter
 #: would restart at 1 in every worker and collide), while pickling keeps a
 #: graph's uid stable — a copy shipped to/from a worker still hits the
 #: same embedding-cache entry.

@@ -14,11 +14,11 @@ repo (engine, env hot path, PPO, encoder, baselines):
   :class:`~repro.obs.metrics.MetricsRegistry` and coarse operations emit
   Chrome-trace spans via the :class:`~repro.obs.trace.Tracer`.
 
-Workers under the engine's process backend, ``ProcessVecEnv`` workers,
-and the solve server's pool record into their own registries *and
+Workers under the engine's process backend (sweeps and the solve
+server's baseline pool alike) record into their own registries *and
 tracers*, adopt the parent's trace context (:func:`trace_context` /
 :func:`adopt_trace`), and ship combined payloads back to the parent
-(through ``TaskResult.obs`` / episode-end ``info["obs"]`` / the serve
+(through ``TaskResult.obs``; a remote server ships its own through the
 ``stats`` op); :func:`merge_worker` folds metrics into the registry and
 rebases the worker spans onto the parent's wall-clock axis, so one
 report — and one Perfetto-loadable trace — covers the whole fleet.

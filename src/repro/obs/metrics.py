@@ -9,8 +9,7 @@ enabled the per-event cost is dominated by ``time.perf_counter``.
 Cross-process aggregation is explicit rather than shared-memory: each
 worker records into its own process-local registry, ships a
 :meth:`MetricsRegistry.snapshot` back to the parent (inside a
-``TaskResult`` under the engine's process backend, inside episode-end
-``info`` dicts under ``ProcessVecEnv``), and the parent folds it in with
+``TaskResult`` under the engine's process backend), and the parent folds it in with
 :meth:`MetricsRegistry.merge`.  Every merge commutes, so aggregate
 reports are independent of worker completion order — serial and process
 runs of the same workload report identical counters and gauges

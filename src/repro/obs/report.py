@@ -46,9 +46,8 @@ def _rows(header: List[str], rows: List[List[str]]) -> List[str]:
 #: "resilience" section so retries/sheds/crashes stand out in a post-mortem.
 _RESIL_PREFIXES = (
     "resil.", "chaos.", "engine.pool_rebuilds", "serve.shed",
-    "serve.deadline_exceeded", "serve.pool_restarts", "serve.queue_depth",
-    "serve.drained", "serve.drain_abandoned", "vecenv.crashes",
-    "vecenv.respawns", "sweep.resumed_cells",
+    "serve.deadline_exceeded", "serve.queue_depth", "serve.drained",
+    "serve.drain_abandoned", "sweep.resumed_cells",
 )
 
 

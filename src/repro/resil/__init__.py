@@ -1,10 +1,10 @@
 """Fault tolerance for the execution layer — retries, deadlines, chaos.
 
-The package splits into four small pieces, consumed across the engine,
-the solve server, and the vectorized environments:
+The package splits into four small pieces, consumed across the engine
+and the solve server:
 
 - :mod:`repro.resil.errors` — typed substrate failures
-  (:class:`TaskTimeoutError`, :class:`WorkerCrashedError`, …) so callers
+  (:class:`TaskTimeoutError`, :class:`PoolRebuildLimitError`, …) so callers
   can tell "task code raised" from "the machinery under it broke".
 - :mod:`repro.resil.policy` — :class:`RetryPolicy` (retries, per-attempt
   timeout, deterministic exponential backoff — no RNG, preserving the
@@ -22,7 +22,6 @@ from .errors import (
     PoolRebuildLimitError,
     QueueFullError,
     TaskTimeoutError,
-    WorkerCrashedError,
 )
 from .journal import SweepJournal
 from .policy import RetryPolicy, call_with_retries, run_with_timeout
@@ -36,7 +35,6 @@ __all__ = [
     "RetryPolicy",
     "SweepJournal",
     "TaskTimeoutError",
-    "WorkerCrashedError",
     "call_with_retries",
     "run_with_timeout",
 ]

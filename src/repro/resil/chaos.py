@@ -32,8 +32,6 @@ Spec grammar: ``kind[:key=value,...]`` joined by ``;``.  Known kinds:
                     eviction and recompute.
 ``drop_conn``       abort a serve connection right after a request line
                     is read — exercises client reconnect/retry.
-``kill_env_worker`` ``os._exit`` a ``ProcessVecEnv`` worker on a step
-                    command — exercises crash detection and respawn.
 ==================  ======================================================
 
 Per-injector options: ``rate`` (probability in [0, 1], default 1.0),
@@ -74,7 +72,6 @@ KINDS = (
     "delay_task",
     "corrupt_cache",
     "drop_conn",
-    "kill_env_worker",
 )
 
 #: Kind-specific ``value`` defaults (seconds for hang, ms for delay).
@@ -286,9 +283,3 @@ def corrupt_cache_entry(key: str, meta_path) -> None:
 def drop_connection(key: str) -> bool:
     """True when the server should abort this connection (serve hook)."""
     return fires("drop_conn", key)
-
-
-def kill_env_worker(key: str) -> None:
-    """``os._exit`` a vec-env worker (called inside the worker loop)."""
-    if fires("kill_env_worker", key):
-        os._exit(KILL_EXIT_CODE)

@@ -1,15 +1,13 @@
-"""Typed fault-tolerance errors shared across engine, serve, and vecenv.
+"""Typed fault-tolerance errors shared across the engine and serve.
 
 Every recoverable-failure path in the execution layer raises (or
 catches) one of these instead of a bare ``RuntimeError``, so callers can
 distinguish "the task's own code raised" from "the execution substrate
 failed" (worker killed, deadline blown, queue full) and apply the right
-policy — retry, resubmit, shed, or respawn.
+policy — retry, resubmit or shed.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 
 class FaultToleranceError(RuntimeError):
@@ -27,28 +25,6 @@ class TaskTimeoutError(FaultToleranceError):
         super().__init__(
             f"task {label!r} exceeded its {timeout:g}s timeout{suffix}"
         )
-
-
-class WorkerCrashedError(FaultToleranceError):
-    """A worker process died (or stopped responding) mid-command.
-
-    ``index`` names the worker so the parent can respawn exactly the
-    crashed one; ``exitcode`` is the dead process's exit status when
-    known (``None`` for a heartbeat timeout on a still-alive worker).
-    """
-
-    def __init__(
-        self,
-        index: int,
-        exitcode: Optional[int] = None,
-        reason: Optional[str] = None,
-    ):
-        self.index = index
-        self.exitcode = exitcode
-        detail = reason or (
-            f"exited with code {exitcode}" if exitcode is not None else "died"
-        )
-        super().__init__(f"worker {index} {detail}")
 
 
 class PoolRebuildLimitError(FaultToleranceError):

@@ -1,6 +1,6 @@
 """Reinforcement learning: masked PPO, Fig. 4 policy, floorplan agent."""
 
-from .agent import FloorplanAgent, HCLRecord
+from .agent import FloorplanAgent, HCLRecord, solve_session
 from .distributions import MASK_VALUE, MaskedCategorical
 from .policy import ActorCritic, CnnExtractor, DeconvPolicyHead
 from .ppo import IterationStats, MaskedPPO, TrainHistory
@@ -19,4 +19,5 @@ __all__ = [
     "RolloutBatch",
     "RolloutBuffer",
     "TrainHistory",
+    "solve_session",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,17 +21,71 @@ from ..baselines.common import FloorplanResult, PlacedRect, evaluate_placement
 from ..circuits.netlist import Circuit
 from ..config import TrainConfig
 from ..floorplan.curriculum import HybridCurriculum
-from ..floorplan.env import FloorplanEnv
-from ..floorplan.metrics import hpwl_lower_bound
+from ..floorplan.env import FloorplanEnv, Observation
 from ..floorplan.vecenv import VecEnv
 from ..gnn.rgcn import RGCNEncoder
 from ..graph.features import FEATURE_DIM
 from ..nn import load_module, save_module
-from ..obs import get_logger, profile_scope, span
+from ..obs import get_logger, profile_scope
 from .policy import ActorCritic
-from .ppo import MaskedPPO, TrainHistory, publish_iteration
+from .ppo import MaskedPPO, TrainHistory
 
 logger = get_logger("rl.agent")
+
+
+def solve_session(
+    env: FloorplanEnv,
+    deterministic: bool = True,
+    attempts: int = 8,
+    method_name: str = "R-GCN RL",
+) -> Generator[Tuple[Observation, bool], int, FloorplanResult]:
+    """The RL solve episode loop, with the policy call left to the caller.
+
+    Yields ``(observation, greedy)`` for every step and takes the chosen
+    action back through ``send``; ``greedy`` asks for the mode of the
+    masked policy instead of a sample.  The first attempt is greedy when
+    ``deterministic``, retries are stochastic.  Returns (as
+    ``StopIteration.value``) the :class:`FloorplanResult` of the first
+    constraint-clean attempt; raises ``RuntimeError`` if none of
+    ``attempts`` is.
+
+    :meth:`FloorplanAgent.solve` answers the steps with ``MaskedPPO.act``
+    and the solve server answers them through its micro-batcher, so
+    offline and served solves run the same episodes.
+    """
+    circuit = env.circuit
+    start = time.perf_counter()
+    for attempt in range(attempts):
+        obs = env.reset()
+        greedy = deterministic and attempt == 0
+        done = False
+        info: Dict = {}
+        while not done:
+            action = yield obs, greedy
+            obs, _, done, info = env.step(int(action))
+        if not info.get("violation"):
+            rects = [
+                PlacedRect(p.index, p.shape_index, p.x, p.y, p.width, p.height)
+                for p in env.state.placed.values()
+            ]
+            area, wirelength, ds, reward = evaluate_placement(
+                circuit, rects, hpwl_min=env.hpwl_min,
+                target_aspect=env.target_aspect,
+            )
+            return FloorplanResult(
+                circuit_name=circuit.name,
+                method=method_name,
+                rects=rects,
+                area=area,
+                hpwl=wirelength,
+                dead_space=ds,
+                reward=reward,
+                runtime=time.perf_counter() - start,
+                extra={"attempts": attempt + 1},
+            )
+    raise RuntimeError(
+        f"no constraint-clean floorplan for {circuit.name} in {attempts} attempts"
+    )
 
 
 @dataclass
@@ -99,20 +153,8 @@ class FloorplanAgent:
         while not curriculum.finished:
             buffer, observations, _ = self.ppo.collect(vec, observations)
             stats = self.ppo.update(buffer)
-            from .ppo import IterationStats
-
-            iteration = len(record.history.iterations)
-            record.history.iterations.append(IterationStats(
-                iteration=iteration,
-                episode_reward_mean=self.ppo.episode_reward_mean,
-                approx_kl=stats["approx_kl"],
-                policy_loss=stats["policy_loss"],
-                value_loss=stats["value_loss"],
-                entropy=stats["entropy"],
-                episodes_completed=curriculum.episode,
-                clip_fraction=stats["clip_fraction"],
-            ))
-            publish_iteration(record.history.iterations[-1])
+            iteration = self.ppo.record_iteration(
+                record.history, stats, curriculum.episode).iteration
             stage = curriculum.stage
             if stage not in seen_stages:
                 seen_stages.add(stage)
@@ -146,19 +188,7 @@ class FloorplanAgent:
             )
             stats = self.ppo.update(buffer)
             done_episodes += finished
-            from .ppo import IterationStats
-
-            history.iterations.append(IterationStats(
-                iteration=len(history.iterations),
-                episode_reward_mean=self.ppo.episode_reward_mean,
-                approx_kl=stats["approx_kl"],
-                policy_loss=stats["policy_loss"],
-                value_loss=stats["value_loss"],
-                entropy=stats["entropy"],
-                episodes_completed=finished,
-                clip_fraction=stats["clip_fraction"],
-            ))
-            publish_iteration(history.iterations[-1])
+            self.ppo.record_iteration(history, stats, finished)
         return history
 
     # ------------------------------------------------------------------
@@ -174,7 +204,8 @@ class FloorplanAgent:
         method_name: str = "R-GCN RL",
         rng: Optional[np.random.Generator] = None,
     ) -> FloorplanResult:
-        """Generate a floorplan with the current policy.
+        """Generate a floorplan with the current policy (drives
+        :func:`solve_session` with ``MaskedPPO.act``).
 
         The first attempt is greedy (mode of the masked policy); if it dead
         -ends on constraints, stochastic retries follow, sampling from
@@ -184,40 +215,17 @@ class FloorplanAgent:
         floorplan is found in ``attempts``.
         """
         rng = rng or np.random.default_rng(self.config.seed)
-        hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
-        env = FloorplanEnv(circuit, hpwl_min=hmin, target_aspect=target_aspect)
-        start = time.perf_counter()
+        env = FloorplanEnv(circuit, hpwl_min=hpwl_min, target_aspect=target_aspect)
+        session = solve_session(env, deterministic, attempts, method_name)
+        action = None
         with profile_scope("agent.solve"):
-            for attempt in range(attempts):
-                obs = env.reset()
-                use_mode = deterministic and attempt == 0
-                done = False
-                info: Dict = {}
-                while not done:
-                    actions, _, _ = self.ppo.act([obs], deterministic=use_mode, rng=rng)
-                    obs, _, done, info = env.step(int(actions[0]))
-                if not info.get("violation"):
-                    rects = [
-                        PlacedRect(p.index, p.shape_index, p.x, p.y, p.width, p.height)
-                        for p in env.state.placed.values()
-                    ]
-                    area, wirelength, ds, reward = evaluate_placement(
-                        circuit, rects, hpwl_min=hmin, target_aspect=target_aspect
-                    )
-                    return FloorplanResult(
-                        circuit_name=circuit.name,
-                        method=method_name,
-                        rects=rects,
-                        area=area,
-                        hpwl=wirelength,
-                        dead_space=ds,
-                        reward=reward,
-                        runtime=time.perf_counter() - start,
-                        extra={"attempts": attempt + 1},
-                    )
-        raise RuntimeError(
-            f"no constraint-clean floorplan for {circuit.name} in {attempts} attempts"
-        )
+            try:
+                while True:
+                    obs, greedy = session.send(action)
+                    actions, _, _ = self.ppo.act([obs], deterministic=greedy, rng=rng)
+                    action = int(actions[0])
+            except StopIteration as finished:
+                return finished.value
 
     def clone(self) -> "FloorplanAgent":
         """Independent copy (own optimizer state) for per-circuit fine-tuning.

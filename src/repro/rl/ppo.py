@@ -106,7 +106,7 @@ class MaskedPPO:
 
         Keyed on the graph's ``uid`` token (not ``id()``: a GC'd graph's
         recycled id could silently alias a different graph, and the uid
-        survives pickling across vec-env worker processes).  ``id()`` is
+        survives pickling across worker processes).  ``id()`` is
         the fallback for foreign graph objects without a uid token.
         """
         key = getattr(graph, "uid", None)
@@ -125,23 +125,6 @@ class MaskedPPO:
         while len(cache) > self.EMBEDDING_CACHE_SIZE:
             cache.popitem(last=False)  # evict least recently used
 
-    def _encode(self, observation: Observation) -> Tuple[np.ndarray, np.ndarray]:
-        """Frozen R-GCN features for (current node, graph), cached per graph.
-
-        Per-graph reference path; :meth:`_encode_batch` is the batched
-        equivalent (bit-identical output) used by ``act``/``collect``.
-        """
-        graph = observation.graph
-        key = self._cache_key(graph)
-        entry = self._cache_get(key)
-        if entry is None:
-            entry = self.encoder.encode_numpy(graph)
-            self._cache_put(key, entry)
-        nodes, graph_emb = entry
-        node_index = observation.block_index
-        node_emb = nodes[node_index] if 0 <= node_index < nodes.shape[0] else np.zeros_like(graph_emb)
-        return node_emb, graph_emb
-
     def _encode_batch(
         self, graphs: Sequence[HeteroGraph], block_indices: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -150,7 +133,7 @@ class MaskedPPO:
         Cache misses are deduplicated (vec-envs usually share a handful of
         circuits) and encoded in **one** batched R-GCN forward
         (:meth:`RGCNEncoder.encode_batch_numpy`), which is bit-identical
-        to the per-graph :meth:`_encode` path.  Returns ``(node_emb,
+        to encoding each graph on its own.  Returns ``(node_emb,
         graph_emb)`` stacks of shape ``(B, d)``.
         """
         entries: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
@@ -199,7 +182,7 @@ class MaskedPPO:
 
         Accepts either a list of per-env :class:`Observation` or an
         already-stacked :class:`StackedObservations` (the vec-env
-        ``*_stacked`` methods produce the latter, skipping per-step
+        ``step_stacked`` method produces the latter, skipping per-step
         re-marshalling).
         """
         stacked = stack_observations(observations)
@@ -284,7 +267,6 @@ class MaskedPPO:
         cfg = self.config
         steps = rollout_steps if rollout_steps is not None else cfg.rollout_steps
         observations = stack_observations(observations)
-        step_stacked = getattr(vecenv, "step_stacked", None)
         buffer = RolloutBuffer(
             steps, vecenv.num_envs, EMBEDDING_DIM, dtype=self.policy.dtype,
         )
@@ -301,11 +283,7 @@ class MaskedPPO:
                     dist = MaskedCategorical(logits, action_mask)
                     actions = dist.sample(self.rng)
                     log_probs = dist.log_prob(actions).numpy()
-                if step_stacked is not None:
-                    next_observations, rewards, dones, infos = step_stacked(actions)
-                else:  # duck-typed vec-envs exposing only the list interface
-                    stepped, rewards, dones, infos = vecenv.step(actions)
-                    next_observations = stack_observations(stepped)
+                next_observations, rewards, dones, infos = vecenv.step_stacked(actions)
                 buffer.add(masks, node_emb, graph_emb, action_mask, actions,
                            log_probs, values.numpy(), rewards, dones)
                 self._running_returns += rewards
@@ -400,6 +378,24 @@ class MaskedPPO:
             return float("nan")
         return float(np.mean(self._episode_returns))
 
+    def record_iteration(
+        self, history: TrainHistory, stats: Dict[str, float], episodes: int
+    ) -> IterationStats:
+        """Append one iteration's diagnostics to ``history`` and publish them.
+
+        ``stats`` is what :meth:`update` returned; ``episodes`` is the
+        caller's episode count for the iteration.
+        """
+        entry = IterationStats(
+            iteration=len(history.iterations),
+            episode_reward_mean=self.episode_reward_mean,
+            episodes_completed=episodes,
+            **stats,
+        )
+        history.iterations.append(entry)
+        publish_iteration(entry)
+        return entry
+
     def train(
         self,
         vecenv: VecEnv,
@@ -412,16 +408,5 @@ class MaskedPPO:
         observations = vecenv.reset()
         for it in range(iterations):
             buffer, observations, episodes = self.collect(vecenv, observations, on_episode_end)
-            stats = self.update(buffer)
-            history.iterations.append(IterationStats(
-                iteration=len(history.iterations),
-                episode_reward_mean=self.episode_reward_mean,
-                approx_kl=stats["approx_kl"],
-                policy_loss=stats["policy_loss"],
-                value_loss=stats["value_loss"],
-                entropy=stats["entropy"],
-                episodes_completed=episodes,
-                clip_fraction=stats["clip_fraction"],
-            ))
-            publish_iteration(history.iterations[-1])
+            self.record_iteration(history, self.update(buffer), episodes)
         return history

@@ -10,17 +10,19 @@ order of preference:
    recomputation, across restarts and alongside CLI sweeps.
 2. **Single-flight** — identical requests already being computed are
    coalesced onto the in-flight result instead of duplicating work.
-3. **Micro-batched RL solve** — a cold ``method="rl"`` request becomes a
-   solve *session*: an env episode whose per-step policy calls are
-   funneled through the :class:`MicroBatcher`, so N concurrent sessions
-   share one ``MaskedPPO.act`` over ``stack_observations`` + the batched
-   R-GCN forward (PR 7) per step wave.  Each session samples from its
-   own seed-derived generator via the per-row ``act`` entry, so answers
-   are bit-identical whether a request runs alone or coalesced
+3. **Micro-batched RL solve** — a cold ``method="rl"`` request runs
+   :func:`~repro.rl.agent.solve_session`, the episode loop offline
+   solves run too, with its per-step policy calls funneled through the
+   :class:`MicroBatcher`, so N concurrent sessions share one
+   ``MaskedPPO.act`` over ``stack_observations`` + the batched R-GCN
+   forward per step wave.  Each session samples from its own
+   seed-derived generator via the per-row ``act`` entry, so answers are
+   bit-identical whether a request runs alone or coalesced
    (``tests/test_determinism.py::TestServingDeterminism``).
 4. **Sharded cold solves** — baseline methods (SA/GA/...) are full
-   CPU-bound searches; they run on the engine's process backend through
-   a persistent pool so the event loop never blocks.
+   CPU-bound searches; they run as engine tasks on the server's
+   :class:`~repro.engine.executor.Executor`, which keeps one worker pool
+   for the server's lifetime, so the event loop never blocks.
 
 Telemetry goes through ``repro.obs`` shapes only: a per-server
 always-on :class:`MetricsRegistry` (the ``stats`` op and the load
@@ -33,33 +35,29 @@ per request.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import hashlib
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..baselines.common import FloorplanResult, PlacedRect, evaluate_placement
+from ..baselines.common import FloorplanResult
 from ..circuits.library import available_circuits, get_circuit
 from ..circuits.netlist import Circuit
 from ..config import TrainConfig
 from ..engine.cache import ArtifactCache, floorplan_result_to_dict
-from ..engine.executor import _init_worker, _process_run, default_start_method
-from ..engine.task import TaskResult, TaskSpec, run_task
+from ..engine.executor import Executor
+from ..engine.task import TaskResult, TaskSpec
 from ..engine.tasks import agent_fingerprint
 from ..floorplan.env import FloorplanEnv, Observation
-from ..floorplan.metrics import hpwl_lower_bound
 from ..floorplan.vecenv import stack_observations
 from ..graph.hetero import HeteroGraph
-from ..obs import OBS, drain_worker, get_logger, merge_worker, trace_context
+from ..obs import OBS, drain_worker, get_logger
 from ..obs.metrics import MetricsRegistry
 from ..resil import OverloadedError, QueueFullError
 from ..resil import chaos
-from ..rl.agent import FloorplanAgent
+from ..rl.agent import FloorplanAgent, solve_session
 from .batcher import MicroBatcher
 from .protocol import (
     PROTOCOL_VERSION,
@@ -101,7 +99,7 @@ class ServeConfig:
     deadline_ms: Optional[float] = None  #: server-default per-request deadline
     queue_size: int = 1024              #: micro-batcher queue bound
     drain_timeout: float = 5.0          #: close(): grace for in-flight solves
-    pool_restarts: int = 2              #: crashed baseline-pool auto-restarts
+    pool_restarts: int = 2              #: crashed baseline-pool rebuilds per request
 
     def __post_init__(self) -> None:
         if self.backend not in ("serial", "thread", "process"):
@@ -162,10 +160,13 @@ class SolveServer:
             max_wait=self.config.max_wait_ms / 1000.0,
             maxsize=self.config.queue_size,
         )
+        #: Runs baseline solves on one worker pool kept for the server's
+        #: lifetime (rebuilt when a worker crashes).
+        self.executor = Executor(
+            backend=self.config.backend, workers=self.config.workers,
+            max_pool_rebuilds=self.config.pool_restarts, keep_pool=True,
+        )
         self._server: Optional[asyncio.AbstractServer] = None
-        self._pool: Optional[concurrent.futures.Executor] = None
-        #: Crashed-pool restarts consumed so far (capped by config).
-        self._pool_restarts = 0
         #: Solve requests currently being processed (admission control).
         self._admitted = 0
         #: Live compute tasks, so close() can drain them gracefully.
@@ -245,9 +246,9 @@ class SolveServer:
             logger.info("draining %d in-flight solves (up to %.1fs)",
                         len(pending), timeout)
             _, still_running = await asyncio.wait(pending, timeout=timeout)
-            self.metrics.inc("serve.drained", len(pending) - len(still_running))
+            self._count("serve.drained", len(pending) - len(still_running))
             if still_running:
-                self.metrics.inc("serve.drain_abandoned", len(still_running))
+                self._count("serve.drain_abandoned", len(still_running))
                 logger.warning("drain timeout: cancelling %d solves",
                                len(still_running))
                 for task in still_running:
@@ -256,9 +257,20 @@ class SolveServer:
             for task in pending:
                 task.cancel()
         await self._batcher.stop()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        self.executor.close()
+
+    # ------------------------------------------------------------------
+    # Telemetry: the per-server registry, mirrored into ``OBS`` when on
+    # ------------------------------------------------------------------
+    def _count(self, name: str, value: float = 1) -> None:
+        self.metrics.inc(name, value)
+        if OBS.enabled:
+            OBS.registry.inc(name, value)
+
+    def _observe(self, name: str, value: float) -> None:
+        self.metrics.observe(name, value)
+        if OBS.enabled:
+            OBS.registry.observe(name, value)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -266,7 +278,7 @@ class SolveServer:
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.metrics.inc("serve.connections")
+        self._count("serve.connections")
         try:
             await self._conn_loop(reader, writer)
         except asyncio.CancelledError:
@@ -345,15 +357,11 @@ class SolveServer:
                     self._admitted -= 1
             raise ProtocolError(f"unknown op {op!r}")
         except ProtocolError as exc:
-            self.metrics.inc("serve.errors")
-            if OBS.enabled:
-                OBS.registry.inc("serve.errors")
+            self._count("serve.errors")
             return error_response(request_id, str(exc))
         except Exception as exc:  # noqa: BLE001 — respond, don't die
             logger.exception("request failed")
-            self.metrics.inc("serve.errors")
-            if OBS.enabled:
-                OBS.registry.inc("serve.errors")
+            self._count("serve.errors")
             return error_response(
                 request_id, f"internal error: {type(exc).__name__}: {exc}")
 
@@ -362,9 +370,7 @@ class SolveServer:
     # ------------------------------------------------------------------
     def _shed(self, request_id: Any, exc: Exception) -> bytes:
         """Explicit load-shed response + counters (never an exception)."""
-        self.metrics.inc("serve.shed")
-        if OBS.enabled:
-            OBS.registry.inc("serve.shed")
+        self._count("serve.shed")
         logger.warning("shedding request: %s", exc)
         return error_response(request_id, str(exc), shed=True)
 
@@ -417,9 +423,7 @@ class SolveServer:
                     result, seconds = await asyncio.wait_for(
                         asyncio.shield(awaitable), max(0.0, remaining))
                 except asyncio.TimeoutError:
-                    self.metrics.inc("serve.deadline_exceeded")
-                    if OBS.enabled:
-                        OBS.registry.inc("serve.deadline_exceeded")
+                    self._count("serve.deadline_exceeded")
                     return error_response(
                         request.request_id,
                         f"deadline exceeded after {deadline_ms:g}ms",
@@ -427,14 +431,10 @@ class SolveServer:
                     )
 
         now = time.perf_counter()
-        self.metrics.observe("serve.request.seconds", now - t0)
-        self.metrics.inc("serve.requests")
-        self.metrics.inc("serve.cache.hit" if cached else "serve.cache.miss")
+        self._observe("serve.request.seconds", now - t0)
+        self._count("serve.requests")
+        self._count("serve.cache.hit" if cached else "serve.cache.miss")
         if OBS.enabled:
-            registry = OBS.registry
-            registry.observe("serve.request.seconds", now - t0)
-            registry.inc("serve.requests")
-            registry.inc("serve.cache.hit" if cached else "serve.cache.miss")
             OBS.tracer.add_complete(
                 "serve.request", t0, now,
                 {"circuit": request.circuit, "method": request.method,
@@ -499,57 +499,27 @@ class SolveServer:
     async def _solve_rl(
         self, request: SolveRequest, circuit: Circuit
     ) -> FloorplanResult:
-        """One solve session: an env episode stepped through the batcher.
+        """One :func:`~repro.rl.agent.solve_session` whose policy steps go
+        through the micro-batcher.
 
-        Mirrors :meth:`FloorplanAgent.solve` exactly — greedy first
-        attempt, stochastic retries from a seed-derived generator — with
-        the per-step policy calls coalesced across concurrent sessions.
-        Bit-identical to the serial path because every session owns its
-        generator and the per-row ``act`` entry consumes it exactly as a
-        batch-of-one call would.
+        Bit-identical to the offline :meth:`FloorplanAgent.solve`: the
+        episode loop is the same code, every session owns its
+        seed-derived generator, and the per-row ``act`` entry consumes it
+        exactly as a batch-of-one call would.
         """
-        hmin = hpwl_lower_bound(circuit)
         env_key = (request.circuit, request.unconstrained, request.target_aspect)
-        env = self._acquire_env(env_key, circuit, hmin, request.target_aspect)
+        env = self._acquire_env(env_key, circuit, request.target_aspect)
         rng = np.random.default_rng(request.seed)
-        start = time.perf_counter()
+        session = solve_session(env, request.deterministic, request.attempts)
+        action = None
         try:
-            for attempt in range(request.attempts):
-                obs = env.reset()
-                use_mode = request.deterministic and attempt == 0
-                done = False
-                info: Dict = {}
-                while not done:
-                    action = await self._batcher.submit(
-                        _StepItem(obs, use_mode, rng)
-                    )
-                    obs, _, done, info = env.step(int(action))
-                if not info.get("violation"):
-                    rects = [
-                        PlacedRect(p.index, p.shape_index, p.x, p.y,
-                                   p.width, p.height)
-                        for p in env.state.placed.values()
-                    ]
-                    area, wirelength, ds, reward = evaluate_placement(
-                        circuit, rects, hpwl_min=hmin,
-                        target_aspect=request.target_aspect,
-                    )
-                    return FloorplanResult(
-                        circuit_name=circuit.name,
-                        method="R-GCN RL",
-                        rects=rects,
-                        area=area,
-                        hpwl=wirelength,
-                        dead_space=ds,
-                        reward=reward,
-                        runtime=time.perf_counter() - start,
-                        extra={"attempts": attempt + 1},
-                    )
-            raise RuntimeError(
-                f"no constraint-clean floorplan for {circuit.name} "
-                f"in {request.attempts} attempts"
-            )
+            while True:
+                obs, greedy = session.send(action)
+                action = await self._batcher.submit(_StepItem(obs, greedy, rng))
+        except StopIteration as finished:
+            return finished.value
         finally:
+            session.close()
             self._release_env(env_key, env)
 
     async def _act_batch(self, items: List[_StepItem]) -> List[int]:
@@ -558,9 +528,7 @@ class SolveServer:
         deterministic = np.array([item.deterministic for item in items],
                                  dtype=bool)
         rngs = [item.rng for item in items]
-        self.metrics.observe("serve.batch_size", len(items))
-        if OBS.enabled:
-            OBS.registry.observe("serve.batch_size", len(items))
+        self._observe("serve.batch_size", len(items))
         # numpy GEMMs release the GIL; running the forward off-loop keeps
         # the server accepting connections during inference.
         actions, _, _ = await asyncio.to_thread(
@@ -569,58 +537,14 @@ class SolveServer:
         return [int(action) for action in actions]
 
     async def _solve_baseline(self, spec: TaskSpec) -> FloorplanResult:
-        """Shard a cold full solve to the engine's process backend.
+        """Run a cold full solve on the server's executor, off the loop.
 
-        A crashed pool (``BrokenProcessPool`` — an OOM-killed or chaos-
-        killed worker) is torn down and rebuilt automatically, up to
-        ``config.pool_restarts`` times per server lifetime, and the
-        solve is resubmitted; the request only fails once the restart
-        budget is spent.
+        The executor's kept pool survives between requests; when a
+        worker crashes it is rebuilt and the solve resubmitted, up to
+        ``config.pool_restarts`` times per request.
         """
-        while True:
-            pool = self._ensure_pool()
-            try:
-                if pool is None:  # backend="serial": still off the event loop
-                    task_result = await asyncio.to_thread(run_task, spec)
-                elif isinstance(pool, concurrent.futures.ProcessPoolExecutor):
-                    # Route through the engine's worker shim so pool
-                    # workers ship their telemetry delta (metrics + trace
-                    # spans) back with the result; the spans land in this
-                    # server's merged trace.
-                    flow_id = (OBS.tracer.flow_start("engine.task")
-                               if OBS.enabled else None)
-                    task_result = (
-                        await asyncio.get_running_loop().run_in_executor(
-                            pool, _process_run, spec, flow_id
-                        )
-                    )
-                    if task_result.obs is not None:
-                        merge_worker(task_result.obs, label="serve-worker")
-                        task_result.obs = None
-                else:
-                    task_result = (
-                        await asyncio.get_running_loop().run_in_executor(
-                            pool, run_task, spec
-                        )
-                    )
-                return task_result.value
-            except concurrent.futures.BrokenExecutor:
-                self._pool_restarts += 1
-                self.metrics.inc("serve.pool_restarts")
-                if OBS.enabled:
-                    OBS.registry.inc("serve.pool_restarts")
-                if pool is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-                if self._pool_restarts > self.config.pool_restarts:
-                    logger.error(
-                        "baseline pool crashed and the restart budget "
-                        "(%d) is spent", self.config.pool_restarts)
-                    raise
-                logger.warning(
-                    "baseline pool crashed; restarting (%d/%d) and "
-                    "resubmitting %s", self._pool_restarts,
-                    self.config.pool_restarts, spec.label)
+        (result,) = await asyncio.to_thread(self.executor.map_tasks, [spec])
+        return result.value
 
     # ------------------------------------------------------------------
     # Shared state helpers
@@ -644,13 +568,12 @@ class SolveServer:
         self,
         key: Tuple,
         circuit: Circuit,
-        hmin: float,
         target_aspect: Optional[float],
     ) -> FloorplanEnv:
         free = self._free_envs.setdefault(key, [])
         if free:
             return free.pop()
-        env = FloorplanEnv(circuit, hpwl_min=hmin, target_aspect=target_aspect)
+        env = FloorplanEnv(circuit, target_aspect=target_aspect)
         canonical = self._graphs.get(key)
         if canonical is None:
             self._graphs[key] = env.graph
@@ -663,22 +586,6 @@ class SolveServer:
 
     def _release_env(self, key: Tuple, env: FloorplanEnv) -> None:
         self._free_envs.setdefault(key, []).append(env)
-
-    def _ensure_pool(self) -> Optional[concurrent.futures.Executor]:
-        if self.config.backend == "serial":
-            return None
-        if self._pool is None:
-            workers = self.config.workers or os.cpu_count() or 1
-            if self.config.backend == "process":
-                ctx = multiprocessing.get_context(default_start_method())
-                self._pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers, mp_context=ctx,
-                    initializer=_init_worker,
-                    initargs=(None, OBS.enabled, trace_context()),
-                )
-            else:
-                self._pool = concurrent.futures.ThreadPoolExecutor(workers)
-        return self._pool
 
     # ------------------------------------------------------------------
     # Introspection
@@ -709,7 +616,7 @@ class SolveServer:
             "shed": int(self.metrics.counters.get("serve.shed", 0)),
             "deadline_exceeded": int(
                 self.metrics.counters.get("serve.deadline_exceeded", 0)),
-            "pool_restarts": self._pool_restarts,
+            "pool_restarts": self.executor.pools_discarded,
             "agent": self.agent_digest,
             "endpoint": self.endpoint,
         }

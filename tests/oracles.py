@@ -1,0 +1,135 @@
+"""Scalar reference implementations the fast paths are pinned against.
+
+Each function here is the straightforward version of a vectorized or
+incremental path in ``repro``; the golden tests assert the fast path is
+bit-identical to it, and the hot-path benchmarks time against it.  They
+live with the tests because nothing in the package calls them.
+"""
+
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
+
+from repro.baselines import PlacedRect, SequencePair
+from repro.circuits import Net
+from repro.floorplan import FloorplanState, placement_mask
+from repro.floorplan.masks import HPWL_MIN_FLOOR
+
+
+def state_centers(state: FloorplanState) -> Dict[int, Tuple[float, float]]:
+    """Block index -> center of every placed block."""
+    return {index: block.center for index, block in state.placed.items()}
+
+
+def hpwl(
+    nets: Sequence[Net],
+    centers: Mapping[int, Tuple[float, float]],
+    partial: bool = True,
+) -> float:
+    """Half-perimeter wirelength over nets (paper Eq. 3).
+
+    Reference for ``state_hpwl`` / ``incidence_hpwl``.  With
+    ``partial=True``, nets with fewer than two placed members contribute
+    zero; with ``partial=False`` a net with any unplaced member raises
+    ``KeyError``.
+    """
+    total = 0.0
+    for net in nets:
+        xs = [centers[b][0] for b in net.blocks if b in centers]
+        ys = [centers[b][1] for b in net.blocks if b in centers]
+        if not partial and len(xs) < net.degree:
+            raise KeyError(f"net {net.name}: unplaced blocks in full-HPWL mode")
+        if len(xs) < 2:
+            continue
+        total += (max(xs) - min(xs)) + (max(ys) - min(ys))
+    return total
+
+
+def pack_reference(
+    pair: SequencePair,
+    sizes: Sequence[Sequence[Tuple[float, float]]],
+) -> List[PlacedRect]:
+    """Reference for ``pack``: the classic O(n^2) sequence-pair double loop."""
+    n = pair.num_blocks
+    if len(sizes) != n:
+        raise ValueError(f"expected sizes for {n} blocks, got {len(sizes)}")
+    pos_plus = {b: i for i, b in enumerate(pair.gamma_plus)}
+    pos_minus = {b: i for i, b in enumerate(pair.gamma_minus)}
+    widths = np.array([sizes[b][pair.shapes[b]][0] for b in range(n)])
+    heights = np.array([sizes[b][pair.shapes[b]][1] for b in range(n)])
+
+    x = np.zeros(n)
+    for b in pair.gamma_minus:
+        best = 0.0
+        for a in range(n):
+            if a == b:
+                continue
+            if pos_plus[a] < pos_plus[b] and pos_minus[a] < pos_minus[b]:
+                best = max(best, x[a] + widths[a])
+        x[b] = best
+
+    y = np.zeros(n)
+    for b in pair.gamma_minus:
+        best = 0.0
+        for a in range(n):
+            if a == b:
+                continue
+            if pos_plus[a] > pos_plus[b] and pos_minus[a] < pos_minus[b]:
+                best = max(best, y[a] + heights[a])
+        y[b] = best
+
+    return [
+        PlacedRect(b, pair.shapes[b], float(x[b]), float(y[b]), float(widths[b]), float(heights[b]))
+        for b in range(n)
+    ]
+
+
+def wire_mask_reference(
+    state: FloorplanState, shape_index: int, hpwl_min: float
+) -> np.ndarray:
+    """Reference for ``wire_mask``: a per-net Python loop over
+    :func:`state_centers`."""
+    n = state.grid.n
+    block = state.current_block
+    variant = state.shape_sets[block][shape_index]
+    cell = state.grid.cell
+    cx = np.arange(n) * cell + variant.width / 2.0   # center x per column
+    cy = np.arange(n) * cell + variant.height / 2.0  # center y per row
+
+    centers = state_centers(state)
+    increase = np.zeros((n, n))
+    for net in state.circuit.nets:
+        if block not in net.blocks:
+            continue
+        xs = [centers[b][0] for b in net.blocks if b in centers]
+        ys = [centers[b][1] for b in net.blocks if b in centers]
+        if not xs:
+            continue
+        lo_x, hi_x = min(xs), max(xs)
+        lo_y, hi_y = min(ys), max(ys)
+        dx = np.maximum(lo_x - cx, 0.0) + np.maximum(cx - hi_x, 0.0)  # (n,)
+        dy = np.maximum(lo_y - cy, 0.0) + np.maximum(cy - hi_y, 0.0)  # (n,)
+        increase += dy[:, np.newaxis] + dx[np.newaxis, :]
+
+    increase /= max(hpwl_min, HPWL_MIN_FLOOR)
+    peak = increase.max()
+    if peak > 1.0:
+        increase = increase / peak
+    valid = placement_mask(state, shape_index)
+    increase[~valid] = 1.0
+    return increase
+
+
+def encode_reference(ppo, observation) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference for ``MaskedPPO._encode_batch``: one observation's frozen
+    R-GCN features ``(node_emb, graph_emb)`` through the per-graph
+    ``encode_numpy`` path, sharing the trainer's embedding cache."""
+    key = ppo._cache_key(observation.graph)
+    entry = ppo._cache_get(key)
+    if entry is None:
+        entry = ppo.encoder.encode_numpy(observation.graph)
+        ppo._cache_put(key, entry)
+    nodes, graph_emb = entry
+    node_index = observation.block_index
+    node_emb = nodes[node_index] if 0 <= node_index < nodes.shape[0] else np.zeros_like(graph_emb)
+    return node_emb, graph_emb

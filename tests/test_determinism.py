@@ -3,8 +3,8 @@
 Covers the engine's core guarantee (ISSUE 1): seeds travel inside the
 task specs, so reruns and parallel backends reproduce artifacts bit for
 bit — for the SA baseline, for engine-dispatched grids under ``serial``
-and ``process`` backends, and for ``VecEnv`` rollouts stepped serially
-or in worker processes.
+and ``process`` backends, for k-shot fine-tuning, and for served RL
+solves.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.circuits import get_circuit
 from repro.config import TrainConfig
 from repro.engine import Executor, TaskSpec
 from repro.engine.tasks import agent_fingerprint, table1_rl_task
-from repro.floorplan import make_vecenv
 from repro.rl import FloorplanAgent
 
 FAST_SA = SAConfig(moves_per_temperature=4, seed=3)
@@ -208,66 +207,3 @@ class TestServingDeterminism:
         for seed in self.SEEDS:
             assert warm[seed]["cached"] is True
             assert warm[seed]["result"] == cold[seed]["result"]
-
-
-def scripted_rollout(vec, steps=12):
-    """Deterministic policy: always the first valid action per env."""
-    trace = []
-    observations = vec.reset()
-    for _ in range(steps):
-        actions = [int(np.nonzero(o.action_mask)[0][0]) for o in observations]
-        observations, rewards, dones, infos = vec.step(actions)
-        trace.append((
-            actions,
-            rewards.copy(),
-            dones.copy(),
-            [o.masks.copy() for o in observations],
-        ))
-    return trace
-
-
-class TestVecEnvBackendDeterminism:
-    def test_serial_and_process_rollouts_identical(self):
-        circuits = [get_circuit("ota_small"), get_circuit("bias_small")]
-        serial = make_vecenv(circuits, backend="serial")
-        process = make_vecenv(circuits, backend="process")
-        try:
-            # 12 steps spans several auto-resets on these 3-block circuits.
-            for (a_act, a_rew, a_done, a_masks), (b_act, b_rew, b_done, b_masks) in zip(
-                scripted_rollout(serial), scripted_rollout(process)
-            ):
-                assert a_act == b_act
-                assert np.array_equal(a_rew, b_rew)
-                assert np.array_equal(a_done, b_done)
-                for ma, mb in zip(a_masks, b_masks):
-                    assert np.array_equal(ma, mb)
-        finally:
-            process.close()
-
-    def test_process_vecenv_forwards_env_errors(self):
-        vec = make_vecenv([get_circuit("ota_small")], backend="process")
-        try:
-            vec.reset()
-            with pytest.raises(RuntimeError, match="env worker failed"):
-                vec.step([10 ** 6])  # out-of-range action
-        finally:
-            vec.close()
-
-    def test_process_vecenv_autoreset_marks_terminal_observation(self):
-        vec = make_vecenv([get_circuit("ota_small")], backend="process")
-        try:
-            observations = vec.reset()
-            first_block = observations[0].block_index
-            done = False
-            for _ in range(8):
-                action = int(np.nonzero(observations[0].action_mask)[0][0])
-                observations, _, dones, infos = vec.step([action])
-                if dones[0]:
-                    done = True
-                    assert "terminal_observation" in infos[0]
-                    # Auto-reset: returned observation starts a new episode.
-                    assert observations[0].block_index == first_block
-                    break
-            assert done, "episode did not terminate within 8 steps"
-        finally:
-            vec.close()

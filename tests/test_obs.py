@@ -20,7 +20,6 @@ from repro import obs
 from repro.circuits import get_circuit
 from repro.engine import ArtifactCache, Executor, SweepSpec, run_sweep
 from repro.floorplan import FloorplanEnv
-from repro.floorplan.vecenv import ProcessVecEnv
 
 #: One tiny fixed sweep reused by the aggregation tests: 2 methods x 1
 #: circuit x 2 seeds, SA/GA budgets cut to tens of milliseconds.
@@ -343,36 +342,6 @@ class TestAggregation:
         serial = self._sweep_counters("serial")
         threaded = self._sweep_counters("thread")
         assert threaded == serial
-
-    def test_process_vecenv_ships_worker_telemetry(self):
-        circuits = [get_circuit("ota_small")] * 2
-        steps = 4
-        obs.enable()
-        try:
-            with ProcessVecEnv(circuits) as vec:
-                observations = vec.reset()
-                for _ in range(steps):
-                    actions = [_first_valid_action(o) for o in observations]
-                    observations, _, _, _ = vec.step(actions)
-                vec.drain_obs()
-            counters = dict(obs.OBS.registry.counters)
-        finally:
-            obs.disable()
-        # Every worker-side step lands in the parent ledger exactly once
-        # (episode-end shipping + explicit drain, no double counting).
-        assert counters["env.steps"] == steps * len(circuits)
-        summary = obs.OBS.registry.histogram_summary("env.step.seconds")
-        assert summary["count"] == steps * len(circuits)
-
-    def test_process_vecenv_dark_when_disabled(self):
-        circuits = [get_circuit("ota_small")] * 2
-        with ProcessVecEnv(circuits) as vec:
-            observations = vec.reset()
-            actions = [_first_valid_action(o) for o in observations]
-            vec.step(actions)
-            vec.drain_obs()
-        assert obs.OBS.registry.empty
-
 
 class TestCacheMetrics:
     def test_registry_is_single_source_of_truth(self, tmp_path):

@@ -2,8 +2,8 @@
 
 Three pillars, each pinned against its acceptance contract:
 
-* **Trace unification** — engine process workers, ``ProcessVecEnv``
-  workers, and the solve server's pool buffer spans locally, ship them
+* **Trace unification** — engine process workers and the solve
+  server buffer spans locally, ship them
   with the existing metrics payloads, and the parent rebases them onto
   one wall-clock axis: one merged trace per run, worker span count > 0,
   parent/child wall-clock containment after normalization.
@@ -20,13 +20,10 @@ import os
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro import obs
-from repro.circuits import get_circuit
 from repro.engine import Executor, SweepSpec, run_sweep
-from repro.floorplan.vecenv import ProcessVecEnv
 from repro.obs import bench as obs_bench
 from repro.obs import prof as obs_prof
 
@@ -146,54 +143,6 @@ class TestEngineTraceUnification:
 
     def test_disabled_process_sweep_records_nothing(self):
         run_sweep(SWEEP, executor=Executor(backend="process", workers=2))
-        assert not obs.OBS.tracer.events
-        assert obs.OBS.registry.empty
-
-
-def _first_valid_action(observation) -> int:
-    return int(np.nonzero(observation.action_mask)[0][0])
-
-
-class TestVecEnvTraceUnification:
-    def _run_episodes(self, steps=60):
-        circuits = [get_circuit("ota_small")] * 2
-        with ProcessVecEnv(circuits) as vec:
-            observations = vec.reset()
-            for _ in range(steps):
-                actions = [_first_valid_action(o) for o in observations]
-                observations, _, dones, _ = vec.step(actions)
-            vec.drain_obs()
-
-    def test_worker_episode_spans_ship_to_parent(self):
-        parent_pid = os.getpid()
-        obs.enable()
-        try:
-            with obs.span("collect.loop"):
-                self._run_episodes()
-            events = list(obs.OBS.tracer.events)
-        finally:
-            obs.disable()
-        grouped = _events_by_name(events)
-
-        episodes = grouped.get("vecenv.episode", [])
-        assert episodes, "worker episode spans must reach the parent"
-        assert all(e["pid"] != parent_pid for e in episodes)
-        worker_pids = {e["pid"] for e in episodes}
-        assert len(worker_pids) == 2
-
-        # Rebased worker spans sit inside the parent's collect span.
-        (outer,) = grouped["collect.loop"]
-        for episode in episodes:
-            assert _contained(episode, [outer])
-
-        # One spawn flow arrow per worker, closed by the worker.
-        starts = {e["id"] for e in events if e.get("ph") == "s"}
-        ends = {e["id"] for e in events if e.get("ph") == "f"}
-        assert len(starts) == 2
-        assert starts == ends
-
-    def test_disabled_vecenv_records_nothing(self):
-        self._run_episodes(steps=4)
         assert not obs.OBS.tracer.events
         assert obs.OBS.registry.empty
 

@@ -1,6 +1,5 @@
 """Fault-tolerance layer (repro.resil): policy/journal/chaos units plus
-executor crash paths, the bounded micro-batch queue, and vec-env crash
-detection.
+executor crash paths and the bounded micro-batch queue.
 
 Deterministic by construction: chaos decisions are pure hashes, backoff
 has no jitter, and every kill uses the sentinel ``KILL_EXIT_CODE`` so a
@@ -11,22 +10,17 @@ hang backstop.
 
 import asyncio
 import os
-import signal
 import time
 
-import numpy as np
 import pytest
 
-from repro.circuits import get_circuit
 from repro.engine import ArtifactCache, Executor, TaskSpec, register_task
-from repro.floorplan import ProcessVecEnv
 from repro.resil import (
     PoolRebuildLimitError,
     QueueFullError,
     RetryPolicy,
     SweepJournal,
     TaskTimeoutError,
-    WorkerCrashedError,
     call_with_retries,
     run_with_timeout,
 )
@@ -443,6 +437,64 @@ class TestExecutorCrashPaths:
         assert ex.stats.retries == 0
 
 
+@register_task("resil_pid")
+def _pid(params, seed, context):
+    return os.getpid()
+
+
+class TestKeptPool:
+    """``Executor(keep_pool=True)``: one worker pool across calls."""
+
+    def _pid(self, ex, seed=0):
+        (result,) = ex.map_tasks([TaskSpec(fn="resil_pid", seed=seed)])
+        return result.value
+
+    def test_pool_survives_calls_until_close(self, fork_ctx):
+        ex = Executor(backend="process", workers=1, keep_pool=True)
+        try:
+            first = self._pid(ex, 0)
+            assert first != os.getpid()  # a lone task still goes to the pool
+            assert self._pid(ex, 1) == first
+        finally:
+            ex.close()
+        ex.close()  # idempotent
+        assert ex.pools_discarded == 0
+
+    def test_crashed_pool_replaced_and_task_resubmitted(self, tmp_path,
+                                                        fork_ctx):
+        ex = Executor(backend="process", workers=1, keep_pool=True)
+        try:
+            before = self._pid(ex)
+            spec = TaskSpec(fn="resil_kill_once", seed=3,
+                            params={"marker": str(tmp_path / "killed"),
+                                    "victim": True})
+            (result,) = ex.map_tasks([spec])
+            assert result.value == 21
+            assert ex.pools_discarded == 1
+            assert self._pid(ex) != before
+        finally:
+            ex.close()
+
+    def test_task_failure_keeps_pool(self, tmp_path, fork_ctx):
+        ex = Executor(backend="process", workers=1, keep_pool=True)
+        try:
+            before = self._pid(ex)
+            spec = TaskSpec(fn="resil_flaky",
+                            params={"counter": str(tmp_path / "count"),
+                                    "failures": 99})
+            with pytest.raises(RuntimeError, match="flaky failure 0"):
+                ex.map_tasks([spec])
+            assert self._pid(ex) == before
+            assert ex.pools_discarded == 0
+        finally:
+            ex.close()
+
+    def test_context_rejected(self):
+        ex = Executor(backend="thread", keep_pool=True)
+        with pytest.raises(ValueError, match="context"):
+            ex.map_tasks([TaskSpec(fn="resil_echo")], context=object())
+
+
 # ---------------------------------------------------------------------------
 # Bounded micro-batch queue
 # ---------------------------------------------------------------------------
@@ -481,56 +533,3 @@ class TestMicroBatcherBound:
     def test_maxsize_validated(self):
         with pytest.raises(ValueError):
             MicroBatcher(lambda items: items, maxsize=0)
-
-
-# ---------------------------------------------------------------------------
-# Vec-env crash detection & respawn
-# ---------------------------------------------------------------------------
-
-def _valid_actions(observations):
-    return [int(np.nonzero(obs.action_mask)[0][0]) for obs in observations]
-
-
-class TestVecEnvCrash:
-    def test_killed_worker_detected_not_hung(self):
-        """Regression: a dead worker used to hang ``conn.recv()`` forever;
-        now it raises a typed error naming the worker, promptly."""
-        circuit = get_circuit("ota_small")
-        with ProcessVecEnv([circuit, circuit]) as venv:
-            observations = venv.reset()
-            os.kill(venv._procs[1].pid, signal.SIGKILL)
-            venv._procs[1].join(timeout=10.0)
-            began = time.perf_counter()
-            with pytest.raises(WorkerCrashedError) as info:
-                venv.step(_valid_actions(observations))
-            assert time.perf_counter() - began < 30.0
-            assert info.value.index == 1
-            assert "worker 1" in str(info.value)
-
-    def test_respawn_turns_crash_into_terminal_step(self):
-        circuit = get_circuit("ota_small")
-        with ProcessVecEnv([circuit, circuit], respawn=True) as venv:
-            observations = venv.reset()
-            os.kill(venv._procs[0].pid, signal.SIGKILL)
-            venv._procs[0].join(timeout=10.0)
-            observations, rewards, dones, infos = venv.step(
-                _valid_actions(observations))
-            assert bool(dones[0]) is True
-            assert infos[0]["worker_crashed"] is True
-            assert infos[0]["worker_index"] == 0
-            assert venv._procs[0].is_alive()
-            # The fleet keeps stepping after the respawn.
-            observations, _, _, infos = venv.step(
-                _valid_actions(observations))
-            assert "worker_crashed" not in infos[0]
-
-    def test_step_timeout_benign_on_healthy_workers(self):
-        circuit = get_circuit("ota_small")
-        with ProcessVecEnv([circuit], step_timeout=30.0) as venv:
-            observations = venv.reset()
-            observations, _, _, _ = venv.step(_valid_actions(observations))
-            assert len(observations) == 1
-
-    def test_step_timeout_validated(self):
-        with pytest.raises(ValueError):
-            ProcessVecEnv([get_circuit("ota_small")], step_timeout=0.0)

@@ -1,6 +1,6 @@
-"""Seeded fault-injection matrix (repro.resil.chaos) across the three
-process boundaries: engine pools, the solve service, and vec-env workers
-— plus the crash-resumable-sweep regression.
+"""Seeded fault-injection matrix (repro.resil.chaos) across the process
+boundaries: engine pools and the solve service (connections and its
+baseline pool) — plus the crash-resumable-sweep regression.
 
 Every test derives its injector seed from ``$REPRO_CHAOS_SEED`` (the CI
 chaos job runs a small seed matrix; locally it defaults to 0), and every
@@ -11,18 +11,15 @@ probabilistic.
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import textwrap
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro import obs
-from repro.circuits import get_circuit
 from repro.config import TrainConfig
 from repro.engine import (
     ArtifactCache,
@@ -32,8 +29,7 @@ from repro.engine import (
     register_task,
     run_sweep,
 )
-from repro.floorplan import ProcessVecEnv
-from repro.resil import RetryPolicy, SweepJournal, WorkerCrashedError
+from repro.resil import RetryPolicy, SweepJournal
 from repro.resil import chaos
 from repro.resil.chaos import KILL_EXIT_CODE, _fraction
 from repro.rl import FloorplanAgent
@@ -264,6 +260,22 @@ class TestServeChaos:
         assert not worker.is_alive()
         assert results and results[0]["result"]["area"] > 0
 
+    def test_kill_worker_in_baseline_pool_rebuilt_and_resubmitted(
+            self, chaos_env, fork_ctx):
+        """A killed baseline-pool worker costs one pool rebuild, not the
+        request: the executor resubmits the solve on the new pool, and
+        the pool then stays up for the next request."""
+        chaos_env(f"kill_worker:rate=1,seed={CHAOS_SEED}")
+        config = ServeConfig(backend="process", workers=1, cache=False)
+        sa = dict(method="sa", config={"moves_per_temperature": 4})
+        with ServerThread(config, agent=small_agent()) as handle:
+            with SolveClient(handle.address) as client:
+                assert client.solve("ota_small", seed=0, **sa)["ok"]
+                assert client.stats()["pool_restarts"] == 1
+                # A new site: the rebuilt pool absorbs one more kill.
+                assert client.solve("ota_small", seed=1, **sa)["ok"]
+                assert client.stats()["pool_restarts"] == 2
+
     def test_stats_exposes_resilience_counters(self):
         config = ServeConfig(backend="serial", cache=False)
         with ServerThread(config, agent=small_agent()) as handle:
@@ -272,41 +284,6 @@ class TestServeChaos:
         for key in ("queue_depth", "shed", "deadline_exceeded",
                     "pool_restarts"):
             assert key in stats
-
-
-# ---------------------------------------------------------------------------
-# Vec-env workers under injected kills
-# ---------------------------------------------------------------------------
-
-def _valid_actions(observations):
-    return [int(np.nonzero(obs_.action_mask)[0][0]) for obs_ in observations]
-
-
-class TestVecEnvChaos:
-    def test_kill_env_worker_respawn_keeps_fleet_stepping(self, chaos_env):
-        chaos_env(f"kill_env_worker:rate=1,seed={CHAOS_SEED}")
-        circuit = get_circuit("ota_small")
-        with ProcessVecEnv([circuit, circuit], respawn=True) as venv:
-            observations = venv.reset()
-            observations, rewards, dones, infos = venv.step(
-                _valid_actions(observations))
-            assert all(bool(d) for d in dones)
-            assert all(info.get("worker_crashed") for info in infos)
-            # Respawned workers re-hit the same (env, step) site, whose
-            # on-disk once-marker is claimed — the fleet keeps going.
-            observations, _, dones, infos = venv.step(
-                _valid_actions(observations))
-            assert not any(info.get("worker_crashed") for info in infos)
-
-    def test_kill_env_worker_without_respawn_is_typed(self, chaos_env):
-        chaos_env(f"kill_env_worker:rate=1,seed={CHAOS_SEED + 1}")
-        circuit = get_circuit("ota_small")
-        with ProcessVecEnv([circuit]) as venv:
-            observations = venv.reset()
-            with pytest.raises(WorkerCrashedError) as info:
-                venv.step(_valid_actions(observations))
-            assert info.value.index == 0
-            assert info.value.exitcode in (KILL_EXIT_CODE, -signal.SIGKILL)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from repro.circuits import get_circuit
 from repro.config import TrainConfig
 from repro.floorplan import FloorplanEnv, VecEnv
-from repro.rl import FloorplanAgent, MaskedPPO, TrainHistory
+from repro.rl import FloorplanAgent, MaskedPPO, TrainHistory, solve_session
 
 
 def tiny_config(**overrides):
@@ -136,3 +136,38 @@ class TestAgentInference:
         b = fresh.solve(ckt)
         assert a.reward == pytest.approx(b.reward)
         assert [(r.x, r.y) for r in a.rects] == [(r.x, r.y) for r in b.rects]
+
+
+def _drive(session, choose):
+    """Answer every step of a solve session with ``choose(obs, greedy)``."""
+    action = None
+    try:
+        while True:
+            obs, greedy = session.send(action)
+            action = choose(obs, greedy)
+    except StopIteration as finished:
+        return finished.value
+
+
+class TestSolveSession:
+    """The episode loop shared by offline solves and the solve server."""
+
+    def test_scripted_policy_yields_result(self):
+        circuit = get_circuit("ota_small")
+        greedy_flags = []
+
+        def first_legal(obs, greedy):
+            greedy_flags.append(greedy)
+            return int(np.flatnonzero(obs.action_mask)[0])
+
+        result = _drive(solve_session(FloorplanEnv(circuit), method_name="x"),
+                        first_legal)
+        assert result.method == "x"
+        assert len(result.rects) == circuit.num_blocks
+        assert result.extra == {"attempts": 1}
+        assert greedy_flags == [True] * circuit.num_blocks
+
+    def test_exhausted_attempts_raise(self):
+        session = solve_session(FloorplanEnv(get_circuit("ota_small")), attempts=0)
+        with pytest.raises(RuntimeError, match="0 attempts"):
+            session.send(None)
