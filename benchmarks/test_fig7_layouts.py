@@ -17,25 +17,28 @@ def fig7(shared_agent):
     return run_fig7("driver", agent=shared_agent)
 
 
-def test_fig7_pipeline(benchmark, shared_agent):
-    result = benchmark.pedantic(lambda: run_fig7("driver", agent=shared_agent),
-                                rounds=1, iterations=1)
-    auto = result.automated
-    lines = [f"Automated: {auto.summary()}",
-             f"Manual   : {result.manual.summary()}",
-             f"Area ratio (auto / manual): {result.area_ratio:.2f}",
-             "", "Automated stage timings:"]
-    for stage, seconds in result.stage_summary().items():
-        lines.append(f"  {stage:<15} {seconds:8.3f} s")
-    lines.append(f"Global routing: {auto.route.num_nets} nets, "
-                 f"{len(auto.route.conduits)} conduits, "
-                 f"{len(auto.route.failed_nets)} detoured over blocks")
-    lines.append(f"Channels: {len(auto.channels)}; congestion max demand "
-                 f"{auto.congestion.max_demand}, overflow {auto.congestion.overflow_cells}")
-    text = "\n".join(lines)
-    print("\n" + text)
-    save_artifact("fig7_driver", text)
-    assert len(auto.floorplan.rects) == 17
+def test_fig7_pipeline(benchmark, fig7):
+    """Print and save the Fig. 7 comparison (computed once, by the fixture)."""
+
+    def body():
+        auto = fig7.automated
+        lines = [f"Automated: {auto.summary()}",
+                 f"Manual   : {fig7.manual.summary()}",
+                 f"Area ratio (auto / manual): {fig7.area_ratio:.2f}",
+                 "", "Automated stage timings:"]
+        for stage, seconds in fig7.stage_summary().items():
+            lines.append(f"  {stage:<15} {seconds:8.3f} s")
+        lines.append(f"Global routing: {auto.route.num_nets} nets, "
+                     f"{len(auto.route.conduits)} conduits, "
+                     f"{len(auto.route.failed_nets)} detoured over blocks")
+        lines.append(f"Channels: {len(auto.channels)}; congestion max demand "
+                     f"{auto.congestion.max_demand}, overflow {auto.congestion.overflow_cells}")
+        text = "\n".join(lines)
+        print("\n" + text)
+        save_artifact("fig7_driver", text)
+        assert len(auto.floorplan.rects) == 17
+
+    check(benchmark, body)
 
 
 class TestFig7Shape:

@@ -23,18 +23,18 @@ def table1_cells(shared_agent, table1_scale):
     return run_table1(scale=table1_scale, agent=shared_agent)
 
 
-def test_table1_full_grid(benchmark, shared_agent, table1_scale):
-    """Regenerate and print the full Table I grid."""
-    cells = benchmark.pedantic(
-        lambda: run_table1(scale=table1_scale, agent=shared_agent),
-        rounds=1, iterations=1,
-    )
-    text = format_table1(cells)
-    print("\n" + text)
-    path = save_artifact("table1", text)
-    print(f"\n[saved to {path}]")
-    # Grid completeness: 6 circuits x 9 methods.
-    assert len(cells) == 6 * len(METHOD_ORDER)
+def test_table1_full_grid(benchmark, table1_cells):
+    """Print and save the full Table I grid (computed once, by the fixture)."""
+
+    def body():
+        text = format_table1(table1_cells)
+        print("\n" + text)
+        path = save_artifact("table1", text)
+        print(f"\n[saved to {path}]")
+        # Grid completeness: 6 circuits x 9 methods.
+        assert len(table1_cells) == 6 * len(METHOD_ORDER)
+
+    check(benchmark, body)
 
 
 class TestTable1Shape:

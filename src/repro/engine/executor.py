@@ -33,6 +33,7 @@ from ..obs import (
     drain_worker,
     get_logger,
     merge_worker,
+    phase,
     trace_context,
 )
 from ..resil import (
@@ -87,12 +88,8 @@ def _process_run(spec: TaskSpec, flow_id: Optional[str] = None) -> TaskResult:
     if flow_id is not None:
         # Close the parent's dispatch flow arrow at task pickup.
         OBS.tracer.flow_end("engine.task", flow_id)
-    began = time.perf_counter()
-    result = run_task(spec, _WORKER_CONTEXT)
-    OBS.tracer.add_complete(
-        "engine.task.worker", began, time.perf_counter(),
-        {"label": spec.label},
-    )
+    with phase("engine.task.worker", label=spec.label):
+        result = run_task(spec, _WORKER_CONTEXT)
     result.obs = drain_worker()
     return result
 

@@ -8,7 +8,6 @@ learning dynamics.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -106,24 +105,3 @@ class VecEnv:
         batched inference path."""
         observations, rewards, dones, infos = self.step(actions)
         return stack_observations(observations), rewards, dones, infos
-
-    def set_task(self, maker: Callable[..., None]) -> None:
-        """Apply a task-switching callable to each env (curriculum hook).
-
-        ``maker`` is called as ``maker(index, env)``, matching the
-        ``reset_hook(index, env)`` convention; a legacy one-parameter
-        callable keeps being called as ``maker(index)``.
-        """
-        try:
-            sig = inspect.signature(maker)
-            takes_env = len(sig.parameters) >= 2 or any(
-                p.kind == inspect.Parameter.VAR_POSITIONAL
-                for p in sig.parameters.values()
-            )
-        except (TypeError, ValueError):  # builtins / C callables
-            takes_env = True
-        for i, env in enumerate(self.envs):
-            if takes_env:
-                maker(i, env)
-            else:
-                maker(i)

@@ -32,7 +32,7 @@ from ..config import EMBEDDING_DIM, NUM_RGCN_LAYERS
 from ..graph.hetero import RELATIONS, BatchedHeteroGraph, HeteroGraph, batch_graphs
 from ..nn import Module, Tensor, default_dtype, no_grad, take, xavier_uniform
 from ..nn.tensor import _as_array
-from ..obs import OBS
+from ..obs import OBS, phase
 
 
 # ---------------------------------------------------------------------------
@@ -259,28 +259,21 @@ class RGCNEncoder(Module):
             if isinstance(graphs, BatchedHeteroGraph)
             else batch_graphs(list(graphs))
         )
-        telemetry = OBS.enabled
-        t0 = time.perf_counter() if telemetry else 0.0
-        dtype = self.dtype
-        adj_padded, active = batch.adjacency_padded(dtype=dtype)
-        h = Tensor(batch.features_padded(dtype=dtype))
-        for i in range(self.num_layers):
-            h = getattr(self, f"layer{i}").forward_batched(h, adj_padded, active)
-        graph_embeddings = _padded_graph_readout(h, batch.sizes)
-        nodes = take(
-            h.reshape(batch.num_graphs * batch.max_nodes, h.shape[-1]),
-            batch.flat_index,
-        )
-        if telemetry:
-            now = time.perf_counter()
-            registry = OBS.registry
-            registry.inc("gnn.encode_batch.calls")
-            registry.inc("gnn.encode_batch.graphs", batch.num_graphs)
-            registry.observe("gnn.encode_batch.seconds", now - t0)
-            OBS.tracer.add_complete(
-                "gnn.encode_batch", t0, now,
-                {"graphs": batch.num_graphs, "nodes": batch.total_nodes},
+        with phase("gnn.encode_batch", graphs=batch.num_graphs,
+                   nodes=batch.total_nodes):
+            dtype = self.dtype
+            adj_padded, active = batch.adjacency_padded(dtype=dtype)
+            h = Tensor(batch.features_padded(dtype=dtype))
+            for i in range(self.num_layers):
+                h = getattr(self, f"layer{i}").forward_batched(h, adj_padded, active)
+            graph_embeddings = _padded_graph_readout(h, batch.sizes)
+            nodes = take(
+                h.reshape(batch.num_graphs * batch.max_nodes, h.shape[-1]),
+                batch.flat_index,
             )
+        if OBS.enabled:
+            OBS.registry.inc("gnn.encode_batch.calls")
+            OBS.registry.inc("gnn.encode_batch.graphs", batch.num_graphs)
         return nodes, graph_embeddings
 
     def encode_batch_numpy(

@@ -25,27 +25,30 @@ report — and one Perfetto-loadable trace — covers the whole fleet.
 ``repro report`` renders the JSONL files written by
 :func:`write_metrics` / :func:`write_trace` into a summary table.
 
+:func:`phase` is the one timing primitive for the flow's coarse phases
+(R-GCN encode, PPO collect/update, solve, engine worker tasks)::
+
+    with phase("ppo.update"):            # null singleton when off
+        ...
+    if OBS.enabled:                      # per-step sites: one flag read
+        OBS.registry.observe("env.step.seconds", dt)
+
+Per-env-step and per-graph sites (``env.step``, ``env.hpwl``,
+``gnn.encode``) keep the flag-guarded histogram: a null ``with`` block
+costs about ten times the bare flag read.
+
 Two further layers share the zero-overhead contract:
 
 * :mod:`repro.obs.prof` — a sampling profiler
   (:func:`start_profiler` / :func:`stop_profiler`, CLI ``--profile``);
-  :func:`profile_scope` tags samples by phase and is a single attribute
-  read returning :data:`NULL_SPAN` while no profiler is active.
+  phases label its samples, and nothing runs until it is started.
 * :mod:`repro.obs.bench` — the append-only perf ledger behind
   ``repro bench record`` / ``repro report --bench``.
-
-Typical instrumentation::
-
-    from ..obs import OBS, span
-
-    with span("ppo.update"):            # null singleton when disabled
-        ...
-    if OBS.enabled:                      # hot path: one attribute read
-        OBS.registry.inc("env.steps")
 """
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from typing import Any, Dict, Mapping, Optional
 
@@ -54,7 +57,6 @@ from .bench import load_history, record_bench, render_bench
 from .log import LEVEL_ENV_VAR, get_logger, resolve_level, setup_logging
 from .metrics import (
     HIST_CAP_ENV,
-    NULL_TIMER,
     PERCENTILES,
     MetricsRegistry,
     percentile,
@@ -68,16 +70,14 @@ from .report import (
     render_report,
     render_trace,
 )
-from .trace import NULL_SPAN, Span, Tracer, perfetto_json
+from .trace import Tracer, perfetto_json
 
 __all__ = [
     "OBS",
     "MetricsRegistry",
     "Tracer",
-    "Span",
     "SamplingProfiler",
-    "NULL_SPAN",
-    "NULL_TIMER",
+    "NULL_PHASE",
     "PERCENTILES",
     "HIST_CAP_ENV",
     "percentile",
@@ -87,8 +87,7 @@ __all__ = [
     "is_enabled",
     "enabled_scope",
     "reset",
-    "span",
-    "timer",
+    "phase",
     "inc",
     "observe",
     "set_gauge",
@@ -99,7 +98,6 @@ __all__ = [
     "adopt_trace",
     "drain_worker",
     "merge_worker",
-    "profile_scope",
     "start_profiler",
     "stop_profiler",
     "write_metrics",
@@ -127,8 +125,7 @@ class _ObsState:
     ``enabled`` is the *only* thing hot paths read; the registry and
     tracer objects exist permanently (never ``None``) so instrumented
     code inside an ``if OBS.enabled:`` block needs no further checks.
-    ``profiler`` is ``None`` until :func:`start_profiler` — the inactive
-    :func:`profile_scope` guard is likewise one attribute read.
+    ``profiler`` is ``None`` until :func:`start_profiler`.
     """
 
     __slots__ = ("enabled", "registry", "tracer", "profiler")
@@ -182,18 +179,65 @@ def enabled_scope(fresh: bool = True):
 # paths should still guard on ``OBS.enabled`` to skip the call entirely.
 # ---------------------------------------------------------------------------
 
-def span(name: str, **args: Any):
-    """Trace span context manager (``with obs.span("ppo.update"):``)."""
-    if not OBS.enabled:
-        return NULL_SPAN
-    return OBS.tracer.span(name, args or None)
+class _Phase:
+    """One live :func:`phase`: histogram + span and/or profiler label."""
+
+    __slots__ = ("name", "args", "_record", "_profiler", "_ident", "_start")
+
+    def __init__(self, name: str, args: Optional[Dict[str, Any]],
+                 record: bool, profiler: Optional[SamplingProfiler]):
+        self.name = name
+        self.args = args
+        self._record = record
+        self._profiler = profiler
+
+    def __enter__(self) -> "_Phase":
+        if self._profiler is not None:
+            self._ident = self._profiler.push_label(self.name)
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        end = time.perf_counter()
+        if self._record:
+            args = self.args
+            if exc_type is not None:
+                args = dict(args or {}, error=exc_type.__name__)
+            OBS.registry.observe(f"{self.name}.seconds", end - self._start)
+            OBS.tracer.add_complete(self.name, self._start, end, args)
+        if self._profiler is not None:
+            self._profiler.pop_label(self._ident)
+        return False
 
 
-def timer(name: str):
-    """Histogram timer context manager (seconds under ``name``)."""
-    if not OBS.enabled:
-        return NULL_TIMER
-    return OBS.registry.timer(name)
+class _NullPhase:
+    """Shared no-op phase while telemetry and profiler are off."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullPhase":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+
+NULL_PHASE = _NullPhase()
+
+
+def phase(name: str, **args: Any):
+    """Time one phase of the flow (``with obs.phase("ppo.update"):``).
+
+    Telemetry on: observes ``<name>.seconds`` and records one ``<name>``
+    span carrying ``args`` (plus ``error`` if the block raises).  Profiler
+    running: labels this thread's samples ``<name>`` for the block.  Both
+    off: returns the shared :data:`NULL_PHASE`.
+    """
+    record = OBS.enabled
+    profiler = OBS.profiler
+    if not record and profiler is None:
+        return NULL_PHASE
+    return _Phase(name, args or None, record, profiler)
 
 
 def inc(name: str, value: float = 1) -> None:
@@ -219,18 +263,6 @@ def record(name: str, data: Mapping[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 # Sampling profiler (repro.obs.prof)
 # ---------------------------------------------------------------------------
-
-def profile_scope(name: str):
-    """Tag this thread's profiler samples with a phase label.
-
-    A strict no-op (one attribute read, shared :data:`NULL_SPAN`) while
-    no profiler is active — safe on the collect/update/solve paths.
-    """
-    prof = OBS.profiler
-    if prof is None:
-        return NULL_SPAN
-    return prof._scope(name)
-
 
 def start_profiler(hz: Optional[float] = None) -> SamplingProfiler:
     """Start (and install as ``OBS.profiler``) a sampling profiler."""

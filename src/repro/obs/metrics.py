@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and histogram timers.
+"""Metrics registry: counters, gauges, and histograms.
 
 The registry is deliberately simple — plain dicts behind one re-entrant
 lock — because the cost model matters more than features here: when
@@ -91,39 +91,6 @@ def summarize_values(values: Iterable[float]) -> Dict[str, float]:
     return summary
 
 
-class _Timer:
-    """Context manager feeding elapsed seconds into a histogram."""
-
-    __slots__ = ("_registry", "_name", "_start")
-
-    def __init__(self, registry: "MetricsRegistry", name: str):
-        self._registry = registry
-        self._name = name
-
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._registry.observe(self._name, time.perf_counter() - self._start)
-        return False
-
-
-class _NullTimer:
-    """Shared do-nothing timer for the disabled path (no allocation)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-NULL_TIMER = _NullTimer()
-
-
 class MetricsRegistry:
     """Thread-safe store of counters, gauges, histograms and records.
 
@@ -182,9 +149,6 @@ class MetricsRegistry:
             j = self._rand.randrange(cap + overflow)
             if j < cap:
                 values[j] = float(value)
-
-    def timer(self, name: str) -> _Timer:
-        return _Timer(self, name)
 
     def record(self, name: str, data: Mapping[str, Any]) -> None:
         with self._lock:

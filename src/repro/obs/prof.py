@@ -6,8 +6,8 @@ every application thread.  No tracing hooks, no interpreter slowdown on
 the profiled code beyond the sampling thread's own (tiny) CPU share —
 and **strictly zero overhead when off**, the same contract as the rest
 of ``repro.obs``: nothing is constructed until a profiler is started,
-and the :func:`repro.obs.profile_scope` guard on the inactive path is a
-single attribute read returning the shared null span.
+and :func:`repro.obs.phase` returns its shared null singleton while
+neither a profiler nor telemetry is on.
 
 Output formats:
 
@@ -18,10 +18,11 @@ Output formats:
 * :meth:`SamplingProfiler.attribution` — a self/cumulative table per
   frame, rendered into ``repro report --profile PATH``.
 
-Scopes: ``with obs.profile_scope("ppo.update"):`` pushes a synthetic
-root frame (``<ppo.update>``) onto the sampled stacks of that thread, so
-the flamegraph and the attribution table split hot-path time by phase
-(collect vs update vs solve) without any code knowing about file names.
+Labels: while a profiler runs, ``with obs.phase("ppo.update"):`` pushes
+``ppo.update`` onto that thread's label stack, and samples taken
+meanwhile gain a synthetic root frame ``<ppo.update>``, so the
+flamegraph and the attribution table split hot-path time by phase
+(collect vs update vs solve).
 """
 
 from __future__ import annotations
@@ -39,31 +40,6 @@ DEFAULT_HZ = 97
 MAX_DEPTH = 128
 
 
-class _ProfileScope:
-    """Context manager tagging one thread's samples with a phase label."""
-
-    __slots__ = ("_profiler", "_name", "_ident")
-
-    def __init__(self, profiler: "SamplingProfiler", name: str):
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> "_ProfileScope":
-        self._ident = threading.get_ident()
-        with self._profiler._lock:
-            self._profiler._scopes.setdefault(self._ident, []).append(self._name)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        with self._profiler._lock:
-            stack = self._profiler._scopes.get(self._ident)
-            if stack:
-                stack.pop()
-                if not stack:
-                    del self._profiler._scopes[self._ident]
-        return False
-
-
 class SamplingProfiler:
     """Background-thread stack sampler over ``sys._current_frames()``."""
 
@@ -75,8 +51,8 @@ class SamplingProfiler:
         self._lock = threading.Lock()
         #: collapsed stack tuple (root..leaf) -> sample count.
         self._samples: Dict[Tuple[str, ...], int] = {}
-        #: thread ident -> stack of active profile_scope labels.
-        self._scopes: Dict[int, List[str]] = {}
+        #: thread ident -> stack of active phase labels.
+        self._labels: Dict[int, List[str]] = {}
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self.sample_count = 0
@@ -107,9 +83,21 @@ class SamplingProfiler:
         self.stopped_wall = time.time()
         return self
 
-    def _scope(self, name: str) -> _ProfileScope:
-        """Scope context manager (use :func:`repro.obs.profile_scope`)."""
-        return _ProfileScope(self, name)
+    def push_label(self, name: str) -> int:
+        """Label the calling thread's samples; returns its ident for
+        :meth:`pop_label` (driven by :func:`repro.obs.phase`)."""
+        ident = threading.get_ident()
+        with self._lock:
+            self._labels.setdefault(ident, []).append(name)
+        return ident
+
+    def pop_label(self, ident: int) -> None:
+        with self._lock:
+            stack = self._labels.get(ident)
+            if stack:
+                stack.pop()
+                if not stack:
+                    del self._labels[ident]
 
     # -- sampling ------------------------------------------------------
     def _run(self) -> None:
@@ -134,9 +122,9 @@ class SamplingProfiler:
                     frame = frame.f_back
                     depth += 1
                 stack.reverse()
-                scopes = self._scopes.get(ident)
-                if scopes:
-                    stack = [f"<{name}>" for name in scopes] + stack
+                labels = self._labels.get(ident)
+                if labels:
+                    stack = [f"<{name}>" for name in labels] + stack
                 key = tuple(stack)
                 self._samples[key] = self._samples.get(key, 0) + 1
                 self.sample_count += 1

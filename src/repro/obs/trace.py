@@ -1,7 +1,8 @@
 """Hierarchical trace spans in Chrome-trace event form — unified across
 processes.
 
-``with obs.span("ppo.update"):`` records one complete (``"ph": "X"``)
+Each :func:`repro.obs.phase` (and each result-data timing reported
+through :meth:`Tracer.add_complete`) records one complete (``"ph": "X"``)
 event with microsecond start/duration, process id and a *stable display
 thread id*.  Events are buffered in memory and written as JSONL — one
 event per line — which ``repro report`` aggregates per span name and per
@@ -10,9 +11,7 @@ Perfetto/``chrome://tracing``-loadable file (``repro report
 --trace-out``).
 
 Nesting needs no bookkeeping: overlapping ``(ts, dur)`` intervals on the
-same thread *are* the hierarchy, exactly as Chrome renders them.  Spans
-are re-entrant and exception-safe — the event is recorded on ``__exit__``
-either way, with an ``"error"`` arg when the block raised.
+same thread *are* the hierarchy, exactly as Chrome renders them.
 
 Cross-process unification
 -------------------------
@@ -31,9 +30,6 @@ workers so every process tags the same logical run, and parent→child
 Display tids: raw ``threading.get_ident()`` values are huge, reused
 after thread death, and render as garbage lanes — the tracer maps each
 ident to a small per-process integer (main thread is 0) at record time.
-
-When telemetry is disabled, :func:`repro.obs.span` returns the shared
-:data:`NULL_SPAN` singleton instead of constructing anything.
 """
 
 from __future__ import annotations
@@ -44,45 +40,6 @@ import threading
 import time
 import uuid
 from typing import Any, Dict, List, Mapping, Optional
-
-
-class Span:
-    """One live span; records itself into the tracer on exit."""
-
-    __slots__ = ("_tracer", "name", "args", "_start")
-
-    def __init__(self, tracer: "Tracer", name: str, args: Optional[Dict[str, Any]]):
-        self._tracer = tracer
-        self.name = name
-        self.args = args
-
-    def __enter__(self) -> "Span":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        end = time.perf_counter()
-        args = self.args
-        if exc_type is not None:
-            args = dict(args or {})
-            args["error"] = exc_type.__name__
-        self._tracer.add_complete(self.name, self._start, end, args)
-        return False
-
-
-class _NullSpan:
-    """Shared no-op span for the disabled path (no allocation)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-NULL_SPAN = _NullSpan()
 
 
 def _anchor() -> tuple:
@@ -113,9 +70,6 @@ class Tracer:
         self._flow_counter = 0
         #: Worker pid -> display label, learned from merged payloads.
         self._remote_pids: Dict[int, str] = {}
-
-    def span(self, name: str, args: Optional[Dict[str, Any]] = None) -> Span:
-        return Span(self, name, args)
 
     def _display_tid(self, ident: int) -> int:
         # Caller holds self._lock.  Idents reused after thread death map

@@ -26,7 +26,7 @@ from ..floorplan.vecenv import VecEnv
 from ..gnn.rgcn import RGCNEncoder
 from ..graph.features import FEATURE_DIM
 from ..nn import load_module, save_module
-from ..obs import get_logger, profile_scope
+from ..obs import get_logger, phase
 from .policy import ActorCritic
 from .ppo import MaskedPPO, TrainHistory
 
@@ -218,7 +218,7 @@ class FloorplanAgent:
         env = FloorplanEnv(circuit, hpwl_min=hpwl_min, target_aspect=target_aspect)
         session = solve_session(env, deterministic, attempts, method_name)
         action = None
-        with profile_scope("agent.solve"):
+        with phase("agent.solve"):
             try:
                 while True:
                     obs, greedy = session.send(action)

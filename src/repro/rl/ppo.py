@@ -8,7 +8,6 @@ clipped-surrogate updates.  Invalid actions never receive probability mass
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -21,7 +20,7 @@ from ..floorplan.vecenv import StackedObservations, VecEnv, stack_observations
 from ..graph.hetero import HeteroGraph
 from ..gnn.rgcn import RGCNEncoder
 from ..nn import Adam, Tensor, no_grad
-from ..obs import OBS, get_logger, profile_scope
+from ..obs import OBS, get_logger, phase
 from .distributions import MaskedCategorical
 from .policy import ActorCritic
 
@@ -262,19 +261,16 @@ class MaskedPPO:
         """
         from .rollout import RolloutBuffer
 
-        telemetry = OBS.enabled
-        t0 = time.perf_counter() if telemetry else 0.0
         cfg = self.config
         steps = rollout_steps if rollout_steps is not None else cfg.rollout_steps
         observations = stack_observations(observations)
-        buffer = RolloutBuffer(
-            steps, vecenv.num_envs, EMBEDDING_DIM, dtype=self.policy.dtype,
-        )
-        if self._running_returns is None or len(self._running_returns) != vecenv.num_envs:
-            self._running_returns = np.zeros(vecenv.num_envs)
-        episodes = 0
-
-        with profile_scope("ppo.collect"):
+        with phase("ppo.collect", env_steps=steps * vecenv.num_envs):
+            buffer = RolloutBuffer(
+                steps, vecenv.num_envs, EMBEDDING_DIM, dtype=self.policy.dtype,
+            )
+            if self._running_returns is None or len(self._running_returns) != vecenv.num_envs:
+                self._running_returns = np.zeros(vecenv.num_envs)
+            episodes = 0
             while not buffer.full:
                 # Rollout forward passes are pure inference: no autograd tape.
                 with no_grad():
@@ -302,27 +298,19 @@ class MaskedPPO:
                 masks, node_emb, graph_emb, _ = self._batch_observations(observations)
                 _, last_values = self.policy(Tensor(masks), Tensor(node_emb), Tensor(graph_emb))
             buffer.compute_gae(last_values.numpy(), cfg.gamma, cfg.gae_lambda)
-        if telemetry:
-            now = time.perf_counter()
+        if OBS.enabled:
             registry = OBS.registry
-            registry.observe("ppo.collect.seconds", now - t0)
             registry.inc("ppo.collects")
             registry.inc("ppo.collect.env_steps", steps * vecenv.num_envs)
             registry.inc("ppo.collect.episodes", episodes)
-            OBS.tracer.add_complete(
-                "ppo.collect", t0, now,
-                {"env_steps": steps * vecenv.num_envs, "episodes": episodes},
-            )
         return buffer, observations, episodes
 
     # ------------------------------------------------------------------
     def update(self, buffer) -> Dict[str, float]:
         """PPO clipped-surrogate update over the collected rollout."""
-        telemetry = OBS.enabled
-        t0 = time.perf_counter() if telemetry else 0.0
         cfg = self.config
         policy_losses, value_losses, entropies, kls, clip_fracs = [], [], [], [], []
-        with profile_scope("ppo.update"):
+        with phase("ppo.update"):
             for _ in range(cfg.ppo_epochs):
                 for batch in buffer.iter_minibatches(cfg.minibatch_size, self.rng):
                     self.optimizer.zero_grad()
@@ -354,15 +342,9 @@ class MaskedPPO:
                     policy_losses.append(policy_loss.item())
                     value_losses.append(value_loss.item())
                     entropies.append(entropy.item())
-        if telemetry:
-            now = time.perf_counter()
-            registry = OBS.registry
-            registry.observe("ppo.update.seconds", now - t0)
-            registry.inc("ppo.updates")
-            registry.inc("ppo.minibatches", len(policy_losses))
-            OBS.tracer.add_complete(
-                "ppo.update", t0, now, {"minibatches": len(policy_losses)}
-            )
+        if OBS.enabled:
+            OBS.registry.inc("ppo.updates")
+            OBS.registry.inc("ppo.minibatches", len(policy_losses))
         return {
             "policy_loss": float(np.mean(policy_losses)),
             "value_loss": float(np.mean(value_losses)),

@@ -248,46 +248,6 @@ class TestVecEnvResetHook:
         assert calls == []
 
 
-class TestVecEnvSetTask:
-    """``set_task`` passes ``(index, env)`` — the env is no longer dropped."""
-
-    def test_maker_receives_index_and_env(self):
-        envs = [FloorplanEnv(get_circuit("ota_small")) for _ in range(3)]
-        vec = VecEnv(envs)
-        calls = []
-        vec.set_task(lambda i, env: calls.append((i, env)))
-        assert [i for i, _ in calls] == [0, 1, 2]
-        for i, env in calls:
-            assert env is envs[i]
-
-    def test_maker_can_actually_switch_the_task(self):
-        vec = VecEnv([FloorplanEnv(get_circuit("ota_small"))])
-        bias1 = get_circuit("bias1")
-        vec.set_task(lambda i, env: env.set_circuit(bias1))
-        assert vec.envs[0].circuit is bias1
-
-    def test_legacy_one_arg_maker_still_supported(self):
-        vec = VecEnv([FloorplanEnv(get_circuit("ota_small")) for _ in range(2)])
-        calls = []
-
-        def legacy(index):
-            calls.append(index)
-
-        vec.set_task(legacy)
-        assert calls == [0, 1]
-
-    def test_two_arg_signature_detected_for_callables(self):
-        vec = VecEnv([FloorplanEnv(get_circuit("ota_small"))])
-        seen = {}
-
-        class Maker:
-            def __call__(self, index, env):
-                seen[index] = env
-
-        vec.set_task(Maker())
-        assert seen[0] is vec.envs[0]
-
-
 class TestStackObservationsEmpty:
     def test_empty_sequence_raises_value_error(self):
         from repro.floorplan.vecenv import stack_observations

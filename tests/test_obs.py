@@ -5,7 +5,8 @@ Covers the four contracts the subsystem makes:
 * **strict no-op when disabled** — nothing recorded, nothing allocated;
 * **numeric fidelity** — the pure-python percentile matches the numpy
   reference;
-* **span semantics** — nesting, re-entrancy, exception safety;
+* **phase semantics** — nesting, re-entrancy, exception safety, one
+  histogram observation and one span per instrumented phase;
 * **aggregation** — worker registries merge into the parent so serial
   and process runs of the same workload report identical counters.
 """
@@ -49,19 +50,15 @@ class TestDisabledNoOp:
     def test_span_and_timer_return_shared_singletons(self):
         # No per-call allocation on the disabled path: every call hands
         # back the same null object.
-        assert obs.span("a") is obs.span("b")
-        assert obs.span("a") is obs.NULL_SPAN
-        assert obs.timer("a") is obs.timer("b")
-        assert obs.timer("a") is obs.NULL_TIMER
+        assert obs.phase("a") is obs.phase("b", key=1)
+        assert obs.phase("a") is obs.NULL_PHASE
 
     def test_helpers_record_nothing(self):
         obs.inc("c")
         obs.observe("h", 1.0)
         obs.set_gauge("g", 2.0)
         obs.record("r", {"x": 1})
-        with obs.span("s", key="value"):
-            pass
-        with obs.timer("t"):
+        with obs.phase("s", key="value"):
             pass
         assert obs.OBS.registry.empty
         assert not obs.OBS.tracer.events
@@ -104,8 +101,8 @@ class TestPercentiles:
 class TestSpans:
     def test_nesting_records_both_levels(self):
         with obs.enabled_scope():
-            with obs.span("outer"):
-                with obs.span("inner"):
+            with obs.phase("outer"):
+                with obs.phase("inner"):
                     pass
         events = {e["name"]: e for e in obs.OBS.tracer.events}
         assert set(events) == {"outer", "inner"}
@@ -117,15 +114,15 @@ class TestSpans:
 
     def test_reentrant_same_name(self):
         with obs.enabled_scope():
-            with obs.span("ppo.update"):
-                with obs.span("ppo.update"):
+            with obs.phase("ppo.update"):
+                with obs.phase("ppo.update"):
                     pass
         assert len(obs.OBS.tracer.events) == 2
 
     def test_exception_recorded_and_propagated(self):
         with obs.enabled_scope():
             with pytest.raises(ValueError):
-                with obs.span("failing", attempt=1):
+                with obs.phase("failing", attempt=1):
                     raise ValueError("boom")
         (event,) = obs.OBS.tracer.events
         assert event["args"]["error"] == "ValueError"
@@ -133,11 +130,13 @@ class TestSpans:
 
     def test_timer_feeds_histogram(self):
         with obs.enabled_scope():
-            with obs.timer("op.seconds"):
+            with obs.phase("op"):
                 pass
         summary = obs.OBS.registry.histogram_summary("op.seconds")
         assert summary["count"] == 1
         assert summary["min"] >= 0.0
+        (event,) = obs.OBS.tracer.events
+        assert event["name"] == "op" and "args" not in event
 
     def test_display_tids_are_small_and_stable(self):
         # Raw threading.get_ident() values are huge; Chrome-trace output
@@ -145,11 +144,11 @@ class TestSpans:
         import threading
 
         with obs.enabled_scope():
-            with obs.span("main-span"):
+            with obs.phase("main-span"):
                 pass
 
             def worker():
-                with obs.span("worker-span"):
+                with obs.phase("worker-span"):
                     pass
 
             threads = [threading.Thread(target=worker) for _ in range(2)]
@@ -157,12 +156,36 @@ class TestSpans:
                 t.start()
             for t in threads:
                 t.join()
-            with obs.span("main-span-2"):
+            with obs.phase("main-span-2"):
                 pass
         events = {e["name"]: e for e in obs.OBS.tracer.events}
         assert events["main-span"]["tid"] == 0
         assert events["main-span-2"]["tid"] == 0  # stable across records
         assert all(0 <= e["tid"] < 4 for e in events.values())
+
+
+class TestPhaseSites:
+    def test_one_observation_and_span_per_phase(self):
+        from repro.config import TrainConfig
+        from repro.floorplan import VecEnv
+        from repro.rl import FloorplanAgent
+
+        agent = FloorplanAgent(config=TrainConfig(
+            num_envs=2, rollout_steps=4, ppo_epochs=1, minibatch_size=8,
+            seed=0,
+        ))
+        vec = VecEnv([FloorplanEnv(get_circuit("ota_small")) for _ in range(2)])
+        with obs.enabled_scope():
+            buffer, _, _ = agent.ppo.collect(vec, vec.reset())
+            agent.ppo.update(buffer)
+            agent.solve(get_circuit("ota_small"))
+        registry = obs.OBS.registry
+        spans = [e["name"] for e in obs.OBS.tracer.events]
+        for name in ("ppo.collect", "ppo.update", "agent.solve"):
+            assert len(registry.histograms[f"{name}.seconds"]) == 1, name
+            assert spans.count(name) == 1, name
+        assert registry.counters["ppo.collects"] == 1
+        assert registry.counters["ppo.updates"] == 1
 
 
 class TestRegistry:
@@ -415,7 +438,7 @@ class TestReport:
                 "policy_loss": -0.1, "value_loss": 4.2, "entropy": 6.1,
                 "episodes_completed": 2, "clip_fraction": 0.2,
             })
-            with obs.span("ppo.update"):
+            with obs.phase("ppo.update"):
                 pass
             metrics = str(tmp_path / "m.jsonl")
             trace = str(tmp_path / "t.jsonl")

@@ -8,7 +8,7 @@ Three pillars, each pinned against its acceptance contract:
   one wall-clock axis: one merged trace per run, worker span count > 0,
   parent/child wall-clock containment after normalization.
 * **Sampling profiler** — background sampling over
-  ``sys._current_frames()``, phase tagging via ``profile_scope``,
+  ``sys._current_frames()``, phase labels via ``obs.phase``,
   collapsed-stack round trip, and the strict nothing-when-off contract.
 * **Perf ledger** — ``repro bench record`` appends, ``repro report
   --bench`` renders a trajectory over >= 2 entries and flags drops
@@ -229,20 +229,36 @@ class TestSamplingProfiler:
         frames = {frame for stack in stacks for frame in stack}
         assert any("_busy" in frame for frame in frames)
 
-    def test_profile_scope_tags_samples(self):
+    def test_phase_tags_samples(self):
         prof = obs.start_profiler(hz=200)
         try:
-            with obs.profile_scope("hot.phase"):
+            with obs.phase("hot.phase"):
                 self._busy(0.25)
         finally:
             obs.stop_profiler()
         tagged = [s for s in prof.stacks() if s and s[0] == "<hot.phase>"]
-        assert tagged, "scope label must prefix the sampled stacks"
+        assert tagged, "phase label must prefix the sampled stacks"
+        # Profiler only: telemetry stays off, so nothing is recorded.
+        assert obs.OBS.registry.empty
+        assert not obs.OBS.tracer.events
+        assert not prof._labels  # the label stack unwound
 
-    def test_profile_scope_is_null_when_off(self):
+    def test_phase_tags_samples_and_records_when_both_on(self):
+        prof = obs.start_profiler(hz=200)
+        try:
+            with obs.enabled_scope():
+                with obs.phase("hot.phase"):
+                    self._busy(0.1)
+        finally:
+            obs.stop_profiler()
+        assert any(s and s[0] == "<hot.phase>" for s in prof.stacks())
+        assert obs.OBS.registry.histogram_summary("hot.phase.seconds")["count"] == 1
+        assert [e["name"] for e in obs.OBS.tracer.events] == ["hot.phase"]
+
+    def test_phase_is_null_when_off(self):
         assert obs.OBS.profiler is None
-        assert obs.profile_scope("x") is obs.NULL_SPAN
-        assert obs.profile_scope("x") is obs.profile_scope("y")
+        assert obs.phase("x") is obs.NULL_PHASE
+        assert obs.phase("x") is obs.phase("y")
 
     def test_no_sampler_thread_when_off(self):
         names = {t.name for t in threading.enumerate()}

@@ -65,6 +65,11 @@ class TestOARSMT:
         assert tree.length == pytest.approx(7.0)
         assert tree.covers_terminals()
 
+    def test_coincident_terminals_need_no_wire(self):
+        tree = oarsmt("n", [Point(1, 1), Point(1, 1)])
+        assert tree.segments == []
+        assert tree.covers_terminals()
+
     def test_needs_two_terminals(self):
         with pytest.raises(ValueError):
             oarsmt("n", [Point(0, 0)])
