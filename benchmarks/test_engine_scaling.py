@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from _util import check, save_artifact
+from _util import check
 from oracles import hpwl, pack_reference, state_centers, wire_mask_reference
 
 from repro.baselines import SequencePair, inflated_shapes
@@ -215,8 +215,6 @@ def test_engine_scaling(benchmark, tmp_path):
             f"< {HOTPATH_SPEEDUP_FLOOR}x floor"
         )
 
-        text = "\n".join(lines)
-        print("\n" + text)
-        save_artifact("engine_scaling", text)
+        print("\n" + "\n".join(lines))
 
     check(benchmark, body)

@@ -2,7 +2,8 @@
 
 Runs the 17-block Driver through the full pipeline with the RL agent
 (Fig. 7a-c) and against the manual-reference flow (Fig. 7e), printing
-stage timings, routing statistics and the final comparison.
+stage timings, routing statistics and the final comparison; the saved
+``results/fig7_driver.txt`` omits the timings.
 """
 
 import pytest
@@ -21,22 +22,9 @@ def test_fig7_pipeline(benchmark, fig7):
     """Print and save the Fig. 7 comparison (computed once, by the fixture)."""
 
     def body():
-        auto = fig7.automated
-        lines = [f"Automated: {auto.summary()}",
-                 f"Manual   : {fig7.manual.summary()}",
-                 f"Area ratio (auto / manual): {fig7.area_ratio:.2f}",
-                 "", "Automated stage timings:"]
-        for stage, seconds in fig7.stage_summary().items():
-            lines.append(f"  {stage:<15} {seconds:8.3f} s")
-        lines.append(f"Global routing: {auto.route.num_nets} nets, "
-                     f"{len(auto.route.conduits)} conduits, "
-                     f"{len(auto.route.failed_nets)} detoured over blocks")
-        lines.append(f"Channels: {len(auto.channels)}; congestion max demand "
-                     f"{auto.congestion.max_demand}, overflow {auto.congestion.overflow_cells}")
-        text = "\n".join(lines)
-        print("\n" + text)
-        save_artifact("fig7_driver", text)
-        assert len(auto.floorplan.rects) == 17
+        print("\n" + fig7.format())
+        save_artifact("fig7_driver", fig7.format(timings=False))
+        assert len(fig7.automated.floorplan.rects) == 17
 
     check(benchmark, body)
 

@@ -24,10 +24,10 @@ call.  Three floors guard it:
 Shared CI runners relax the floors via ``$REPRO_OBS_FLOOR`` /
 ``$REPRO_OBS_DISABLED_FLOOR``.
 
-The enabled rounds' registry and trace are persisted to
+The enabled rounds' registry and trace are written to the untracked
 ``results/obs_metrics.jsonl`` / ``results/obs_trace.jsonl`` — the same
 files ``repro report`` consumes — so CI uploads a real telemetry
-artifact alongside the ratio summary.
+artifact; the ratio summary only prints.
 """
 
 import os
@@ -39,7 +39,7 @@ from repro import obs
 from repro.circuits import get_circuit
 from repro.floorplan import FloorplanEnv
 
-from _util import RESULTS_DIR, check, save_artifact
+from _util import RESULTS_DIR, check
 
 #: Enabled-telemetry overhead ceiling on the env step (ratio vs disabled).
 OBS_ENABLED_FLOOR = float(os.environ.get("REPRO_OBS_FLOOR", "1.05"))
@@ -79,18 +79,6 @@ def _guard_overhead_seconds() -> float:
         probe.step(3)
     guarded = time.perf_counter() - t0
     return max(0.0, guarded - direct) / PROBE_CALLS
-
-
-def _save_lines(lines) -> None:
-    """Merge ``lines`` into results/obs_overhead.txt, keyed by the label
-    before each line's colon, so each test rewrites only its own lines."""
-    merged = {}
-    path = os.path.join(RESULTS_DIR, "obs_overhead.txt")
-    if os.path.exists(path):
-        with open(path) as handle:
-            merged = {line.split(":")[0]: line for line in handle.read().splitlines()}
-    merged.update((line.split(":")[0], line) for line in lines)
-    save_artifact("obs_overhead", "\n".join(merged.values()))
 
 
 def _make_stepper():
@@ -147,7 +135,7 @@ def test_obs_overhead(benchmark):
             f"enabled recording        : q25 paired ratio "
             f"{enabled_ratio:.4f}x (floor {OBS_ENABLED_FLOOR}x)",
         ]
-        _save_lines(lines)
+        print("\n" + "\n".join(lines))
         assert disabled_ratio <= OBS_DISABLED_FLOOR, (
             f"disabled telemetry costs {disabled_ratio:.4f}x the raw step "
             f"(floor {OBS_DISABLED_FLOOR}x): the OBS.enabled guard is no "
@@ -200,10 +188,8 @@ def test_phase_off_is_free(benchmark):
         phased = time.perf_counter() - t0
         cost = max(0.0, phased - direct) / PROBE_CALLS
         ratio = 1.0 + cost / (_time_batch(step) / STEPS_PER_BATCH)
-        _save_lines([
-            f"phase off path           : {1e9 * cost:8.1f} ns/phase "
-            f"({ratio:.4f}x, floor {OBS_DISABLED_FLOOR}x)",
-        ])
+        print(f"\nphase off path           : {1e9 * cost:8.1f} ns/phase "
+              f"({ratio:.4f}x, floor {OBS_DISABLED_FLOOR}x)")
         assert obs.OBS.registry.empty and not obs.OBS.tracer.events
         assert ratio <= OBS_DISABLED_FLOOR, (
             f"a phase costs {ratio:.4f}x the raw step with telemetry off "

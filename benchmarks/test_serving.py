@@ -10,9 +10,9 @@ Drives 16 concurrent clients against an in-process :class:`SolveServer`
 * **warm cache** — the same requests again: every answer must replay
   from the artifact cache with zero policy steps.
 
-Reports requests/sec, client-observed latency p50/p99, mean coalesced
-batch size, and the warm-phase hit rate; persists ``results/serving.txt``
-plus machine-readable ``BENCH_serving.json`` at the repo root.
+Prints requests/sec, client-observed latency p50/p99, mean coalesced
+batch size, and the warm-phase hit rate.  Nothing is persisted: served
+throughput is tracked by the perfbench ``serve`` workload.
 
 The batched-vs-sequential speedup is a regression gate: measured
 ~2.1-2.2x on the dev host (the Amdahl ceiling is set by the env steps
@@ -21,19 +21,16 @@ sits below that for host noise — shared CI runners relax it further via
 ``$REPRO_SERVE_FLOOR``.
 """
 
-import json
 import os
 import threading
 import time
 
-from _util import RESULTS_DIR, check, save_artifact
+from _util import check
 
 from repro.config import TrainConfig
 from repro.obs.metrics import summarize_values
 from repro.rl import FloorplanAgent
 from repro.serve import ServeConfig, ServerThread, SolveClient
-
-BENCH_JSON = os.path.join(os.path.dirname(RESULTS_DIR), "BENCH_serving.json")
 
 #: 16 concurrent clients, as the acceptance criterion demands.
 CLIENTS = 16
@@ -93,8 +90,6 @@ def _phase_report(label, wall, latency, stats):
     mean_batch = stats["batched_steps"] / max(1, stats["batches"])
     return {
         "label": label,
-        "requests": total,
-        "wall_seconds": wall,
         "requests_per_second": total / wall,
         "latency_p50_ms": latency["p50"] * 1000,
         "latency_p99_ms": latency["p99"] * 1000,
@@ -166,20 +161,6 @@ def test_serving_throughput(benchmark, tmp_path):
             f"(floor {SERVE_SPEEDUP_FLOOR}x)",
             f"warm-phase cache hit rate: {hit_rate:.0%}",
         ]
-        text = "\n".join(lines)
-        print("\n" + text)
-        save_artifact("serving", text)
-
-        with open(BENCH_JSON, "w") as handle:
-            json.dump({
-                "clients": CLIENTS,
-                "requests_per_client": REQUESTS_PER_CLIENT,
-                "circuits": list(CIRCUITS),
-                "phases": phases,
-                "batched_vs_sequential_speedup": speedup,
-                "speedup_floor": SERVE_SPEEDUP_FLOOR,
-                "warm_cache_hit_rate": hit_rate,
-            }, handle, indent=2)
-            handle.write("\n")
+        print("\n" + "\n".join(lines))
 
     check(benchmark, body)

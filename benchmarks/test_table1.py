@@ -1,7 +1,8 @@
 """Benchmark regenerating paper Table I.
 
 Runs all nine methods on the six evaluation circuits and prints the
-IQM±std grid (runtime, dead space, HPWL, reward).  Shape checks (who wins,
+IQM±std grid (runtime, dead space, HPWL, reward); the saved
+``results/table1.txt`` omits the runtime column.  Shape checks (who wins,
 relative runtimes) are asserted; absolute numbers differ from the paper by
 design (CPU-scale training, synthetic circuits — DESIGN.md Sec. 4/5).
 """
@@ -27,9 +28,8 @@ def test_table1_full_grid(benchmark, table1_cells):
     """Print and save the full Table I grid (computed once, by the fixture)."""
 
     def body():
-        text = format_table1(table1_cells)
-        print("\n" + text)
-        path = save_artifact("table1", text)
+        print("\n" + format_table1(table1_cells))
+        path = save_artifact("table1", format_table1(table1_cells, timings=False))
         print(f"\n[saved to {path}]")
         # Grid completeness: 6 circuits x 9 methods.
         assert len(table1_cells) == 6 * len(METHOD_ORDER)

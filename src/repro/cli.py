@@ -27,9 +27,7 @@ PATH`` runs the sampling profiler and writes collapsed flamegraph
 stacks; ``--log-level LEVEL`` (or ``$REPRO_LOG_LEVEL``) and
 ``-q/--quiet`` control diagnostic verbosity.  ``repro report`` renders
 the written files back into summary tables (``--trace-out`` converts a
-trace to a Perfetto-loadable JSON file); ``repro bench record`` appends
-``BENCH_*.json`` results to the perf ledger that ``repro report
---bench`` renders as a regression-flagged trajectory.
+trace to a Perfetto-loadable JSON file).
 """
 
 from __future__ import annotations
@@ -299,10 +297,10 @@ def cmd_serve(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Render metrics/trace/profile/bench files into a summary."""
-    if not (args.metrics or args.trace or args.profile or args.bench):
-        print("repro report: pass --metrics, --trace, --profile and/or "
-              "--bench", file=sys.stderr)
+    """Render metrics/trace/profile files into a summary."""
+    if not (args.metrics or args.trace or args.profile):
+        print("repro report: pass --metrics, --trace and/or --profile",
+              file=sys.stderr)
         raise SystemExit(2)
     if args.trace_out and not args.trace:
         print("repro report: --trace-out needs --trace", file=sys.stderr)
@@ -312,44 +310,15 @@ def cmd_report(args) -> int:
             metrics_path=args.metrics,
             trace_path=args.trace,
             profile_path=args.profile,
-            bench_path=args.bench,
-            bench_threshold=args.bench_threshold,
         ))
         if args.trace_out:
             events = obs.load_jsonl(args.trace)
             with open(args.trace_out, "w") as handle:
                 handle.write(obs.perfetto_json(events))
             print(f"wrote Perfetto trace to {args.trace_out}")
-        if args.annotate and args.bench:
-            from .obs.bench import annotation_lines, regressions
-
-            flagged = regressions(obs.load_history(args.bench),
-                                  args.bench_threshold)
-            for line in annotation_lines(flagged):
-                print(line)
     except FileNotFoundError as exc:
         print(f"repro report: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    """Maintain the perf-regression ledger (``repro bench record``)."""
-    from .obs import bench as bench_mod
-
-    # argparse restricts `action` to the known choices.
-    entries = bench_mod.record_bench(
-        paths=args.paths or None,
-        history_path=args.history,
-        note=args.note,
-    )
-    if not entries:
-        print("repro bench record: no BENCH_*.json files found",
-              file=sys.stderr)
-        return 1
-    for entry in entries:
-        print(f"recorded {entry['bench']}: {len(entry['metrics'])} metrics "
-              f"(sha {entry['sha'] or '?'}) -> {args.history}")
     return 0
 
 
@@ -526,23 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     # --no-cache.
     p.set_defaults(fn=cmd_serve, backend="process")
 
-    p = sub.add_parser("bench", parents=[obs_flags],
-                       help="maintain the perf-regression ledger")
-    p.add_argument("action", choices=["record"],
-                   help="record: append BENCH_*.json results to the ledger")
-    p.add_argument("paths", nargs="*", metavar="BENCH_FILE",
-                   help="BENCH_*.json files (default: glob the working dir)")
-    p.add_argument("--history", default=None, metavar="PATH",
-                   help="ledger path (default results/bench_history.jsonl)")
-    p.add_argument("--note", default=None,
-                   help="free-form note stored with each entry")
-    from .obs.bench import DEFAULT_HISTORY, DEFAULT_THRESHOLD
-    p.set_defaults(fn=cmd_bench, history=DEFAULT_HISTORY)
-
     # `report` reads metrics/trace/profile files; its --metrics/--trace
     # are inputs, so it deliberately does not share the obs parent parser.
     p = sub.add_parser("report",
-                       help="summarize metrics/trace/profile/bench files")
+                       help="summarize metrics/trace/profile files")
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="metrics JSONL written by --metrics")
     p.add_argument("--trace", default=None, metavar="PATH",
@@ -552,13 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "JSON file")
     p.add_argument("--profile", default=None, metavar="PATH",
                    help="collapsed stacks written by --profile")
-    p.add_argument("--bench", default=None, metavar="PATH",
-                   help="perf ledger written by `repro bench record`")
-    p.add_argument("--bench-threshold", type=float, default=DEFAULT_THRESHOLD,
-                   metavar="RATIO",
-                   help="flag metrics below RATIO x previous (default 0.9)")
-    p.add_argument("--annotate", action="store_true",
-                   help="emit GitHub ::warning annotations for regressions")
     p.add_argument("--log-level", default=None, help=argparse.SUPPRESS)
     p.add_argument("-q", "--quiet", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_report)

@@ -9,7 +9,7 @@ invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,8 +134,25 @@ class Fig7Result:
     def area_ratio(self) -> float:
         return self.automated.layout.area / self.manual.layout.area
 
-    def stage_summary(self) -> Dict[str, float]:
-        return dict(self.automated.timings)
+    def format(self, timings: bool = True) -> str:
+        """The comparison text; ``timings=False`` drops the wall-clock
+        ``time=`` fields and per-stage timings, leaving deterministic text
+        (the form persisted as ``results/fig7_driver.txt``)."""
+        auto = self.automated
+        lines = [f"Automated: {auto.summary(timings)}",
+                 f"Manual   : {self.manual.summary(timings)}",
+                 f"Area ratio (auto / manual): {self.area_ratio:.2f}"]
+        if timings:
+            lines += ["", "Automated stage timings:"]
+            lines += [f"  {stage:<15} {seconds:8.3f} s"
+                      for stage, seconds in auto.timings.items()]
+        lines.append(f"Global routing: {auto.route.num_nets} nets, "
+                     f"{len(auto.route.conduits)} conduits, "
+                     f"{len(auto.route.failed_nets)} detoured over blocks")
+        lines.append(f"Channels: {len(auto.channels)}; congestion max demand "
+                     f"{auto.congestion.max_demand}, overflow "
+                     f"{auto.congestion.overflow_cells}")
+        return "\n".join(lines)
 
 
 def run_fig7(

@@ -203,8 +203,12 @@ def run_table1(
     return cells
 
 
-def format_table1(cells: Sequence[Table1Cell]) -> str:
-    """Render rows grouped by circuit, matching the paper's layout."""
+def format_table1(cells: Sequence[Table1Cell], timings: bool = True) -> str:
+    """Render rows grouped by circuit, matching the paper's layout.
+
+    ``timings=False`` drops the wall-clock runtime column, leaving only
+    deterministic text (the form persisted as ``results/table1.txt``).
+    """
     lines = []
     circuits = []
     for cell in cells:
@@ -214,16 +218,17 @@ def format_table1(cells: Sequence[Table1Cell]) -> str:
         group = [c for c in cells if c.circuit == circuit]
         tag = " (unseen)" if group[0].unseen else ""
         lines.append(f"\n=== {circuit}{tag} — {group[0].num_blocks} blocks ===")
-        header = f"{'method':<20} {'runtime(s)':>16} {'dead space(%)':>18} {'HPWL(um)':>18} {'reward':>16}"
-        lines.append(header)
+        runtime = f"{'runtime(s)':>16} " if timings else ""
+        lines.append(f"{'method':<20} {runtime}{'dead space(%)':>18} "
+                     f"{'HPWL(um)':>18} {'reward':>16}")
         for method in METHOD_ORDER:
             match = [c for c in group if c.method == method]
             if not match:
                 continue
             c = match[0]
+            runtime = f"{c.runtime[0]:>8.2f}±{c.runtime[1]:<6.2f} " if timings else ""
             lines.append(
-                f"{method:<20} "
-                f"{c.runtime[0]:>8.2f}±{c.runtime[1]:<6.2f} "
+                f"{method:<20} {runtime}"
                 f"{c.dead_space[0]:>9.2f}±{c.dead_space[1]:<6.2f} "
                 f"{c.hpwl[0]:>10.1f}±{c.hpwl[1]:<6.1f} "
                 f"{c.reward[0]:>8.2f}±{c.reward[1]:<5.2f}"

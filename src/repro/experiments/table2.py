@@ -128,10 +128,18 @@ def run_table2(
     return rows
 
 
-def format_table2(rows: Sequence[Table2Row]) -> str:
+def format_table2(rows: Sequence[Table2Row], timings: bool = True) -> str:
+    """Render Ours/Manual rows per circuit with area and time deltas.
+
+    ``timings=False`` reports the automated flow's modeled hours only
+    (``improvement_hours``, without the measured template seconds), so
+    the text is deterministic (the form persisted as
+    ``results/table2.txt``).
+    """
+    time_head = "layout time(h)" if timings else "modeled time(h)"
     lines = [
         f"{'circuit':<10} {'method':<7} {'area(um^2)':>12} {'dead space(%)':>14} "
-        f"{'layout time(h)':>15}"
+        f"{time_head:>15}"
     ]
     circuits: List[str] = []
     for row in rows:
@@ -140,11 +148,12 @@ def format_table2(rows: Sequence[Table2Row]) -> str:
     for circuit in circuits:
         ours = next(r for r in rows if r.circuit == circuit and r.method == "Ours")
         manual = next(r for r in rows if r.circuit == circuit and r.method == "Manual")
+        ours_hours = ours.total_hours if timings else ours.improvement_hours
         area_delta = 100 * (ours.area - manual.area) / manual.area
-        time_delta = 100 * (ours.total_hours - manual.total_hours) / manual.total_hours
+        time_delta = 100 * (ours_hours - manual.total_hours) / manual.total_hours
         lines.append(
             f"{circuit:<10} {'Ours':<7} {ours.area:>12.1f} {ours.dead_space:>14.2f} "
-            f"{ours.total_hours:>15.3f}   ({area_delta:+.1f}% area, {time_delta:+.1f}% time)"
+            f"{ours_hours:>15.3f}   ({area_delta:+.1f}% area, {time_delta:+.1f}% time)"
         )
         lines.append(
             f"{circuit:<10} {'Manual':<7} {manual.area:>12.1f} {manual.dead_space:>14.2f} "

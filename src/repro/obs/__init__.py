@@ -37,13 +37,10 @@ Per-env-step and per-graph sites (``env.step``, ``env.hpwl``,
 ``gnn.encode``) keep the flag-guarded histogram: a null ``with`` block
 costs about ten times the bare flag read.
 
-Two further layers share the zero-overhead contract:
-
-* :mod:`repro.obs.prof` — a sampling profiler
-  (:func:`start_profiler` / :func:`stop_profiler`, CLI ``--profile``);
-  phases label its samples, and nothing runs until it is started.
-* :mod:`repro.obs.bench` — the append-only perf ledger behind
-  ``repro bench record`` / ``repro report --bench``.
+:mod:`repro.obs.prof` — a sampling profiler (:func:`start_profiler` /
+:func:`stop_profiler`, CLI ``--profile``) — shares the zero-overhead
+contract: phases label its samples, and nothing runs until it is
+started.
 """
 
 from __future__ import annotations
@@ -52,8 +49,6 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Mapping, Optional
 
-from . import bench
-from .bench import load_history, record_bench, render_bench
 from .log import LEVEL_ENV_VAR, get_logger, resolve_level, setup_logging
 from .metrics import (
     HIST_CAP_ENV,
@@ -103,10 +98,6 @@ __all__ = [
     "write_metrics",
     "write_trace",
     "perfetto_json",
-    "bench",
-    "record_bench",
-    "load_history",
-    "render_bench",
     "get_logger",
     "setup_logging",
     "resolve_level",

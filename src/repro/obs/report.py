@@ -5,16 +5,15 @@ prints counters, histogram percentiles, per-iteration training records
 (the ``train.iteration`` fold of ``IterationStats``), and — for the
 merged cross-process trace — a per-span aggregation plus a per-process
 table built from the metadata ("M") events.  ``--profile`` adds the
-sampling profiler's self/cumulative attribution, ``--bench`` the perf
-ledger trajectory — everything a post-mortem needs without opening the
-raw files.
+sampling profiler's self/cumulative attribution — everything a
+post-mortem needs without opening the raw files.  Cross-commit perf
+comparison lives in ``perfbench/``, not here.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Any, Dict, Iterable, List, Optional
-
 
 from .metrics import summarize_values
 
@@ -216,8 +215,6 @@ def render_report(
     metrics_path: Optional[str] = None,
     trace_path: Optional[str] = None,
     profile_path: Optional[str] = None,
-    bench_path: Optional[str] = None,
-    bench_threshold: Optional[float] = None,
 ) -> str:
     """Full report over the given files (any subset may be omitted)."""
     sections: List[str] = []
@@ -232,16 +229,6 @@ def render_report(
 
         sections.append(f"# profile: {profile_path}")
         sections.append(render_profile(load_collapsed(profile_path)))
-    if bench_path:
-        from .bench import DEFAULT_THRESHOLD, load_history, render_bench
-
-        sections.append(f"# bench ledger: {bench_path}")
-        sections.append(render_bench(
-            load_history(bench_path),
-            threshold=bench_threshold if bench_threshold is not None
-            else DEFAULT_THRESHOLD,
-        ))
     if not sections:
-        return ("nothing to report (pass --metrics, --trace, --profile "
-                "and/or --bench)")
+        return "nothing to report (pass --metrics, --trace and/or --profile)"
     return "\n\n".join(sections)

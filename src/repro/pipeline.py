@@ -54,15 +54,16 @@ class PipelineResult:
     def signoff_clean(self) -> bool:
         return self.drc.clean and not self.lvs.short_pairs
 
-    def summary(self) -> str:
-        return (
+    def summary(self, timings: bool = True) -> str:
+        """One-line result; ``timings=False`` omits the wall-clock ``time=``."""
+        text = (
             f"{self.circuit.name}: area={self.layout.area:.1f} um^2, "
             f"dead_space={100 * self.floorplan.dead_space:.1f}%, "
             f"wirelength={self.route.total_wirelength:.1f} um, "
             f"DRC={'clean' if self.drc.clean else f'{len(self.drc.violations)} violations'}, "
-            f"LVS={'clean' if self.lvs.clean else f'{len(self.lvs.open_nets)} opens / {len(self.lvs.short_pairs)} shorts'}, "
-            f"time={self.total_time:.2f} s"
+            f"LVS={'clean' if self.lvs.clean else f'{len(self.lvs.open_nets)} opens / {len(self.lvs.short_pairs)} shorts'}"
         )
+        return f"{text}, time={self.total_time:.2f} s" if timings else text
 
 
 def default_floorplanner(circuit: Circuit) -> FloorplanResult:

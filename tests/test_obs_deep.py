@@ -1,6 +1,6 @@
 """Tests for the deep-observability layer (PR 9).
 
-Three pillars, each pinned against its acceptance contract:
+Two pillars, each pinned against its acceptance contract:
 
 * **Trace unification** — engine process workers and the solve
   server buffer spans locally, ship them
@@ -10,12 +10,8 @@ Three pillars, each pinned against its acceptance contract:
 * **Sampling profiler** — background sampling over
   ``sys._current_frames()``, phase labels via ``obs.phase``,
   collapsed-stack round trip, and the strict nothing-when-off contract.
-* **Perf ledger** — ``repro bench record`` appends, ``repro report
-  --bench`` renders a trajectory over >= 2 entries and flags drops
-  beyond the threshold.
 """
 
-import json
 import os
 import threading
 import time
@@ -24,7 +20,6 @@ import pytest
 
 from repro import obs
 from repro.engine import Executor, SweepSpec, run_sweep
-from repro.obs import bench as obs_bench
 from repro.obs import prof as obs_prof
 
 #: Wall-clock containment tolerance (us).  Same-host anchors agree to
@@ -299,83 +294,3 @@ class TestSamplingProfiler:
         out = capsys.readouterr().out
         assert "hot_loop" in out
         assert "45 samples" in out
-
-
-class TestBenchLedger:
-    def _write_bench(self, tmp_path, name, speedup, rate):
-        path = tmp_path / f"BENCH_{name}.json"
-        path.write_text(json.dumps({
-            "speedup": speedup,
-            "phases": [{"label": "warm", "requests_per_second": rate}],
-            "floor": 1.0,           # excluded: configuration, not a metric
-            "num_envs": 4,          # no metric token: ignored
-        }))
-        return str(path)
-
-    def test_record_appends_stamped_entries(self, tmp_path):
-        bench = self._write_bench(tmp_path, "policy", 3.0, 100.0)
-        history = str(tmp_path / "history.jsonl")
-        entries = obs_bench.record_bench([bench], history_path=history)
-        assert len(entries) == 1
-        entry = entries[0]
-        assert entry["bench"] == "policy"
-        assert entry["metrics"] == {
-            "speedup": 3.0, "phases[warm].requests_per_second": 100.0,
-        }
-        assert entry["dtype"]
-        assert entry["host"]["cpus"] == os.cpu_count()
-        assert "floor" not in entry["metrics"]
-        # Appending again grows the ledger; nothing is overwritten.
-        obs_bench.record_bench([bench], history_path=history)
-        assert len(obs_bench.load_history(history)) == 2
-
-    def test_regression_flagged_below_threshold(self, tmp_path):
-        history = str(tmp_path / "history.jsonl")
-        good = self._write_bench(tmp_path, "policy", 3.0, 100.0)
-        obs_bench.record_bench([good], history_path=history)
-        bad = self._write_bench(tmp_path, "policy", 2.0, 99.0)
-        obs_bench.record_bench([bad], history_path=history)
-        entries = obs_bench.load_history(history)
-        flagged = obs_bench.regressions(entries, threshold=0.9)
-        assert [f["metric"] for f in flagged] == ["speedup"]
-        assert flagged[0]["ratio"] == pytest.approx(2.0 / 3.0)
-        # 99 vs 100 is within the 0.9x threshold: not flagged.
-        rendered = obs_bench.render_bench(entries, threshold=0.9)
-        assert "REGRESSION policy:speedup" in rendered
-        assert "requests_per_second" in rendered
-
-    def test_no_regression_render(self, tmp_path):
-        history = str(tmp_path / "history.jsonl")
-        bench = self._write_bench(tmp_path, "policy", 3.0, 100.0)
-        obs_bench.record_bench([bench], history_path=history)
-        rendered = obs_bench.render_bench(obs_bench.load_history(history))
-        assert "no regressions beyond threshold" in rendered
-
-    def test_malformed_lines_skipped(self, tmp_path):
-        history = tmp_path / "history.jsonl"
-        entry = {"bench": "x", "metrics": {"speedup": 1.0}}
-        history.write_text(
-            json.dumps(entry) + "\nnot json\n" + json.dumps(entry) + "\n"
-        )
-        assert len(obs_bench.load_history(str(history))) == 2
-
-    def test_cli_record_and_report(self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main
-
-        bench = self._write_bench(tmp_path, "serving", 2.5, 80.0)
-        history = str(tmp_path / "history.jsonl")
-        assert main(["bench", "record", bench, "--history", history]) == 0
-        slower = self._write_bench(tmp_path, "serving", 1.0, 79.0)
-        assert main(["bench", "record", slower, "--history", history]) == 0
-        capsys.readouterr()
-        assert main(["report", "--bench", history, "--annotate"]) == 0
-        out = capsys.readouterr().out
-        assert "bench trajectory (2 entries" in out
-        assert "REGRESSION serving:speedup" in out
-        assert "::warning title=bench regression::serving:speedup" in out
-
-    def test_cli_record_nothing_found(self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "record"]) == 1

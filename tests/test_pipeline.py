@@ -1,5 +1,7 @@
 """Tests for the end-to-end pipeline and experiment harnesses (smoke scale)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from repro.experiments import (
     run_fig5,
     run_table2,
 )
-from repro.experiments.table2 import format_table2
+from repro.experiments.figures import Fig7Result
+from repro.experiments.table1 import METHOD_ORDER, Table1Cell, format_table1
+from repro.experiments.table2 import Table2Row, format_table2
 from repro.pipeline import default_floorplanner
 
 
@@ -123,3 +127,55 @@ class TestTable2:
         text = format_table2(rows)
         assert "% area" in text
         assert "OTA-small" in text
+
+
+class TestGoldensCarryNoTimings:
+    """The tracked ``results/`` goldens render from ``timings=False``:
+    inputs that differ only in wall-clock fields must render identically,
+    so tier-1 never rewrites them with timing noise."""
+
+    def test_table1(self):
+        def cells(runtime):
+            return [Table1Cell(circuit="OTA-1", num_blocks=5, unseen=False,
+                               method=method, runtime=runtime,
+                               dead_space=(24.5, 1.25), hpwl=(90.1, 2.5),
+                               reward=(2.49, 0.01))
+                    for method in METHOD_ORDER]
+
+        fast, slow = cells((0.03, 0.0)), cells((3.59, 0.06))
+        assert format_table1(fast) != format_table1(slow)
+        assert (format_table1(fast, timings=False)
+                == format_table1(slow, timings=False))
+        assert "runtime" not in format_table1(fast, timings=False)
+
+    def test_table2(self):
+        def rows(template_seconds):
+            return [
+                Table2Row("Driver", "Ours", area=2.3e4, dead_space=86.35,
+                          template_seconds=template_seconds,
+                          improvement_hours=7.1,
+                          total_hours=template_seconds / 3600.0 + 7.1),
+                Table2Row("Driver", "Manual", area=3.7e3, dead_space=16.24,
+                          template_seconds=None, improvement_hours=None,
+                          total_hours=32.0),
+            ]
+
+        fast, slow = rows(1.0), rows(33.6)
+        assert format_table2(fast) != format_table2(slow)
+        assert (format_table2(fast, timings=False)
+                == format_table2(slow, timings=False))
+
+    def test_fig7(self):
+        result = run_pipeline(get_circuit("ota_small"),
+                              floorplanner=fast_floorplanner)
+        stages = list(result.timings)
+
+        def fig7(seconds):
+            timed = dataclasses.replace(
+                result, timings={stage: seconds for stage in stages})
+            return Fig7Result(automated=timed, manual=timed)
+
+        fast, slow = fig7(0.001), fig7(33.4)
+        assert fast.format() != slow.format()
+        assert fast.format(timings=False) == slow.format(timings=False)
+        assert "time=" not in fast.format(timings=False)
