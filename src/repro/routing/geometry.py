@@ -68,19 +68,6 @@ class Obstacle:
         """Point strictly inside (boundary is allowed for routing)."""
         return self.x1 + eps < x < self.x2 - eps and self.y1 + eps < y < self.y2 - eps
 
-    def blocks_segment(self, seg: Segment, eps: float = 1e-9) -> bool:
-        """Whether the segment passes through the obstacle interior."""
-        s = seg.canonical()
-        if s.is_horizontal:
-            y = s.y1
-            if not (self.y1 + eps < y < self.y2 - eps):
-                return False
-            return s.x1 < self.x2 - eps and s.x2 > self.x1 + eps
-        x = s.x1
-        if not (self.x1 + eps < x < self.x2 - eps):
-            return False
-        return s.y1 < self.y2 - eps and s.y2 > self.y1 + eps
-
 
 def merge_collinear(segments: Sequence[Segment]) -> List[Segment]:
     """Merge touching collinear segments (cleanup after tree extraction)."""

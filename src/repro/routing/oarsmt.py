@@ -14,8 +14,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
+from ..obs import phase
 from .geometry import Obstacle, Point, Segment, merge_collinear
+
+#: Interior tolerance, the default ``eps`` of ``Obstacle.contains_strict``.
+_EPS = 1e-9
 
 
 def escape_coordinates(
@@ -36,30 +41,56 @@ def build_escape_graph(
     """Escape graph over the Hanan grid, with obstacle interiors removed.
 
     Nodes are (x, y) tuples; edges connect grid-adjacent nodes and carry
-    Manhattan length weights.  Edges crossing an obstacle interior are
-    dropped (boundary routing is allowed, as in channel-based flows).
+    Manhattan length weights.  Nodes strictly inside an obstacle and edges
+    crossing an obstacle interior are dropped (boundary routing is
+    allowed, as in channel-based flows).
+
+    Each obstacle's interior is a contiguous index range of the sorted
+    grid coordinates, so it clears its nodes and edges with one slice of
+    the validity grids ``node_ok (nx, ny)``, ``h_ok (nx-1, ny)`` and
+    ``v_ok (nx, ny-1)``.  The interval tests are ``contains_strict``'s:
+    ``x1 + eps < x < x2 - eps`` for a coordinate, and for an edge
+    ``(c[k], c[k+1])`` overlap ``c[k] < x2 - eps and c[k+1] > x1 + eps``.
+    Nodes are added x-major, then horizontal edges y-major and vertical
+    edges x-major, so every adjacency order (which networkx's Steiner
+    tree tie-breaks on) matches a per-edge loop in that order.
     """
     xs, ys = escape_coordinates(terminals, obstacles)
+    node_ok = np.ones((len(xs), len(ys)), dtype=bool)
+    h_ok = np.ones((max(len(xs) - 1, 0), len(ys)), dtype=bool)
+    v_ok = np.ones((len(xs), max(len(ys) - 1, 0)), dtype=bool)
+    bounds = np.array(
+        [(ob.x1, ob.x2, ob.y1, ob.y2) for ob in obstacles], dtype=float
+    ).reshape(-1, 4)
+    grid_x = np.asarray(xs, dtype=float)
+    grid_y = np.asarray(ys, dtype=float)
+    # [lo, hi): the coordinates with x1 + eps < c < x2 - eps.
+    x_lo = np.searchsorted(grid_x, bounds[:, 0] + _EPS, side="right").tolist()
+    x_hi = np.searchsorted(grid_x, bounds[:, 1] - _EPS, side="left").tolist()
+    y_lo = np.searchsorted(grid_y, bounds[:, 2] + _EPS, side="right").tolist()
+    y_hi = np.searchsorted(grid_y, bounds[:, 3] - _EPS, side="left").tolist()
+    for a, b, c, d in zip(x_lo, x_hi, y_lo, y_hi):
+        node_ok[a:b, c:d] = False
+        # Edge k overlaps the interior iff c[k] < x2 - eps (k < hi)
+        # and c[k+1] > x1 + eps (k >= lo - 1).
+        h_ok[max(a - 1, 0):b, c:d] = False
+        v_ok[a:b, max(c - 1, 0):d] = False
+    h_ok &= node_ok[:-1] & node_ok[1:]
+    v_ok &= node_ok[:, :-1] & node_ok[:, 1:]
+
     graph = nx.Graph()
-    for x in xs:
-        for y in ys:
-            if any(ob.contains_strict(x, y) for ob in obstacles):
-                continue
-            graph.add_node((x, y))
-    # Horizontal edges.
-    for y in ys:
-        for x1, x2 in zip(xs, xs[1:]):
-            if (x1, y) in graph and (x2, y) in graph:
-                seg = Segment(x1, y, x2, y)
-                if not any(ob.blocks_segment(seg) for ob in obstacles):
-                    graph.add_edge((x1, y), (x2, y), weight=x2 - x1)
-    # Vertical edges.
-    for x in xs:
-        for y1, y2 in zip(ys, ys[1:]):
-            if (x, y1) in graph and (x, y2) in graph:
-                seg = Segment(x, y1, x, y2)
-                if not any(ob.blocks_segment(seg) for ob in obstacles):
-                    graph.add_edge((x, y1), (x, y2), weight=y2 - y1)
+    i, j = np.nonzero(node_ok)  # x-major
+    graph.add_nodes_from((xs[a], ys[b]) for a, b in zip(i.tolist(), j.tolist()))
+    j, i = np.nonzero(h_ok.T)  # horizontal edges, y-major
+    graph.add_weighted_edges_from(
+        ((xs[a], ys[b]), (xs[a + 1], ys[b]), xs[a + 1] - xs[a])
+        for a, b in zip(i.tolist(), j.tolist())
+    )
+    i, j = np.nonzero(v_ok)  # vertical edges, x-major
+    graph.add_weighted_edges_from(
+        ((xs[a], ys[b]), (xs[a], ys[b + 1]), ys[b + 1] - ys[b])
+        for a, b in zip(i.tolist(), j.tolist())
+    )
     return graph
 
 
@@ -113,19 +144,21 @@ def oarsmt(
         if any(ob.contains_strict(t.x, t.y) for ob in obstacles):
             raise ValueError(f"net {net}: terminal {t} is inside an obstacle")
 
-    graph = build_escape_graph(terminals, obstacles)
+    with phase("routing.escape_graph"):
+        graph = build_escape_graph(terminals, obstacles)
     nodes = [(t.x, t.y) for t in terminals]
-    for node in nodes:
-        if node not in graph:
-            graph.add_node(node)
-    if not all(nx.has_path(graph, nodes[0], n) for n in nodes[1:]):
-        raise RuntimeError(f"net {net}: terminals are disconnected by obstacles")
+    with phase("routing.steiner"):
+        for node in nodes:
+            if node not in graph:
+                graph.add_node(node)
+        if not all(nx.has_path(graph, nodes[0], n) for n in nodes[1:]):
+            raise RuntimeError(f"net {net}: terminals are disconnected by obstacles")
 
-    # Restrict to the terminals' connected component: stray disconnected
-    # grid nodes break the Mehlhorn Steiner approximation.
-    component = nx.node_connected_component(graph, nodes[0])
-    graph = graph.subgraph(component)
-    tree = nx.algorithms.approximation.steiner_tree(graph, nodes, weight="weight")
+        # Restrict to the terminals' connected component: stray disconnected
+        # grid nodes break the Mehlhorn Steiner approximation.
+        component = nx.node_connected_component(graph, nodes[0])
+        graph = graph.subgraph(component)
+        tree = nx.algorithms.approximation.steiner_tree(graph, nodes, weight="weight")
     segments = [
         Segment(u[0], u[1], v[0], v[1]) for u, v in tree.edges
     ]

@@ -8,12 +8,14 @@ live with the tests because nothing in the package calls them.
 
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+import networkx as nx
 import numpy as np
 
 from repro.baselines import PlacedRect, SequencePair
 from repro.circuits import Net
 from repro.floorplan import FloorplanState, placement_mask
 from repro.floorplan.masks import HPWL_MIN_FLOOR
+from repro.routing import Obstacle, Point, Segment, escape_coordinates
 
 
 def state_centers(state: FloorplanState) -> Dict[int, Tuple[float, float]]:
@@ -133,3 +135,46 @@ def encode_reference(ppo, observation) -> Tuple[np.ndarray, np.ndarray]:
     node_index = observation.block_index
     node_emb = nodes[node_index] if 0 <= node_index < nodes.shape[0] else np.zeros_like(graph_emb)
     return node_emb, graph_emb
+
+
+def blocks_segment(ob: Obstacle, seg: Segment, eps: float = 1e-9) -> bool:
+    """Whether the segment passes through the obstacle interior."""
+    s = seg.canonical()
+    if s.is_horizontal:
+        y = s.y1
+        if not (ob.y1 + eps < y < ob.y2 - eps):
+            return False
+        return s.x1 < ob.x2 - eps and s.x2 > ob.x1 + eps
+    x = s.x1
+    if not (ob.x1 + eps < x < ob.x2 - eps):
+        return False
+    return s.y1 < ob.y2 - eps and s.y2 > ob.y1 + eps
+
+
+def escape_graph_reference(
+    terminals: Sequence[Point], obstacles: Sequence[Obstacle]
+) -> nx.Graph:
+    """Reference for ``build_escape_graph``: tests every Hanan-grid node
+    and edge against every obstacle, one Python call each."""
+    xs, ys = escape_coordinates(terminals, obstacles)
+    graph = nx.Graph()
+    for x in xs:
+        for y in ys:
+            if any(ob.contains_strict(x, y) for ob in obstacles):
+                continue
+            graph.add_node((x, y))
+    # Horizontal edges.
+    for y in ys:
+        for x1, x2 in zip(xs, xs[1:]):
+            if (x1, y) in graph and (x2, y) in graph:
+                seg = Segment(x1, y, x2, y)
+                if not any(blocks_segment(ob, seg) for ob in obstacles):
+                    graph.add_edge((x1, y), (x2, y), weight=x2 - x1)
+    # Vertical edges.
+    for x in xs:
+        for y1, y2 in zip(ys, ys[1:]):
+            if (x, y1) in graph and (x, y2) in graph:
+                seg = Segment(x, y1, x, y2)
+                if not any(blocks_segment(ob, seg) for ob in obstacles):
+                    graph.add_edge((x, y1), (x, y2), weight=y2 - y1)
+    return graph

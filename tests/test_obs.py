@@ -187,6 +187,17 @@ class TestPhaseSites:
         assert registry.counters["ppo.collects"] == 1
         assert registry.counters["ppo.updates"] == 1
 
+    def test_oarsmt_phases(self):
+        from repro.routing import Obstacle, Point, oarsmt
+
+        with obs.enabled_scope():
+            oarsmt("n", [Point(0, 1), Point(6, 1), Point(3, 4)], [Obstacle(2, 0, 4, 2)])
+        registry = obs.OBS.registry
+        spans = [e["name"] for e in obs.OBS.tracer.events]
+        for name in ("routing.escape_graph", "routing.steiner"):
+            assert len(registry.histograms[f"{name}.seconds"]) == 1, name
+            assert spans.count(name) == 1, name
+
 
 class TestRegistry:
     def test_merge_commutes(self):

@@ -13,6 +13,7 @@ from repro.routing import (
     Point,
     Segment,
     SteinerTree,
+    block_obstacles,
     build_escape_graph,
     congestion,
     define_channels,
@@ -22,6 +23,8 @@ from repro.routing import (
     pin_point,
     route_circuit,
 )
+
+from oracles import blocks_segment, escape_graph_reference
 
 
 class TestGeometry:
@@ -45,9 +48,9 @@ class TestGeometry:
 
     def test_obstacle_blocks_crossing_segment(self):
         ob = Obstacle(1, 1, 3, 3)
-        assert ob.blocks_segment(Segment(0, 2, 4, 2))
-        assert not ob.blocks_segment(Segment(0, 0, 4, 0))  # below
-        assert not ob.blocks_segment(Segment(0, 1, 4, 1))  # on boundary
+        assert blocks_segment(ob, Segment(0, 2, 4, 2))
+        assert not blocks_segment(ob, Segment(0, 0, 4, 0))  # below
+        assert not blocks_segment(ob, Segment(0, 1, 4, 1))  # on boundary
 
     def test_merge_collinear(self):
         segs = [Segment(0, 0, 1, 0), Segment(1, 0, 3, 0), Segment(0, 1, 1, 1)]
@@ -87,7 +90,7 @@ class TestOARSMT:
         assert blocked.covers_terminals()
         # No segment may cross the obstacle interior.
         ob = Obstacle(2, 0, 4, 2)
-        assert not any(ob.blocks_segment(s) for s in blocked.segments)
+        assert not any(blocks_segment(ob, s) for s in blocked.segments)
 
     def test_multi_terminal_steiner_beats_star(self):
         """Steiner tree should not exceed the star from the first terminal."""
@@ -124,16 +127,62 @@ class TestOARSMT:
 
 class TestEscapeGraph:
     def test_nodes_exclude_obstacle_interior(self):
+        # Terminals at x=2 and y=2 put (2, 2) on the Hanan grid.
+        ob = Obstacle(1, 1, 3, 3)
         graph = build_escape_graph(
-            [Point(0, 0), Point(4, 4)], [Obstacle(1, 1, 3, 3)]
+            [Point(0, 0), Point(4, 4), Point(2, 0), Point(0, 2)], [ob]
         )
-        assert (2.0, 2.0) not in graph or not any(
-            True for _ in graph.neighbors((2.0, 2.0))
-        ) or (2.0, 2.0) not in graph.nodes
+        assert (2, 2) not in graph
+        assert (1, 2) in graph  # boundary nodes stay routable
+        assert graph.number_of_edges() > 0
+        for u, v in graph.edges:
+            assert not blocks_segment(ob, Segment(u[0], u[1], v[0], v[1]))
 
     def test_edges_have_manhattan_weights(self):
         graph = build_escape_graph([Point(0, 0), Point(3, 0)], [])
         assert graph[(0.0, 0.0)][(3.0, 0.0)]["weight"] == 3.0
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, data):
+        """Same nodes, edges, weights and adjacency order as the per-edge
+        reference, so networkx's Steiner tree tie-breaks identically."""
+        # ±1e-6 is the router's block margin; ±1e-9 lands exactly on the
+        # interior tolerance of an obstacle at the unshifted coordinate.
+        offset = st.sampled_from([0.0, 0.0, 1e-6, -1e-6, 1e-9, -1e-9])
+        coord = st.builds(lambda c, d: c + d, st.integers(0, 8).map(float), offset)
+        obstacles = []
+        for x1, x2, y1, y2 in data.draw(st.lists(
+                st.tuples(coord, coord, coord, coord), max_size=5)):
+            if x1 != x2 and y1 != y2:
+                obstacles.append(Obstacle(min(x1, x2), min(y1, y2),
+                                          max(x1, x2), max(y1, y2)))
+        # Terminals on the free grid, on obstacle boundaries, or repeated.
+        xs = [float(c) for c in range(9)] + [v for ob in obstacles for v in (ob.x1, ob.x2)]
+        ys = [float(c) for c in range(9)] + [v for ob in obstacles for v in (ob.y1, ob.y2)]
+        points = st.builds(Point, st.sampled_from(xs), st.sampled_from(ys))
+        terminals = data.draw(st.lists(points, min_size=1, max_size=6))
+        terminals += data.draw(st.lists(st.sampled_from(terminals), max_size=2))
+
+        _assert_same_graph(terminals, obstacles)
+
+    def test_matches_reference_on_library_nets(self):
+        """Every net of a routed library circuit, against the router's
+        block obstacles (placed blocks shrunk by the margin)."""
+        circuit, rects = _placed_ota()
+        route = route_circuit(circuit, rects)
+        obstacles = block_obstacles(rects)
+        for tree in route.trees.values():
+            _assert_same_graph(tree.terminals, obstacles)
+
+
+def _assert_same_graph(terminals, obstacles):
+    graph = build_escape_graph(terminals, obstacles)
+    reference = escape_graph_reference(terminals, obstacles)
+    assert list(graph.nodes) == list(reference.nodes)
+    assert list(graph.edges(data=True)) == list(reference.edges(data=True))
+    for node in reference:
+        assert list(graph.adj[node]) == list(reference.adj[node])
 
 
 def _placed_ota(seed=0):
