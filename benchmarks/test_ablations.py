@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for two of the paper's design choices.
 
 Two ablations at equal (tiny) training budget, scored by zero-shot reward
 on a held-out circuit:

@@ -4,7 +4,7 @@ Runs all nine methods on the six evaluation circuits and prints the
 IQM±std grid (runtime, dead space, HPWL, reward); the saved
 ``results/table1.txt`` omits the runtime column.  Shape checks (who wins,
 relative runtimes) are asserted; absolute numbers differ from the paper by
-design (CPU-scale training, synthetic circuits — DESIGN.md Sec. 4/5).
+design (CPU-scale training, synthetic circuits).
 """
 
 import pytest

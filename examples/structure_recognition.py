@@ -1,47 +1,27 @@
-"""Structure recognition demo: rules vs. trained GCN + k-means.
+"""Structure recognition demo: rule-based grouping of a flat netlist.
 
 Run:  python examples/structure_recognition.py
 
-Flattens the OTA-2 netlist to bare devices, then recovers functional
-blocks twice — with the deterministic rule engine and with the GCN
-classifier trained on the benchmark library — and compares both against
-the known grouping.
+Flattens the OTA-2 netlist to bare devices, recovers functional blocks
+with the deterministic rule engine, and tags each recovered group OK
+(all its devices come from one known block) or mixed (they span several).
 """
 
-import numpy as np
-
 from repro.circuits import get_circuit
-from repro.sr import (
-    SRClassifier,
-    library_sr_dataset,
-    recognize_rules,
-    train_sr_classifier,
-)
+from repro.sr import recognize_rules
 
 
 def main() -> None:
     circuit = get_circuit("ota2")
     devices = [d for b in circuit.blocks for d in b.devices]
-    truth = {d.name: b.structure.name for b in circuit.blocks for d in b.devices}
+    owner = {d.name: b.name for b in circuit.blocks for d in b.devices}
     print(f"Flattened {circuit.name}: {len(devices)} devices\n")
 
     print("--- Rule-based recognition ---")
     for block in recognize_rules(devices):
-        print(f"  {block.structure.name:<24} {', '.join(block.device_names)}")
-
-    print("\n--- GCN + k-means recognition ---")
-    classifier = SRClassifier(rng=np.random.default_rng(0))
-    samples = library_sr_dataset()
-    result = train_sr_classifier(classifier, samples, epochs=50,
-                                 rng=np.random.default_rng(0))
-    print(f"(classifier trained on {len(samples)} circuits, "
-          f"device-label accuracy {100 * result.accuracy:.1f}%)")
-    blocks = classifier.recognize(devices, num_blocks=circuit.num_blocks,
-                                  rng=np.random.default_rng(0))
-    for block in blocks:
         members = ", ".join(block.device_names)
-        expected = {truth[n] for n in block.device_names}
-        tag = "OK" if len(expected) == 1 else f"mixed: {sorted(expected)}"
+        known = {owner[n] for n in block.device_names}
+        tag = "OK" if len(known) == 1 else f"mixed: {sorted(known)}"
         print(f"  {block.structure.name:<24} {members}  [{tag}]")
 
 

@@ -3,7 +3,7 @@
 A from-scratch reproduction of "Effective Analog ICs Floorplanning with
 Relational Graph Neural Networks and Reinforcement Learning" (DATE 2025),
 including every substrate the paper depends on: a numpy autograd engine,
-R-GCN / GCN models, a masked-PPO floorplanning agent, sequence-pair
+R-GCN models, a masked-PPO floorplanning agent, sequence-pair
 metaheuristic baselines, OARSMT routing, and a procedural layout
 generator with DRC / LVS signoff.
 
@@ -17,8 +17,8 @@ Quickstart::
     result = agent.solve(get_circuit("ota1"))
     print(result.summary())
 
-See README.md for the architecture overview and DESIGN.md for the
-experiment index.
+See README.md for the architecture overview and the CLI commands that
+regenerate each table and figure.
 """
 
 from . import (

@@ -17,7 +17,6 @@ from .constraints import (
     ConstraintKind,
     align_h,
     align_v,
-    self_sym_v,
     sym_pair_h,
     sym_pair_v,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "random_circuit",
     "resistor",
     "sample_constraints",
-    "self_sym_v",
     "structure_one_hot",
     "sym_pair_h",
     "sym_pair_v",

@@ -92,11 +92,6 @@ def sym_pair_h(a: int, b: int, axis: Optional[float] = None) -> Constraint:
     return Constraint(ConstraintKind.SYM_H, (a, b), axis)
 
 
-def self_sym_v(a: int, axis: Optional[float] = None) -> Constraint:
-    """Self-symmetry of block ``a`` about a vertical axis."""
-    return Constraint(ConstraintKind.SYM_V, (a,), axis)
-
-
 def align_v(*blocks: int) -> Constraint:
     """Left-edge (column) alignment of the given blocks."""
     return Constraint(ConstraintKind.ALIGN_V, tuple(blocks))

@@ -2,7 +2,7 @@
 
 The paper evaluates on six proprietary Infineon designs.  We build
 synthetic equivalents matching each design's published block count,
-functional mix and constraint style (DESIGN.md section 2):
+functional mix and constraint style:
 
 ===========  ======  ==========================  =========
 Circuit      Blocks  Role in paper               Our name

@@ -85,7 +85,9 @@ def parse_spice(text: str) -> List[Device]:
             width_um = params["w"] * 1e6 if params["w"] < 1e-2 else params["w"]
             length_um = params["l"] * 1e6 if params["l"] < 1e-2 else params["l"]
             stripes = int(params.get("m", 1))
-            maker = pmos if "p" in model.lower() else nmos
+            # PMOS models start with "p" (pch, pmos, pfet); a "p" elsewhere
+            # (nch_lp, nmos_rf_hp) does not flip the type.
+            maker = pmos if model.lower().startswith("p") else nmos
             devices.append(maker(name, width_um, length_um, stripes=stripes,
                                  D=drain, G=gate, S=source, B=bulk))
         elif kind == "R":

@@ -43,7 +43,7 @@ PAPER_PRETRAIN_DATASET: int = 21600
 
 @dataclass
 class TrainConfig:
-    """Scale-down knobs for CPU training; see DESIGN.md section 5."""
+    """Scale-down knobs for CPU training (paper values: the ``PAPER_*`` constants)."""
 
     episodes_per_circuit: int = 48
     num_envs: int = 4

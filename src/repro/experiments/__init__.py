@@ -7,7 +7,6 @@ from .figures import (
     render_mask_ascii,
     run_fig3,
     run_fig5,
-    run_fig6,
     run_fig7,
 )
 from .stats import format_cell, interquartile_mean, iqm_and_std
@@ -45,7 +44,6 @@ __all__ = [
     "render_mask_ascii",
     "run_fig3",
     "run_fig5",
-    "run_fig6",
     "run_fig7",
     "run_table1",
     "run_table2",

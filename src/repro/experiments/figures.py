@@ -1,5 +1,5 @@
-"""Figure harnesses: Fig. 3 (pre-training), Fig. 5 (masks), Fig. 6 (HCL),
-Fig. 7 (layout comparison).
+"""Figure harnesses: Fig. 3 (pre-training), Fig. 5 (masks), Fig. 7 (layout
+comparison).  Fig. 6's HCL curves come from ``FloorplanAgent.train_hcl``.
 
 Each function returns the numeric series / artifacts the corresponding
 paper figure plots; benchmarks print them, tests assert their shapes and
@@ -8,13 +8,13 @@ invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..circuits.library import TRAINING_SET, get_circuit
-from ..config import PretrainConfig, TrainConfig
+from ..circuits.library import get_circuit
+from ..config import PretrainConfig
 from ..floorplan.masks import dead_space_mask, wire_mask
 from ..floorplan.metrics import hpwl_lower_bound
 from ..floorplan.state import FloorplanState
@@ -22,7 +22,7 @@ from ..gnn.dataset import DatasetConfig, generate_dataset
 from ..gnn.reward_model import RewardModel, TrainingHistory, train_reward_model
 from ..graph.features import FEATURE_DIM
 from ..pipeline import PipelineResult, run_pipeline
-from ..rl.agent import FloorplanAgent, HCLRecord
+from ..rl.agent import FloorplanAgent
 from .table2 import _manual_reference
 
 
@@ -98,27 +98,6 @@ def render_mask_ascii(mask: np.ndarray, levels: str = " .:-=+*#%@") -> str:
     """Coarse ASCII rendering of a [0,1] mask (for the bench output)."""
     quantized = np.clip((mask * (len(levels) - 1)).astype(int), 0, len(levels) - 1)
     return "\n".join("".join(levels[v] for v in row) for row in quantized[::-1])
-
-
-# ---------------------------------------------------------------------------
-# Fig. 6 — HCL training curves
-# ---------------------------------------------------------------------------
-
-def run_fig6(
-    train_config: Optional[TrainConfig] = None,
-    episodes_per_circuit: int = 8,
-    circuits: Optional[Sequence[str]] = None,
-) -> HCLRecord:
-    """Train with the hybrid curriculum; returns reward/KL curves plus the
-    next-circuit and random-sampling markers of the paper's Fig. 6."""
-    config = train_config or TrainConfig(
-        num_envs=2, rollout_steps=32, ppo_epochs=2, minibatch_size=16, seed=0,
-    )
-    agent = FloorplanAgent(config=config)
-    names = list(circuits) if circuits is not None else list(TRAINING_SET)
-    return agent.train_hcl(
-        [get_circuit(n) for n in names], episodes_per_circuit=episodes_per_circuit
-    )
 
 
 # ---------------------------------------------------------------------------

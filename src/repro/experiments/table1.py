@@ -17,7 +17,8 @@ is bit-identical across backends.
 Scale-down: the paper fine-tunes for 1 / 100 / 1000 episodes on a GPU; the
 default :class:`Table1Scale` uses proportionally smaller shot counts and
 metaheuristic budgets so the full table regenerates on CPU in minutes.
-The *shape* to check is ordering, not absolute values (DESIGN.md Sec. 4).
+The *shape* to check is ordering, not absolute values: training is
+CPU-scale and the circuits are synthetic.
 """
 
 from __future__ import annotations

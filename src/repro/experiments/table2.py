@@ -4,7 +4,7 @@ The paper compares the automated pipeline against human layouts of an OTA
 (3 blocks), Bias-1 (9) and Driver (17): floorplan area, dead space, and
 the time to reach a DRC/LVS-clean layout.
 
-Substitution note (DESIGN.md Sec. 2): we have no human designers, so
+Substitution note: we have no human designers, so
 
 * the **manual layout** is simulated by a high-effort compact SA flow
   (tight spacing, long schedule) followed by the same routing/layout

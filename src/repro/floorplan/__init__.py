@@ -24,11 +24,6 @@ from .metrics import (
     intermediate_reward,
     state_hpwl,
 )
-from .routability import (
-    RoutabilityEstimate,
-    estimate_routability,
-    routability_reward,
-)
 from .state import FloorplanState, PlacedBlock
 from .vecenv import StackedObservations, VecEnv, stack_observations
 
@@ -40,11 +35,8 @@ __all__ = [
     "HybridCurriculum",
     "Observation",
     "PlacedBlock",
-    "RoutabilityEstimate",
     "StackedObservations",
     "VecEnv",
-    "estimate_routability",
-    "routability_reward",
     "stack_observations",
     "action_mask",
     "aspect_ratio",

@@ -88,10 +88,6 @@ class FloorplanEnv:
     target_aspect:
         Optional fixed-outline aspect-ratio target (activates the gamma
         term of Eq. 5).
-    routability_weight:
-        Optional weight of the congestion-proxy reward term (paper
-        Sec. VI future work; see :mod:`repro.floorplan.routability`).
-        0 (default) reproduces the paper's reward exactly.
     """
 
     def __init__(
@@ -99,13 +95,10 @@ class FloorplanEnv:
         circuit: Circuit,
         hpwl_min: Optional[float] = None,
         target_aspect: Optional[float] = None,
-        routability_weight: float = 0.0,
     ):
         self.circuit = circuit
         self.hpwl_min = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
         self.target_aspect = target_aspect
-        self.routability_weight = routability_weight
-        self._routability = None
         self.graph = circuit_to_graph(circuit)
         self.state: Optional[FloorplanState] = None
         self._ds = 0.0
@@ -131,7 +124,6 @@ class FloorplanEnv:
         self._ds = 0.0
         self._hpwl = 0.0
         self._terminated = False
-        self._routability = None
         return self._observe()
 
     def _observe(self) -> Observation:
@@ -206,16 +198,6 @@ class FloorplanEnv:
         hpwl_after = state_hpwl(self.state, partial=True)
         reward = intermediate_reward(self._ds, ds_after, self._hpwl, hpwl_after, self.hpwl_min)
         self._ds, self._hpwl = ds_after, hpwl_after
-
-        if self.routability_weight > 0.0:
-            from .routability import estimate_routability, routability_reward
-
-            after = estimate_routability(self.state)
-            if self._routability is not None:
-                reward += routability_reward(
-                    self._routability, after, weight=self.routability_weight
-                )
-            self._routability = after
 
         done = self.state.done
         obs = self._observe()

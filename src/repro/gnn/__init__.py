@@ -1,7 +1,6 @@
-"""Graph neural networks: R-GCN encoder, GCN, reward model, datasets."""
+"""Graph neural networks: R-GCN encoder, reward model, datasets."""
 
 from .dataset import DatasetConfig, dataset_statistics, generate_dataset
-from .gcn import GCN, GCNLayer, normalized_adjacency
 from .reward_model import (
     RewardModel,
     TrainingHistory,
@@ -12,15 +11,12 @@ from .rgcn import RGCNEncoder, RGCNLayer
 
 __all__ = [
     "DatasetConfig",
-    "GCN",
-    "GCNLayer",
     "RGCNEncoder",
     "RGCNLayer",
     "RewardModel",
     "TrainingHistory",
     "dataset_statistics",
     "generate_dataset",
-    "normalized_adjacency",
     "predict_reward",
     "train_reward_model",
 ]

@@ -1,11 +1,11 @@
 """Numpy-backed neural-network substrate (autograd, layers, optimizers).
 
-This subpackage substitutes for PyTorch in the paper's stack; see DESIGN.md
-section 2 for the substitution rationale.
+This subpackage substitutes for PyTorch in the paper's stack, so the
+networks need only numpy (README "Fast NN core").
 """
 
 from . import functional
-from .init import kaiming_uniform, orthogonal, uniform_bound, xavier_uniform
+from .init import kaiming_uniform, uniform_bound, xavier_uniform
 from .layers import (
     Conv2d,
     ConvTranspose2d,
@@ -14,11 +14,10 @@ from .layers import (
     Module,
     ReLU,
     Sequential,
-    Tanh,
     mlp,
 )
 from .functional import segment_mean, segment_softmax
-from .losses import cross_entropy, huber_loss, mse_loss
+from .losses import cross_entropy, mse_loss
 from .optim import SGD, Adam, Optimizer
 from .serialization import load_module, save_module
 from .tensor import (
@@ -54,7 +53,6 @@ __all__ = [
     "ReLU",
     "SGD",
     "Sequential",
-    "Tanh",
     "Tensor",
     "concatenate",
     "cross_entropy",
@@ -63,7 +61,6 @@ __all__ = [
     "enable_grad",
     "functional",
     "gather",
-    "huber_loss",
     "index_add",
     "is_grad_enabled",
     "kaiming_uniform",
@@ -73,7 +70,6 @@ __all__ = [
     "mse_loss",
     "no_grad",
     "ones",
-    "orthogonal",
     "segment_mean",
     "segment_softmax",
     "segment_sum",

@@ -29,14 +29,3 @@ def uniform_bound(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int)
     """PyTorch-style bias initialization: U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     bound = 1.0 / np.sqrt(fan_in) if fan_in > 0 else 0.0
     return rng.uniform(-bound, bound, size=shape).astype(default_dtype(), copy=False)
-
-
-def orthogonal(rng: np.random.Generator, shape: Tuple[int, int], gain: float = 1.0) -> np.ndarray:
-    """Orthogonal initialization (Stable-Baselines3 default for policy heads)."""
-    rows, cols = shape
-    flat = rng.normal(size=(max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(flat)
-    q = q * np.sign(np.diag(r))
-    if rows < cols:
-        q = q.T
-    return (gain * q[:rows, :cols]).astype(default_dtype(), copy=False)

@@ -160,11 +160,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
 class Flatten(Module):
     """Flatten all but the batch dimension."""
 
@@ -195,16 +190,12 @@ class Sequential(Module):
 def mlp(
     sizes: Sequence[int],
     rng: Optional[np.random.Generator] = None,
-    activation: type = ReLU,
-    output_activation: Optional[type] = None,
 ) -> Sequential:
-    """Build a fully-connected network with the given layer sizes."""
+    """Fully-connected network with ReLU between layers, linear output."""
     rng = rng or np.random.default_rng()
     layers: List[Module] = []
     for i in range(len(sizes) - 1):
         layers.append(Linear(sizes[i], sizes[i + 1], rng=rng))
         if i < len(sizes) - 2:
-            layers.append(activation())
-        elif output_activation is not None:
-            layers.append(output_activation())
+            layers.append(ReLU())
     return Sequential(*layers)

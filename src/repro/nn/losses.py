@@ -14,18 +14,8 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     return (diff * diff).mean()
 
 
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Smooth-L1 loss; more robust than MSE for value-function targets."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target_t
-    abs_diff = diff.abs()
-    quadratic = abs_diff.clip(0.0, delta)
-    linear = abs_diff - quadratic
-    return (quadratic * quadratic * 0.5 + delta * linear).mean()
-
-
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Cross entropy over integer class labels (used by the SR classifier)."""
+    """Cross entropy over integer class labels."""
     log_probs = log_softmax(logits, axis=-1)
     picked = gather(log_probs, np.asarray(labels, dtype=np.int64))
     return -picked.mean()

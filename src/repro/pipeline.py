@@ -1,9 +1,10 @@
 """End-to-end automatic layout pipeline (paper Fig. 1).
 
-``run_pipeline`` chains every stage: functional blocks (given or via
-structure recognition) -> multi-shape configuration -> floorplanning (RL
-agent or a baseline) -> OARSMT global routing -> channel definition ->
-detailed routing -> procedural layout generation -> DRC + LVS signoff.
+``run_pipeline`` chains every stage: functional blocks (the circuit's own;
+:func:`repro.sr.recognize_rules` recovers them from a flat device list)
+-> multi-shape configuration -> floorplanning (RL agent or a baseline)
+-> OARSMT global routing -> channel definition -> detailed routing ->
+procedural layout generation -> DRC + LVS signoff.
 
 ``run_pipeline_batch`` fans several circuits out through
 :mod:`repro.engine`, so a multi-circuit signoff sweep can run on a

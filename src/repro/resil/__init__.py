@@ -16,7 +16,6 @@ and the solve server:
 """
 
 from .errors import (
-    DeadlineExceededError,
     FaultToleranceError,
     OverloadedError,
     PoolRebuildLimitError,
@@ -27,7 +26,6 @@ from .journal import SweepJournal
 from .policy import RetryPolicy, call_with_retries, run_with_timeout
 
 __all__ = [
-    "DeadlineExceededError",
     "FaultToleranceError",
     "OverloadedError",
     "PoolRebuildLimitError",

@@ -60,11 +60,3 @@ class OverloadedError(FaultToleranceError):
             f"server overloaded: {inflight} requests in flight "
             f"(max_inflight={limit}); request shed"
         )
-
-
-class DeadlineExceededError(FaultToleranceError):
-    """A served request ran past its client/server deadline."""
-
-    def __init__(self, deadline_ms: float):
-        self.deadline_ms = deadline_ms
-        super().__init__(f"deadline exceeded after {deadline_ms:g}ms")

@@ -7,9 +7,9 @@ embedding (32 + 32).  The policy head is one FC layer plus three
 stride-2 deconvolutions (32/16/8 channels) projected to 3 x 32 x 32 shape
 x position logits; the value head is an MLP on the same state embedding.
 
-Scale-down note (DESIGN.md Sec. 5): the paper keeps stride 1 everywhere,
-giving a 65536 -> 512 dense layer (~34M weights) — fine on an A30, hostile
-on CPU/numpy.  We use stride 2 in the 2nd and 4th conv layers so the dense
+Scale-down note: the paper keeps stride 1 everywhere, giving a 65536 ->
+512 dense layer (~34M weights) — fine on an A30, hostile on CPU/numpy.
+We use stride 2 in the 2nd and 4th conv layers so the dense
 layer shrinks to 4096 -> 512 while preserving the channel progression and
 receptive-field growth.  The deconv head is exactly the paper's.
 """

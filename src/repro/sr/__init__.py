@@ -1,26 +1,5 @@
-"""Structure recognition: GCN + k-means and rule-based pattern matching."""
+"""Structure recognition: rule-based analog pattern matching."""
 
-from .kmeans import KMeansResult, kmeans
-from .recognition import (
-    DEVICE_FEATURE_DIM,
-    RecognizedBlock,
-    SRClassifier,
-    device_adjacency,
-    device_features,
-    recognize_rules,
-)
-from .training import SRTrainingResult, library_sr_dataset, train_sr_classifier
+from .recognition import RecognizedBlock, recognize_rules
 
-__all__ = [
-    "DEVICE_FEATURE_DIM",
-    "KMeansResult",
-    "RecognizedBlock",
-    "SRClassifier",
-    "SRTrainingResult",
-    "device_adjacency",
-    "device_features",
-    "kmeans",
-    "library_sr_dataset",
-    "recognize_rules",
-    "train_sr_classifier",
-]
+__all__ = ["RecognizedBlock", "recognize_rules"]

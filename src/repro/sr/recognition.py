@@ -1,35 +1,20 @@
-"""Structure recognition: device graph, rule-based reference, GCN+k-means.
+"""Rule-based structure recognition over a device list.
 
-Paper Sec. IV-B uses Infineon's GCN-based SR tool [21] to detect circuit
-functional blocks from the schematic.  We provide:
-
-* a **rule-based recognizer** (`recognize_rules`) — deterministic analog
-  pattern matching (diode connections, shared gates/sources) that serves
-  as ground truth for training and as a dependable default;
-* a **GCN classifier** (`SRClassifier`) over the device-level graph,
-  trained on library circuits, whose node embeddings are grouped into
-  blocks with k-means — the learned pipeline of the paper.
-
-Both return the same interface: a list of device groups with a
-:class:`~repro.circuits.blocks.StructureType` per group.
+Paper Sec. IV-B takes functional blocks from Infineon's external SR tool
+[21]; it does not train one.  `recognize_rules` stands in for that tool:
+deterministic analog pattern matching (diode connections, shared
+gates/sources) that returns device groups, each with a
+:class:`~repro.circuits.blocks.StructureType`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from ..circuits.blocks import NUM_STRUCTURES, StructureType
+from ..circuits.blocks import StructureType
 from ..circuits.devices import Device, DeviceType
 from ..circuits.netlist import SUPPLY_NETS
-from ..gnn.gcn import GCN
-from ..nn import Tensor, no_grad, softmax
-from .kmeans import kmeans
-
-#: Device feature vector width: 4 dtype one-hot + 5 scalars.
-DEVICE_FEATURE_DIM = 9
 
 
 @dataclass
@@ -43,49 +28,6 @@ class RecognizedBlock:
     def device_names(self) -> List[str]:
         return [d.name for d in self.devices]
 
-
-# ---------------------------------------------------------------------------
-# Device graph and features
-# ---------------------------------------------------------------------------
-
-def device_adjacency(devices: Sequence[Device]) -> np.ndarray:
-    """Adjacency: devices sharing any non-supply net are connected."""
-    n = len(devices)
-    adjacency = np.zeros((n, n))
-    nets = [set(d.terminals.values()) - SUPPLY_NETS for d in devices]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if nets[i] & nets[j]:
-                adjacency[i, j] = adjacency[j, i] = 1.0
-    return adjacency
-
-
-def device_features(devices: Sequence[Device]) -> np.ndarray:
-    """Per-device features: dtype one-hot + geometry + connectivity flags."""
-    max_w = max(d.width for d in devices)
-    max_l = max((d.length for d in devices if d.length > 0), default=1.0)
-    adjacency = device_adjacency(devices)
-    degree = adjacency.sum(axis=1)
-    max_deg = degree.max() or 1.0
-    rows = []
-    for i, d in enumerate(devices):
-        one_hot = [0.0] * 4
-        one_hot[[DeviceType.NMOS, DeviceType.PMOS, DeviceType.RESISTOR,
-                 DeviceType.CAPACITOR].index(d.dtype)] = 1.0
-        diode = 1.0 if d.terminals.get("G") is not None and d.terminals.get("G") == d.terminals.get("D") else 0.0
-        rows.append(one_hot + [
-            d.width / max_w,
-            (d.length / max_l) if d.length > 0 else 0.0,
-            d.stripes / 8.0,
-            degree[i] / max_deg,
-            diode,
-        ])
-    return np.asarray(rows)
-
-
-# ---------------------------------------------------------------------------
-# Rule-based reference recognizer
-# ---------------------------------------------------------------------------
 
 def _is_mos(d: Device) -> bool:
     return d.dtype in (DeviceType.NMOS, DeviceType.PMOS)
@@ -170,62 +112,3 @@ def recognize_rules(devices: Sequence[Device]) -> List[RecognizedBlock]:
         else:
             take([d], StructureType.SINGLE_DEVICE)
     return blocks
-
-
-# ---------------------------------------------------------------------------
-# GCN + k-means recognizer
-# ---------------------------------------------------------------------------
-
-class SRClassifier:
-    """GCN device-structure classifier with k-means grouping."""
-
-    def __init__(self, hidden_dim: int = 32, rng: Optional[np.random.Generator] = None):
-        rng = rng or np.random.default_rng()
-        self.gcn = GCN([DEVICE_FEATURE_DIM, hidden_dim, hidden_dim, NUM_STRUCTURES], rng=rng)
-        self.hidden_dim = hidden_dim
-
-    def logits(self, devices: Sequence[Device]) -> Tensor:
-        feats = device_features(devices)
-        adjacency = device_adjacency(devices)
-        return self.gcn(feats, adjacency)
-
-    def predict_structures(self, devices: Sequence[Device]) -> List[StructureType]:
-        with no_grad():
-            classes = self.logits(devices).numpy().argmax(axis=1)
-        return [StructureType(int(c)) for c in classes]
-
-    def recognize(
-        self,
-        devices: Sequence[Device],
-        num_blocks: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List[RecognizedBlock]:
-        """Group devices into ``num_blocks`` functional blocks.
-
-        k-means runs on the concatenation of class probabilities and the
-        normalized adjacency rows (so devices that are wired together and
-        classified alike cluster together), mirroring the GCN + k-means
-        recipe of the paper's SR tool [21].
-        """
-        rng = rng or np.random.default_rng(0)
-        if num_blocks < 1 or num_blocks > len(devices):
-            raise ValueError(f"num_blocks must be in [1, {len(devices)}]")
-        with no_grad():
-            probs = softmax(self.logits(devices)).numpy()
-        adjacency = device_adjacency(devices)
-        degree = adjacency.sum(axis=1, keepdims=True)
-        degree[degree == 0] = 1.0
-        embedding = np.concatenate([probs, adjacency / degree], axis=1)
-        result = kmeans(embedding, num_blocks, rng=rng)
-        groups: Dict[int, List[Device]] = {}
-        for device, label in zip(devices, result.labels):
-            groups.setdefault(int(label), []).append(device)
-        blocks = []
-        classes = probs.argmax(axis=1)
-        index_of = {d.name: i for i, d in enumerate(devices)}
-        for label in sorted(groups):
-            members = groups[label]
-            votes = [classes[index_of[d.name]] for d in members]
-            majority = int(np.bincount(votes).argmax())
-            blocks.append(RecognizedBlock(members, StructureType(majority)))
-        return blocks

@@ -1,4 +1,4 @@
-"""Tests for GCN / R-GCN layers, the reward model, and dataset generation."""
+"""Tests for R-GCN layers, the reward model, and dataset generation."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,12 @@ import pytest
 from repro.circuits import get_circuit, random_circuit
 from repro.config import EMBEDDING_DIM, PretrainConfig
 from repro.gnn import (
-    GCN,
     DatasetConfig,
     RGCNEncoder,
     RGCNLayer,
     RewardModel,
     dataset_statistics,
     generate_dataset,
-    normalized_adjacency,
     predict_reward,
     train_reward_model,
 )
@@ -23,45 +21,6 @@ from repro.nn import Adam, Tensor
 
 def _graph(name="ota2"):
     return circuit_to_graph(get_circuit(name))
-
-
-class TestNormalizedAdjacency:
-    def test_symmetric_output(self):
-        adj = np.array([[0, 1], [1, 0.0]])
-        norm = normalized_adjacency(adj)
-        assert np.allclose(norm, norm.T)
-
-    def test_self_loops_added(self):
-        adj = np.zeros((3, 3))
-        norm = normalized_adjacency(adj)
-        assert np.allclose(norm, np.eye(3))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            normalized_adjacency(np.zeros((2, 3)))
-
-
-class TestGCN:
-    def test_forward_shapes(self):
-        rng = np.random.default_rng(0)
-        gcn = GCN([4, 8, 3], rng=rng)
-        feats = rng.normal(size=(5, 4))
-        adj = (rng.random((5, 5)) > 0.5).astype(float)
-        adj = np.triu(adj, 1); adj = adj + adj.T
-        out = gcn(feats, adj)
-        assert out.shape == (5, 3)
-
-    def test_requires_two_dims(self):
-        with pytest.raises(ValueError):
-            GCN([4])
-
-    def test_isolated_node_keeps_self_information(self):
-        rng = np.random.default_rng(1)
-        gcn = GCN([2, 2], rng=rng)
-        feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        adj = np.zeros((2, 2))
-        out = gcn(feats, adj).numpy()
-        assert not np.allclose(out[0], out[1])
 
 
 class TestRGCNLayer:

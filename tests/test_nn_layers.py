@@ -155,11 +155,6 @@ class TestLinearAndMLP:
         out = net(Tensor(np.ones((2, 4))))
         assert out.shape == (2, 1)
 
-    def test_mlp_output_activation(self):
-        net = nn.mlp([4, 2], rng=np.random.default_rng(0), output_activation=nn.Tanh)
-        out = net(Tensor(np.ones((1, 4)))).numpy()
-        assert (np.abs(out) <= 1).all()
-
     def test_sequential_parameter_collection(self):
         net = nn.Sequential(nn.Linear(2, 3), nn.ReLU(), nn.Linear(3, 1))
         assert len(net.parameters()) == 4  # 2 weights + 2 biases
@@ -220,14 +215,6 @@ class TestLosses:
     def test_mse_value(self):
         pred = Tensor([0.0, 0.0])
         assert nn.mse_loss(pred, np.array([2.0, 2.0])).item() == pytest.approx(4.0)
-
-    def test_huber_below_delta_is_quadratic(self):
-        pred = Tensor([0.5])
-        assert nn.huber_loss(pred, np.array([0.0]), delta=1.0).item() == pytest.approx(0.125)
-
-    def test_huber_above_delta_is_linear(self):
-        pred = Tensor([3.0])
-        assert nn.huber_loss(pred, np.array([0.0]), delta=1.0).item() == pytest.approx(2.5)
 
     def test_cross_entropy_perfect_prediction_small(self):
         logits = Tensor(np.array([[100.0, 0.0], [0.0, 100.0]]))

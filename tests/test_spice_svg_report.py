@@ -1,14 +1,10 @@
-"""Tests for the SPICE I/O, SVG export, and markdown report modules."""
+"""Tests for the SPICE I/O and SVG export modules."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import SAConfig, simulated_annealing
 from repro.circuits import DeviceType, get_circuit
 from repro.circuits.spice import parse_spice, roundtrip_devices, write_spice
-from repro.experiments.report import table1_markdown, table2_markdown
-from repro.experiments.table1 import Table1Cell
-from repro.experiments.table2 import Table2Row
 from repro.layout import generate_layout
 from repro.layout.svg import floorplan_svg, layout_svg
 from repro.routing import detailed_route, route_circuit
@@ -28,6 +24,15 @@ class TestSpiceParse:
     def test_parse_pmos_model(self):
         devices = parse_spice("M2 a b vdd vdd pch W=4u L=1u")
         assert devices[0].dtype is DeviceType.PMOS
+
+    @pytest.mark.parametrize("model, dtype", [
+        ("nch_lp", DeviceType.NMOS),
+        ("nmos_rf_hp", DeviceType.NMOS),
+        ("pch_lvt", DeviceType.PMOS),
+    ])
+    def test_mos_type_from_model_prefix(self, model, dtype):
+        devices = parse_spice(f"M1 d g s b {model} W=1u L=0.1u")
+        assert devices[0].dtype is dtype
 
     def test_parse_resistor_and_capacitor(self):
         text = """
@@ -124,27 +129,3 @@ class TestSVG:
         ckt, _ = placed
         with pytest.raises(ValueError):
             floorplan_svg(ckt, [])
-
-
-def _cell(circuit, method, reward):
-    return Table1Cell(circuit=circuit, num_blocks=5, unseen=False, method=method,
-                      runtime=(1.0, 0.1), dead_space=(40.0, 2.0),
-                      hpwl=(100.0, 5.0), reward=(reward, 0.2))
-
-
-class TestReports:
-    def test_table1_markdown_marks_best(self):
-        cells = [_cell("OTA-1", "SA", -2.0), _cell("OTA-1", "R-GCN RL 0-shot", -1.0)]
-        md = table1_markdown(cells)
-        assert "### OTA-1" in md
-        assert "**(best)**" in md
-        assert md.index("R-GCN RL 0-shot") < md.index("| SA")
-
-    def test_table2_markdown_deltas(self):
-        rows = [
-            Table2Row("OTA", "Ours", 200.0, 30.0, 100.0, 0.1, 0.13),
-            Table2Row("OTA", "Manual", 250.0, 32.0, None, None, 8.0),
-        ]
-        md = table2_markdown(rows)
-        assert "-20.0% area" in md
-        assert "| OTA | Manual |" in md

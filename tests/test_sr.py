@@ -1,83 +1,7 @@
-"""Tests for structure recognition: k-means, rules, GCN classifier."""
-
-import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+"""Tests for rule-based structure recognition."""
 
 from repro.circuits import StructureType, get_circuit, nmos, pmos, resistor
-from repro.sr import (
-    SRClassifier,
-    device_adjacency,
-    device_features,
-    kmeans,
-    library_sr_dataset,
-    recognize_rules,
-    train_sr_classifier,
-)
-
-
-class TestKMeans:
-    def test_separated_blobs(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(0, 0.1, size=(20, 2))
-        b = rng.normal(5, 0.1, size=(20, 2))
-        points = np.vstack([a, b])
-        result = kmeans(points, 2, rng=rng)
-        labels_a = set(result.labels[:20])
-        labels_b = set(result.labels[20:])
-        assert len(labels_a) == 1 and len(labels_b) == 1
-        assert labels_a != labels_b
-
-    def test_k_equals_n(self):
-        points = np.array([[0.0, 0], [1, 1], [2, 2]])
-        result = kmeans(points, 3, rng=np.random.default_rng(0))
-        assert sorted(result.labels.tolist()) == [0, 1, 2]
-        assert result.inertia == pytest.approx(0.0)
-
-    def test_invalid_k(self):
-        points = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            kmeans(points, 0)
-        with pytest.raises(ValueError):
-            kmeans(points, 4)
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            kmeans(np.zeros(5), 2)
-
-    @given(st.integers(min_value=1, max_value=5), st.integers(0, 10**6))
-    @settings(max_examples=20, deadline=None)
-    def test_all_clusters_used(self, k, seed):
-        rng = np.random.default_rng(seed)
-        points = rng.normal(size=(20, 3))
-        result = kmeans(points, k, rng=rng)
-        assert len(set(result.labels.tolist())) == k
-
-
-class TestDeviceGraph:
-    def test_adjacency_from_shared_nets(self):
-        devices = [
-            nmos("A", 1, 0.5, D="X", G="I", S="VSS"),
-            nmos("B", 1, 0.5, D="O", G="X", S="VSS"),
-            nmos("C", 1, 0.5, D="Z", G="W", S="VSS"),
-        ]
-        adj = device_adjacency(devices)
-        assert adj[0, 1] == 1
-        assert adj[0, 2] == 0  # only shares VSS (supply, excluded)
-
-    def test_feature_dim(self):
-        devices = [nmos("A", 1, 0.5, D="X", G="I", S="VSS"),
-                   resistor("R", 1, 10, P="X", N="VSS")]
-        feats = device_features(devices)
-        assert feats.shape == (2, 9)
-
-    def test_diode_connection_flag(self):
-        devices = [nmos("A", 1, 0.5, D="X", G="X", S="VSS"),
-                   nmos("B", 1, 0.5, D="Y", G="X", S="VSS")]
-        feats = device_features(devices)
-        assert feats[0, -1] == 1.0
-        assert feats[1, -1] == 0.0
+from repro.sr import recognize_rules
 
 
 class TestRuleRecognizer:
@@ -131,41 +55,3 @@ class TestRuleRecognizer:
         structures = [b.structure for b in blocks]
         assert StructureType.DIFFERENTIAL_PAIR in structures
         assert StructureType.SIMPLE_CURRENT_MIRROR in structures
-
-
-class TestSRClassifier:
-    @pytest.fixture(scope="class")
-    def trained(self):
-        classifier = SRClassifier(rng=np.random.default_rng(0))
-        samples = library_sr_dataset(["ota_small", "ota1", "bias_small"])
-        result = train_sr_classifier(classifier, samples, epochs=40,
-                                     rng=np.random.default_rng(0))
-        return classifier, result
-
-    def test_training_reduces_loss(self, trained):
-        _, result = trained
-        assert result.losses[-1] < result.losses[0]
-
-    def test_training_accuracy_beats_chance(self, trained):
-        _, result = trained
-        assert result.accuracy > 0.4  # 28-way classification; chance ~ 0.04
-
-    def test_recognize_groups_all_devices(self, trained):
-        classifier, _ = trained
-        ckt = get_circuit("ota1")
-        devices = [d for b in ckt.blocks for d in b.devices]
-        blocks = classifier.recognize(devices, num_blocks=ckt.num_blocks)
-        assert len(blocks) == ckt.num_blocks
-        names = [n for b in blocks for n in b.device_names]
-        assert sorted(names) == sorted(d.name for d in devices)
-
-    def test_recognize_validates_num_blocks(self, trained):
-        classifier, _ = trained
-        devices = [nmos("A", 1, 0.5, D="X", G="Y", S="VSS")]
-        with pytest.raises(ValueError):
-            classifier.recognize(devices, num_blocks=5)
-
-    def test_empty_dataset_rejected(self):
-        classifier = SRClassifier()
-        with pytest.raises(ValueError):
-            train_sr_classifier(classifier, [])
