@@ -17,7 +17,7 @@ from .layers import (
     mlp,
 )
 from .functional import segment_mean, segment_softmax
-from .losses import cross_entropy, mse_loss
+from .losses import mse_loss
 from .optim import SGD, Adam, Optimizer
 from .serialization import load_module, save_module
 from .tensor import (
@@ -55,7 +55,6 @@ __all__ = [
     "Sequential",
     "Tensor",
     "concatenate",
-    "cross_entropy",
     "default_dtype",
     "dtype_scope",
     "enable_grad",

@@ -1,13 +1,33 @@
-"""Convolution and segment primitives for the autograd engine.
+"""Convolution, linear and segment primitives for the autograd engine.
 
 The RL policy of the paper (Fig. 4) uses a CNN feature extractor
 (3x3 kernels, stride 1, padding 1) and a deconvolutional policy head
 (4x4 kernels, stride 2, padding 1).  Both are provided here as
 differentiable functions over :class:`~repro.nn.tensor.Tensor`.
 
-All contractions are expressed as ``np.matmul`` over contiguous reshaped
-operands so they hit BLAS GEMM directly (in the im2col buffer's dtype —
-float32 under the default policy).
+The convolutions fold the batch into the im2col columns (Chellapilla
+et al. 2006):
+
+* the input is copied once into a zero-padded channel-major
+  ``(C, N, H', W')`` buffer, and the ``(C*kh*kw, N*oh*ow)`` columns are
+  read from a ``sliding_window_view`` of it;
+* the forward product is one GEMM, and its ``(C_out, N, oh, ow)`` result
+  is returned as an NCHW-shaped *view*, so consecutive layers pay no
+  transposing copy;
+* col2im (``conv_transpose2d``'s forward, strided grad-input) folds each
+  kernel tap into one sub-pixel phase as a single contiguous add, in
+  place of a strided scatter per tap;
+* backward computes grad-input only for inputs that require grad.
+
+Each output keeps the per-sample kernels' summation: a batch-folded GEMM
+only adds columns to the same dot products, col2im taps are added in the
+same order, weight grads are per-sample GEMMs summed over the samples in
+order, and bias grads are grouped like ``grad.sum(axis=(0, 2, 3))``.
+``conv_transpose2d``'s input grad stays a per-sample GEMM, because BLAS
+groups those small products differently once folded.  PPO training
+amplifies any regrouped sum into different learned floorplans, so this
+keeps the trained agent, and every golden built from it, as it was.
+The per-sample kernels live on in ``tests/oracles.py`` as references.
 
 The segment helpers (:func:`segment_mean`, :func:`segment_softmax`)
 compose the index primitives of :mod:`repro.nn.tensor` into the ragged
@@ -19,51 +39,99 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor, segment_sum
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> Tuple[np.ndarray, int, int]:
-    """Unfold (N, C, H, W) into columns (N, C*kh*kw, out_h*out_w)."""
+def _pad_channel_major(x: np.ndarray, offset: int, rows: int, cols: int) -> np.ndarray:
+    """Copy (N, C, H, W) ``x`` into a zeroed channel-major (C, N, rows, cols)
+    buffer, its top-left corner at ``(offset, offset)``."""
     n, c, h, w = x.shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # Strided view of all kh x kw patches.
-    sN, sC, sH, sW = x.strides
-    patches = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(sN, sC, sH, sW, sH * stride, sW * stride),
-        writeable=False,
-    )
-    cols = patches.reshape(n, c * kh * kw, out_h * out_w)
-    return np.ascontiguousarray(cols), out_h, out_w
+    buf = np.zeros((c, n, rows, cols), dtype=x.dtype)
+    buf[:, :, offset:offset + h, offset:offset + w] = x.transpose(1, 0, 2, 3)
+    return buf
 
 
-def _col2im(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
+def _unfold(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> Tuple[np.ndarray, int, int]:
+    """im2col with the batch folded into the columns.
+
+    Copies (N, C, H, W) ``x`` once into a zero-padded channel-major
+    (C, N, H', W') buffer and returns the (C*kh*kw, N*oh*ow) columns of
+    its strided kh x kw windows.
+    """
+    n, c, h, w = x.shape
+    buf = _pad_channel_major(x, padding, h + 2 * padding, w + 2 * padding)
+    windows = sliding_window_view(buf, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    out_h, out_w = windows.shape[2], windows.shape[3]
+    cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, n * out_h * out_w)
+    return cols, out_h, out_w
+
+
+def _fold_product(
+    w_t: np.ndarray,
+    src: np.ndarray,
+    shape: Tuple[int, int, int, int],
     kh: int,
     kw: int,
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Fold columns (N, C*kh*kw, L) back into (N, C, H, W), summing overlaps."""
-    n, c, h, w = x_shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
+    """col2im of the columns ``w_t @ src``, as a channel-major (C, N, H, W) view.
+
+    ``src`` is (N, K, oh, ow) and ``w_t`` is (C*kh*kw, K).  Padded position
+    ``(y, x)`` lives in sub-pixel phase ``(y % s, x % s)``; tap ``(i, j)``
+    lands in one phase at offset ``(i // s, j // s)``.  ``src`` is widened
+    with zeros to the phase grid, so each tap is one contiguous add over
+    all samples: its overhang adds exact zeros to neighbouring positions,
+    which leaves them unchanged.  Taps are added in row-major order,
+    which fixes each output's summation; one interleave assembles the
+    phases.
+    """
+    c, n, h, w = shape
+    s = stride
+    rows, cols = -(-(h + 2 * padding) // s), -(-(w + 2 * padding) // s)
+    span = n * rows * cols
+    wide = _pad_channel_major(src, 0, rows, cols).reshape(src.shape[1], span)
+    taps = (w_t @ wide).reshape(c, kh, kw, span)
+    phases = np.zeros((s, s, c, span + ((kh - 1) // s + 1) * cols), dtype=taps.dtype)
     for i in range(kh):
-        i_max = i + stride * out_h
         for j in range(kw):
-            j_max = j + stride * out_w
-            padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+            start = (i // s) * cols + j // s
+            phases[i % s, j % s, :, start:start + span] += taps[:, i, j]
+    padded = phases[..., :span].reshape(s, s, c, n, rows, cols).transpose(2, 3, 4, 0, 5, 1)
+    return padded.reshape(c, n, rows * s, cols * s)[:, :, padding:padding + h, padding:padding + w]
+
+
+def _channel_major(a: np.ndarray) -> np.ndarray:
+    """(N, C, ...) -> contiguous (C, N*...); free for a channel-major view."""
+    return np.ascontiguousarray(a.swapaxes(0, 1)).reshape(a.shape[1], -1)
+
+
+def _bias_grad(g: np.ndarray, n: int) -> np.ndarray:
+    """Per-channel sum of a channel-major (C, N*L) grad, grouped like
+    ``grad.sum(axis=(0, 2, 3))`` over C-ordered NCHW: a pairwise sum per
+    (channel, sample), then a running sum over the samples.  With one
+    channel, NCHW is contiguous over all N*L values and numpy sums them in
+    a single pairwise pass."""
+    if g.shape[0] == 1:
+        return g.sum(axis=1)
+    per_sample = g.reshape(g.shape[0], n, -1).sum(axis=2)
+    return np.add.accumulate(per_sample, axis=1)[:, -1]
+
+
+def _weight_grad(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """``sum_n a_n @ b_n.T`` for channel-major (A, N*L) and (B, N*L) operands.
+
+    One GEMM per sample, summed over the samples in order, as the
+    per-sample kernels grouped it (one batch-wide GEMM would regroup the
+    sums).
+    """
+    per_sample = np.matmul(
+        a.reshape(a.shape[0], n, -1).transpose(1, 0, 2),
+        b.reshape(b.shape[0], n, -1).transpose(1, 2, 0),
+    )
+    return per_sample.sum(axis=0)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -74,22 +142,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     x : Tensor of shape (N, C_in, H, W)
     weight : Tensor of shape (C_out, C_in, kh, kw)
     bias : Tensor of shape (C_out,)
+
+    The result is an NCHW-shaped view of a channel-major array.
     """
     c_out, c_in, kh, kw = weight.shape
     n = x.shape[0]
-    cols, out_h, out_w = _im2col(x.data, kh, kw, stride, padding)
+    cols, out_h, out_w = _unfold(x.data, kh, kw, stride, padding)
     w_mat = weight.data.reshape(c_out, -1)
-    out = np.matmul(w_mat, cols)  # (C_out, F) @ (N, F, L) -> (N, C_out, L)
-    out += bias.data.reshape(1, c_out, 1)
-    out_data = out.reshape(n, c_out, out_h, out_w)
+    out = w_mat @ cols  # (C_out, F) @ (F, N*L) -> (C_out, N*L)
+    out += bias.data[:, None]
+    out_data = out.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
 
     def backward(grad, send):
-        g = grad.reshape(n, c_out, -1)  # (N, C_out, L)
-        send(bias, g.sum(axis=(0, 2)))
-        gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)  # (C_out, F)
-        send(weight, gw.reshape(weight.shape))
-        gcols = np.matmul(w_mat.T, g)  # (F, C_out) @ (N, C_out, L) -> (N, F, L)
-        send(x, _col2im(gcols, x.data.shape, kh, kw, stride, padding))
+        g = _channel_major(grad)  # (C_out, N*L)
+        send(bias, _bias_grad(g, n))
+        send(weight, _weight_grad(g, cols, n).reshape(weight.shape))
+        if x.requires_grad:
+            g_nchw = g.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
+            gx = _fold_product(w_mat.T, g_nchw, (c_in, n) + x.shape[2:], kh, kw, stride, padding)
+            send(x, gx.transpose(1, 0, 2, 3))
 
     return Tensor._make(out_data, (x, weight, bias), backward)
 
@@ -105,34 +176,58 @@ def conv_transpose2d(
     weight : Tensor of shape (C_in, C_out, kh, kw)  (PyTorch layout)
     bias : Tensor of shape (C_out,)
 
-    Output spatial size is ``(H - 1) * stride - 2 * padding + k``.
+    Output spatial size is ``(H - 1) * stride - 2 * padding + k``; a
+    geometry without a positive output size raises ``ValueError``.  The
+    result is an NCHW-shaped view of a channel-major array.
     """
     c_in, c_out, kh, kw = weight.shape
     n, _, h, w = x.shape
     out_h = (h - 1) * stride - 2 * padding + kh
     out_w = (w - 1) * stride - 2 * padding + kw
+    if stride < 1 or padding < 0 or out_h < 1 or out_w < 1:
+        raise ValueError(
+            f"conv_transpose2d: stride={stride}, padding={padding} gives no "
+            f"output for a {kh}x{kw} kernel over a {h}x{w} input"
+        )
 
     # Forward of convT == backward-input of a conv with the same geometry.
     w_mat = weight.data.reshape(c_in, c_out * kh * kw)
-    x_flat = x.data.reshape(n, c_in, h * w)
-    cols = np.matmul(w_mat.T, x_flat)  # (F, C_in) @ (N, C_in, L) -> (N, F, L)
-    out_data = _col2im(cols, (n, c_out, out_h, out_w), kh, kw, stride, padding)
-    out_data += bias.data.reshape(1, c_out, 1, 1)
+    out = _fold_product(w_mat.T, x.data, (c_out, n, out_h, out_w), kh, kw, stride, padding)
+    out += bias.data[:, None, None, None]
 
     def backward(grad, send):
-        send(bias, grad.sum(axis=(0, 2, 3)))
-        gcols, gh, gw_ = _im2col(grad, kh, kw, stride, padding)
-        # gcols: (N, C_out*kh*kw, H*W) with gh == h, gw_ == w
-        send(x, np.matmul(w_mat, gcols).reshape(x.data.shape))
-        gweight = np.matmul(x_flat, gcols.transpose(0, 2, 1)).sum(axis=0)
-        send(weight, gweight.reshape(weight.shape))
+        send(bias, _bias_grad(_channel_major(grad), n))
+        gcols, _, _ = _unfold(grad, kh, kw, stride, padding)  # (C_out*kh*kw, N*H*W)
+        if x.requires_grad:
+            per_sample = gcols.reshape(gcols.shape[0], n, -1).transpose(1, 0, 2)
+            send(x, np.matmul(w_mat, per_sample).reshape(x.shape))
+        send(weight, _weight_grad(_channel_major(x.data), gcols, n).reshape(weight.shape))
 
-    return Tensor._make(out_data, (x, weight, bias), backward)
+    return Tensor._make(out.transpose(1, 0, 2, 3), (x, weight, bias), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``x @ W.T + b`` matching ``torch.nn.functional.linear``."""
-    return x @ weight.T + bias
+    """Affine map ``x @ W.T + b`` matching ``torch.nn.functional.linear``.
+
+    One primitive in place of the matmul/transpose/add graph, with the
+    input grad computed only when ``x`` requires it.  The weight grad
+    keeps that graph's layout (the transpose of ``x.T @ grad``):
+    ``clip_grad_norm`` reduces in memory order, so a C-ordered copy would
+    regroup the clipped norm.
+    """
+    x_mat = x.data.reshape(-1, x.shape[-1])
+    out = x_mat @ weight.data.T
+    out += bias.data
+    out_data = out.reshape(x.shape[:-1] + (weight.shape[0],))
+
+    def backward(grad, send):
+        g = grad.reshape(-1, grad.shape[-1])
+        send(bias, g.sum(axis=0))
+        send(weight, (x_mat.T @ g).T)
+        if x.requires_grad:
+            send(x, (g @ weight.data).reshape(x.shape))
+
+    return Tensor._make(out_data, (x, weight, bias), backward)
 
 
 # ---------------------------------------------------------------------------

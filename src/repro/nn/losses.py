@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from .tensor import Tensor, gather, log_softmax
+from .tensor import Tensor
 
 
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
@@ -13,9 +11,3 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     diff = prediction - target_t
     return (diff * diff).mean()
 
-
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Cross entropy over integer class labels."""
-    log_probs = log_softmax(logits, axis=-1)
-    picked = gather(log_probs, np.asarray(labels, dtype=np.int64))
-    return -picked.mean()

@@ -1,12 +1,10 @@
 """Gradient-based optimizers: SGD (with momentum) and Adam.
 
-The base class maintains a flat-vector view of the parameter list (segment
-offsets plus a lazily allocated gradient buffer) so Adam's moment/update
-math runs as a handful of whole-array numpy ops instead of per-parameter
-Python loops.  ``clip_grad_norm`` deliberately stays a per-parameter loop:
-its reduction must accumulate ``np.sum(grad**2)`` in the seed's order to
-keep the ``REPRO_NN_DTYPE=float64`` golden mode bit-exact (see the method
-docstring).  Optimizer state always matches the parameters' dtype (float32
+Adam keeps its moments in flat concatenated vectors and updates them in
+place, one cache-sized block at a time, with ``out=`` ufuncs into
+preallocated scratch.  ``clip_grad_norm`` deliberately stays a
+per-parameter loop of ``np.sum(grad**2)`` (see the method docstring).
+Optimizer state always matches the parameters' dtype (float32
 under the default policy, float64 under ``REPRO_NN_DTYPE=float64``).
 """
 
@@ -18,6 +16,12 @@ import numpy as np
 
 from .tensor import Tensor
 
+#: Elements per Adam block: the block's grad, moments, parameters and two
+#: scratch rows stay resident in L2 while the step walks them.
+_BLOCK = 32768
+#: Columns per block of the grad gather.
+_GATHER_COLUMNS = 256
+
 
 class Optimizer:
     """Base optimizer over a flat list of parameters."""
@@ -26,39 +30,10 @@ class Optimizer:
         self.params = [p for p in params if p.requires_grad]
         if not self.params:
             raise ValueError("optimizer received no trainable parameters")
-        sizes = [int(p.size) for p in self.params]
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        self._segments = [
-            (int(bounds[i]), int(bounds[i + 1])) for i in range(len(sizes))
-        ]
-        self._total = int(bounds[-1])
-        self._dtype = np.result_type(*(p.data.dtype for p in self.params))
-        # Allocated on first _gather_grads call: only Adam's flat step
-        # uses it, and an SGD instance should not carry a dead buffer the
-        # size of the whole parameter vector.
-        self._flat_grad: Optional[np.ndarray] = None
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-    def _gather_grads(self) -> bool:
-        """Copy every ``p.grad`` into the flat buffer (zeros where missing).
-
-        Returns True when all parameters have gradients (the common case,
-        enabling the fully flat update path).
-        """
-        if self._flat_grad is None:
-            self._flat_grad = np.zeros(self._total, dtype=self._dtype)
-        flat = self._flat_grad
-        all_present = True
-        for p, (start, stop) in zip(self.params, self._segments):
-            if p.grad is None:
-                flat[start:stop] = 0.0
-                all_present = False
-            else:
-                flat[start:stop] = p.grad.reshape(-1)
-        return all_present
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -66,11 +41,10 @@ class Optimizer:
     def clip_grad_norm(self, max_norm: float) -> float:
         """Globally clip gradient norm; returns the pre-clip norm.
 
-        The squared norm accumulates per parameter via ``np.sum(grad**2)``
-        — the seed's exact expression.  BLAS ``np.dot`` groups the
-        reduction differently and drifts in the last ulp, which would
-        break the ``REPRO_NN_DTYPE=float64`` bit-exactness contract the
-        moment a training step clips.
+        The squared norm accumulates per parameter via ``np.sum(grad**2)``,
+        which reduces each grad in its memory order: a grad handed over in
+        another layout, or one flat BLAS dot, regroups the sum and moves
+        every clipped training step in the last ulp.
         """
         total = 0.0
         for p in self.params:
@@ -108,11 +82,13 @@ class SGD(Optimizer):
 class Adam(Optimizer):
     """Adam with bias correction (Kingma & Ba, 2015).
 
-    First/second moments live in flat concatenated vectors; when every
-    parameter has a gradient (the normal case) one step is four
-    whole-array expressions plus a scatter of the update back into the
-    parameter views.  Parameters that received no gradient keep their
-    moments untouched, exactly like the per-parameter formulation.
+    First/second moments live in flat concatenated vectors.  A step
+    gathers each gradient into a flat buffer, then walks every parameter's
+    segment in blocks of ``_BLOCK`` elements, updating the moments and the
+    parameter in place.  The per-element operations and their order are
+    exactly the textbook expression's, so the result is bit-identical to
+    it.  Parameters that received no gradient keep their moments
+    untouched.
     """
 
     def __init__(
@@ -121,48 +97,56 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
         super().__init__(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = np.zeros(self._total, dtype=self._dtype)
-        self._v = np.zeros(self._total, dtype=self._dtype)
+        sizes = [int(p.size) for p in self.params]
+        bounds = np.concatenate(([0], np.cumsum(sizes))).astype(int)
+        self._segments = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        dtype = np.result_type(*(p.data.dtype for p in self.params))
+        self._flat_grad = np.zeros(int(bounds[-1]), dtype=dtype)
+        self._m = np.zeros_like(self._flat_grad)
+        self._v = np.zeros_like(self._flat_grad)
+        block = min(_BLOCK, int(bounds[-1]))
+        self._scratch = np.empty((2, block), dtype=dtype)
         self._t = 0
-
-    def _segment_update(self, sl: slice, b1t: float, b2t: float) -> np.ndarray:
-        """Advance the moments for ``sl`` and return the parameter update."""
-        grad = self._flat_grad[sl]
-        if self.weight_decay:
-            grad = grad + self.weight_decay * self._flat_params[sl]
-        m = self._m[sl]
-        v = self._v[sl]
-        m *= self.beta1
-        m += (1 - self.beta1) * grad
-        v *= self.beta2
-        v += (1 - self.beta2) * grad ** 2
-        m_hat = m / b1t
-        v_hat = v / b2t
-        return self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def step(self) -> None:
         self._t += 1
         b1t = 1.0 - self.beta1 ** self._t
         b2t = 1.0 - self.beta2 ** self._t
-        all_present = self._gather_grads()
-        if self.weight_decay:
-            self._flat_params = np.concatenate(
-                [p.data.reshape(-1) for p in self.params]
-            )
-        if all_present:
-            update = self._segment_update(slice(None), b1t, b2t)
-            for p, (start, stop) in zip(self.params, self._segments):
-                p.data -= update[start:stop].reshape(p.data.shape)
-        else:
-            for p, (start, stop) in zip(self.params, self._segments):
-                if p.grad is None:
-                    continue
-                update = self._segment_update(slice(start, stop), b1t, b2t)
-                p.data -= update.reshape(p.data.shape)
+        c1, c2 = 1 - self.beta1, 1 - self.beta2
+        for p, (start, stop) in zip(self.params, self._segments):
+            if p.grad is None:
+                continue
+            # Gather in column blocks: a transposed grad (``linear``'s
+            # weight grads are) is then copied cache-resident.
+            flat = self._flat_grad[start:stop].reshape(p.shape[0], -1)
+            grad = p.grad.reshape(flat.shape)
+            for col in range(0, flat.shape[1], _GATHER_COLUMNS):
+                flat[:, col:col + _GATHER_COLUMNS] = grad[:, col:col + _GATHER_COLUMNS]
+            if not p.data.flags.c_contiguous:
+                p.data = np.ascontiguousarray(p.data)
+            data = p.data.reshape(-1)
+            for lo in range(start, stop, _BLOCK):
+                hi = min(lo + _BLOCK, stop)
+                g, m, v = self._flat_grad[lo:hi], self._m[lo:hi], self._v[lo:hi]
+                a, b = self._scratch[0, :hi - lo], self._scratch[1, :hi - lo]
+                # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+                m *= self.beta1
+                np.multiply(c1, g, out=a)
+                m += a
+                v *= self.beta2
+                np.multiply(g, g, out=a)
+                np.multiply(c2, a, out=a)
+                v += a
+                # update = lr * (m / b1t) / (sqrt(v / b2t) + eps)
+                np.divide(m, b1t, out=a)
+                np.multiply(self.lr, a, out=a)
+                np.divide(v, b2t, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                data[lo - start:hi - start] -= a

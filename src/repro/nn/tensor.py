@@ -8,8 +8,12 @@ be propagated back with :meth:`Tensor.backward`.
 
 Design notes
 ------------
-* Gradients are accumulated into ``Tensor.grad`` (a plain ndarray), exactly
-  like PyTorch's leaf semantics.
+* Gradients are accumulated into ``Tensor.grad`` (a plain ndarray) on
+  leaves only, exactly like PyTorch's leaf semantics; intermediate
+  gradients live just long enough to be propagated.
+* ``backward`` frees the graph as it goes: a node's parents and closure
+  are dropped once the closure has run, so a second ``backward`` through
+  the same graph raises ``RuntimeError``.
 * Broadcasting is fully supported: every binary op un-broadcasts its
   upstream gradient back to each operand's shape.
 * The graph is a DAG of :class:`Tensor` nodes; ``backward`` runs a
@@ -143,6 +147,11 @@ def _as_array(value: ArrayLike) -> np.ndarray:
     return np.asarray(value, dtype=_DEFAULT_DTYPE)
 
 
+def _consumed(grad, send) -> None:  # pragma: no cover - never called
+    """Closure marker of a node whose graph a ``backward`` already freed."""
+    raise RuntimeError("backward() through a consumed graph")
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -224,16 +233,12 @@ class Tensor:
             return Tensor(data)
         return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
-        else:
-            self.grad += grad
-
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph.
+
+        Leaves (tensors without parents) accumulate into ``.grad``; every
+        other node is freed once its closure has run.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
         if grad is None:
@@ -255,37 +260,39 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                raise RuntimeError(
+                    "backward() through a graph that a previous backward() "
+                    "already consumed; recompute the forward pass"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
-        # Seed and propagate.
+        # Seed and propagate; contributions are summed per node and handed
+        # on without copies (closures never write to their ``grad``).
         grads: dict[int, np.ndarray] = {id(self): grad}
-        self._accumulate(grad)
-        for node in reversed(order):
-            g = grads.pop(id(node), None)
-            if g is None or node._backward is None:
-                continue
-            node._backward_with_capture(g, grads)
-
-    def _backward_with_capture(self, grad: np.ndarray, grads: dict) -> None:
-        """Run this node's backward closure, capturing parent contributions."""
-        contributions: list[Tuple[Tensor, np.ndarray]] = []
 
         def send(parent: "Tensor", g: np.ndarray) -> None:
             if parent.requires_grad:
-                contributions.append((parent, g))
+                key = id(parent)
+                prev = grads.get(key)
+                grads[key] = g if prev is None else prev + g
 
-        self._backward(grad, send)  # type: ignore[misc]
-        for parent, g in contributions:
-            parent._accumulate(g)
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = np.array(g, copy=True)
+        for node in reversed(order):
+            g = grads.pop(id(node), None)
+            if node._parents:
+                if g is not None:
+                    node._backward(g, send)  # type: ignore[misc]
+                node._parents = ()
+                node._backward = _consumed
+            elif g is not None:  # a leaf: the only place a gradient is kept
+                if node.grad is None:
+                    node.grad = np.array(g, dtype=node.data.dtype, copy=True)
+                else:
+                    node.grad += g
 
     # ------------------------------------------------------------------
     # Binary arithmetic
@@ -414,37 +421,12 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad, send):
-            send(self, grad * (1.0 - out_data ** 2))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad, send):
-            send(self, grad * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
     def clip(self, low: float, high: float) -> "Tensor":
         out_data = np.clip(self.data, low, high)
         mask = (self.data >= low) & (self.data <= high)
 
         def backward(grad, send):
             send(self, grad * mask)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def abs(self) -> "Tensor":
-        out_data = np.abs(self.data)
-        sign = np.sign(self.data)
-
-        def backward(grad, send):
-            send(self, grad * sign)
 
         return Tensor._make(out_data, (self,), backward)
 

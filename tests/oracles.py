@@ -2,7 +2,8 @@
 
 Each function here is the straightforward version of a vectorized or
 incremental path in ``repro``; the golden tests assert the fast path is
-bit-identical to it, and the hot-path benchmarks time against it.  They
+bit-identical to it (the NN kernels, whose summation order differs, to a
+stated relative tolerance), and the hot-path benchmarks time against it.  They
 live with the tests because nothing in the package calls them.
 """
 
@@ -15,6 +16,7 @@ from repro.baselines import PlacedRect, SequencePair
 from repro.circuits import Net
 from repro.floorplan import FloorplanState, placement_mask
 from repro.floorplan.masks import HPWL_MIN_FLOOR
+from repro.nn import Tensor
 from repro.routing import Obstacle, Point, Segment, escape_coordinates
 
 
@@ -178,3 +180,115 @@ def escape_graph_reference(
                 if not any(blocks_segment(ob, seg) for ob in obstacles):
                     graph.add_edge((x, y1), (x, y2), weight=y2 - y1)
     return graph
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> Tuple[np.ndarray, int, int]:
+    """Unfold (N, C, H, W) into columns (N, C*kh*kw, out_h*out_w)."""
+    n, c, h, w = x.shape
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    # Strided view of all kh x kw patches.
+    sN, sC, sH, sW = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, kh, kw, out_h, out_w),
+        strides=(sN, sC, sH, sW, sH * stride, sW * stride),
+        writeable=False,
+    )
+    cols = patches.reshape(n, c * kh * kw, out_h * out_w)
+    return np.ascontiguousarray(cols), out_h, out_w
+
+
+def _col2im(
+    cols: np.ndarray,
+    x_shape: Tuple[int, int, int, int],
+    kh: int,
+    kw: int,
+    stride: int,
+    padding: int,
+) -> np.ndarray:
+    """Fold columns (N, C*kh*kw, L) back into (N, C, H, W), summing overlaps."""
+    n, c, h, w = x_shape
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
+    for i in range(kh):
+        i_max = i + stride * out_h
+        for j in range(kw):
+            j_max = j + stride * out_w
+            padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
+    if padding > 0:
+        return padded[:, :, padding:-padding, padding:-padding]
+    return padded
+
+
+def conv2d_reference(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """2D convolution.
+
+    Parameters
+    ----------
+    x : Tensor of shape (N, C_in, H, W)
+    weight : Tensor of shape (C_out, C_in, kh, kw)
+    bias : Tensor of shape (C_out,)
+    """
+    c_out, c_in, kh, kw = weight.shape
+    n = x.shape[0]
+    cols, out_h, out_w = _im2col(x.data, kh, kw, stride, padding)
+    w_mat = weight.data.reshape(c_out, -1)
+    out = np.matmul(w_mat, cols)  # (C_out, F) @ (N, F, L) -> (N, C_out, L)
+    out += bias.data.reshape(1, c_out, 1)
+    out_data = out.reshape(n, c_out, out_h, out_w)
+
+    def backward(grad, send):
+        g = grad.reshape(n, c_out, -1)  # (N, C_out, L)
+        send(bias, g.sum(axis=(0, 2)))
+        gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)  # (C_out, F)
+        send(weight, gw.reshape(weight.shape))
+        gcols = np.matmul(w_mat.T, g)  # (F, C_out) @ (N, C_out, L) -> (N, F, L)
+        send(x, _col2im(gcols, x.data.shape, kh, kw, stride, padding))
+
+    return Tensor._make(out_data, (x, weight, bias), backward)
+
+
+def conv_transpose2d_reference(
+    x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
+) -> Tensor:
+    """Transposed 2D convolution (a.k.a. deconvolution).
+
+    Parameters
+    ----------
+    x : Tensor of shape (N, C_in, H, W)
+    weight : Tensor of shape (C_in, C_out, kh, kw)  (PyTorch layout)
+    bias : Tensor of shape (C_out,)
+
+    Output spatial size is ``(H - 1) * stride - 2 * padding + k``.
+    """
+    c_in, c_out, kh, kw = weight.shape
+    n, _, h, w = x.shape
+    out_h = (h - 1) * stride - 2 * padding + kh
+    out_w = (w - 1) * stride - 2 * padding + kw
+
+    # Forward of convT == backward-input of a conv with the same geometry.
+    w_mat = weight.data.reshape(c_in, c_out * kh * kw)
+    x_flat = x.data.reshape(n, c_in, h * w)
+    cols = np.matmul(w_mat.T, x_flat)  # (F, C_in) @ (N, C_in, L) -> (N, F, L)
+    out_data = _col2im(cols, (n, c_out, out_h, out_w), kh, kw, stride, padding)
+    out_data += bias.data.reshape(1, c_out, 1, 1)
+
+    def backward(grad, send):
+        send(bias, grad.sum(axis=(0, 2, 3)))
+        gcols, gh, gw_ = _im2col(grad, kh, kw, stride, padding)
+        # gcols: (N, C_out*kh*kw, H*W) with gh == h, gw_ == w
+        send(x, np.matmul(w_mat, gcols).reshape(x.data.shape))
+        gweight = np.matmul(x_flat, gcols.transpose(0, 2, 1)).sum(axis=0)
+        send(weight, gweight.reshape(weight.shape))
+
+    return Tensor._make(out_data, (x, weight, bias), backward)
+
+
+def linear_reference(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Reference for ``linear``: the composite ``x @ W.T + b`` graph."""
+    return x @ weight.T + bias

@@ -197,15 +197,6 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             nn.Adam([Tensor([1.0])])
 
-    def test_adam_weight_decay_shrinks(self):
-        p = Tensor(np.array([10.0]), requires_grad=True)
-        opt = nn.Adam([p], lr=0.5, weight_decay=0.1)
-        for _ in range(100):
-            opt.zero_grad()
-            (p * 0.0).sum().backward()
-            opt.step()
-        assert abs(p.data[0]) < 10.0
-
 
 class TestLosses:
     def test_mse_zero_at_match(self):
@@ -215,16 +206,6 @@ class TestLosses:
     def test_mse_value(self):
         pred = Tensor([0.0, 0.0])
         assert nn.mse_loss(pred, np.array([2.0, 2.0])).item() == pytest.approx(4.0)
-
-    def test_cross_entropy_perfect_prediction_small(self):
-        logits = Tensor(np.array([[100.0, 0.0], [0.0, 100.0]]))
-        loss = nn.cross_entropy(logits, np.array([0, 1]))
-        assert loss.item() < 1e-6
-
-    def test_cross_entropy_uniform(self):
-        logits = Tensor(np.zeros((4, 10)))
-        loss = nn.cross_entropy(logits, np.zeros(4, dtype=int))
-        assert loss.item() == pytest.approx(np.log(10))
 
 
 class TestSerialization:
