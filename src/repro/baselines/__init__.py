@@ -4,6 +4,7 @@ from .common import (
     DEFAULT_SPACING,
     FloorplanResult,
     PlacedRect,
+    coords_evaluator,
     evaluate_coords,
     evaluate_coords_population,
     evaluate_placement,
@@ -19,13 +20,14 @@ from .rl_sp import RLSPConfig, rl_sequence_pair
 from .sa import SAConfig, simulated_annealing
 from .seqpair import (
     SequencePair,
-    change_shape,
+    apply_move,
+    choose_two,
+    memoized_cost,
     pack,
     pack_coords,
+    pack_population,
+    pair_evaluator,
     random_neighbor,
-    swap_in_both,
-    swap_in_minus,
-    swap_in_plus,
 )
 
 __all__ = [
@@ -38,7 +40,9 @@ __all__ = [
     "RLSPConfig",
     "SAConfig",
     "SequencePair",
-    "change_shape",
+    "apply_move",
+    "choose_two",
+    "coords_evaluator",
     "decode_keys",
     "evaluate_coords",
     "evaluate_coords_population",
@@ -46,16 +50,16 @@ __all__ = [
     "evaluate_population",
     "genetic_algorithm",
     "inflated_shapes",
+    "memoized_cost",
     "pack",
     "pack_coords",
+    "pack_population",
+    "pair_evaluator",
     "particle_swarm",
     "random_neighbor",
     "rects_overlap",
     "rl_sequence_pair",
     "rl_simulated_annealing",
     "simulated_annealing",
-    "swap_in_both",
-    "swap_in_minus",
-    "swap_in_plus",
     "true_shapes",
 ]

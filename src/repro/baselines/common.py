@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import add, itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.netlist import Circuit
 from ..config import REWARD_ALPHA, REWARD_BETA, REWARD_GAMMA
-from ..floorplan.metrics import (
-    hpwl_lower_bound,
-    incidence_hpwl,
-    incidence_hpwl_batch,
-)
+from ..floorplan.metrics import hpwl_lower_bound, incidence_hpwl_batch
 from ..obs import OBS, get_logger
-from ..shapes.configuration import ShapeSet, configure_circuit
+from ..shapes.configuration import configure_circuit
 
 logger = get_logger("baselines")
 
@@ -89,10 +86,12 @@ def publish_result(
     """Report one finished baseline run through ``repro.obs``.
 
     Logged at DEBUG (so ``-q`` sweeps stay silent); with telemetry
-    enabled the run is counted, its candidate-evaluation budget recorded,
-    its wall time added to a per-method histogram, and a trace span
-    emitted covering ``[started, now]``.  Returns ``result`` unchanged so
-    call sites can use it in the return statement.
+    enabled the run is counted, its candidate-evaluation budget recorded
+    (and, for the annealers, ``extra["cost_cache_hits"]`` as
+    ``baseline.cost_cache_hits``), its wall time added to a per-method
+    histogram, and a trace span emitted covering ``[started, now]``.
+    Returns ``result`` unchanged so call sites can use it in the return
+    statement.
     """
     logger.debug("%s", result.summary())
     if OBS.enabled:
@@ -101,6 +100,9 @@ def publish_result(
         registry.inc("baseline.runs")
         if evaluations is not None:
             registry.inc("baseline.evaluations", int(evaluations))
+        hits = result.extra.get("cost_cache_hits")
+        if hits is not None:
+            registry.inc("baseline.cost_cache_hits", int(hits))
         registry.observe(f"baseline.{method}.seconds", result.runtime)
         if started is not None:
             OBS.tracer.add_complete(
@@ -116,12 +118,12 @@ def rects_overlap(a: PlacedRect, b: PlacedRect, tol: float = 1e-9) -> bool:
     )
 
 
-def _placement_arrays(
+def _placement_coords(
     circuit: Circuit, rects: Sequence[PlacedRect]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Dense per-block (x, y, w, h) arrays for one full placement.
+) -> Tuple[List[float], List[float], List[float], List[float]]:
+    """Per-block (x, y, w, h) lists for one full placement.
 
-    Validates that the rects cover every block exactly once — the array
+    Validates that the rects cover every block exactly once — the list
     form has no "missing key" to trip over, so coverage is checked
     eagerly (mirroring the reference path's ``KeyError`` on unplaced
     net members).
@@ -129,11 +131,11 @@ def _placement_arrays(
     n = circuit.num_blocks
     if len(rects) != n:
         raise ValueError(f"expected {n} rects, got {len(rects)}")
-    x = np.empty(n)
-    y = np.empty(n)
-    w = np.empty(n)
-    h = np.empty(n)
-    seen = np.zeros(n, dtype=bool)
+    x = [0.0] * n
+    y = [0.0] * n
+    w = [0.0] * n
+    h = [0.0] * n
+    seen = [False] * n
     for r in rects:
         if not 0 <= r.index < n or seen[r.index]:
             raise KeyError(
@@ -147,40 +149,86 @@ def _placement_arrays(
     return x, y, w, h
 
 
+def coords_evaluator(
+    circuit: Circuit,
+    hpwl_min: Optional[float] = None,
+    target_aspect: Optional[float] = None,
+    alpha: float = REWARD_ALPHA,
+    beta: float = REWARD_BETA,
+    gamma: float = REWARD_GAMMA,
+) -> Callable[..., Tuple[float, float, float, float]]:
+    """Build the scalar placement cost once: ``(x, y, w, h) -> (area,
+    hpwl, dead_space, reward)`` over per-block sequences.
+
+    The package's one scalar cost.  Everything that does not depend on
+    the placement is fixed here: each net's members from
+    ``circuit.incidence`` (an index pair for a two-pin net, otherwise an
+    ``itemgetter``, which returns a tuple since every net has at least
+    two members), the total block area and the HPWL normalizer.  A call
+    is plain Python float arithmetic in a fixed order: block centres are
+    ``x + w / 2.0``, and HPWL adds ``(max - min) + (max - min)`` per net
+    left to right, as the scalar per-net loop does.
+    """
+    inc = circuit.incidence
+    # Two-pin nets (most nets) become an index pair: |a - b| equals
+    # max - min bit for bit, since IEEE subtraction is sign-symmetric.
+    nets = []
+    for i in range(inc.num_nets):
+        members = inc.members_of(i).tolist()
+        nets.append(tuple(members) if len(members) == 2 else itemgetter(*members))
+    total_area = circuit.total_area
+    hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
+
+    def evaluate(x, y, w, h) -> Tuple[float, float, float, float]:
+        minx = min(x)
+        miny = min(y)
+        maxx = max(map(add, x, w))
+        maxy = max(map(add, y, h))
+        area = (maxx - minx) * (maxy - miny)
+        cx = [xb + wb / 2.0 for xb, wb in zip(x, w)]
+        cy = [yb + hb / 2.0 for yb, hb in zip(y, h)]
+        wirelength = 0.0
+        for net in nets:
+            if net.__class__ is tuple:
+                a, b = net
+                wirelength += abs(cx[a] - cx[b]) + abs(cy[a] - cy[b])
+            else:
+                xs = net(cx)
+                ys = net(cy)
+                wirelength += (max(xs) - min(xs)) + (max(ys) - min(ys))
+        ds = 1.0 - total_area / area if area > 0 else 0.0
+        cost = alpha * (area / total_area - 1.0) + beta * (wirelength / hmin - 1.0)
+        if target_aspect is not None:
+            height = maxy - miny
+            ratio = (maxx - minx) / height if height > 0 else 1.0
+            cost += gamma * (target_aspect - ratio) ** 2
+        return area, wirelength, ds, -cost
+
+    return evaluate
+
+
 def evaluate_coords(
     circuit: Circuit,
-    x: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray,
-    h: np.ndarray,
+    x: Sequence[float],
+    y: Sequence[float],
+    w: Sequence[float],
+    h: Sequence[float],
     hpwl_min: Optional[float] = None,
     target_aspect: Optional[float] = None,
     alpha: float = REWARD_ALPHA,
     beta: float = REWARD_BETA,
     gamma: float = REWARD_GAMMA,
 ) -> Tuple[float, float, float, float]:
-    """:func:`evaluate_placement` on dense per-block coordinate arrays.
+    """:func:`evaluate_placement` on per-block coordinate sequences.
 
-    The object-free hot path: SA-style optimizers evaluate thousands of
-    ``pack_coords`` outputs per run and only materialize ``PlacedRect``
-    objects for the winning placement.  ``x[b]``/``y[b]``/``w[b]``/``h[b]``
-    must cover every block (as :func:`repro.baselines.seqpair.pack_coords`
-    guarantees by construction).
+    ``x[b]``/``y[b]``/``w[b]``/``h[b]`` must cover every block (as
+    :func:`repro.baselines.seqpair.pack_coords` guarantees by
+    construction).  One-off calls only: loops that evaluate many
+    placements should build :func:`coords_evaluator` (or
+    :func:`repro.baselines.seqpair.pair_evaluator`) once.
     """
-    minx = float(x.min())
-    miny = float(y.min())
-    maxx = float((x + w).max())
-    maxy = float((y + h).max())
-    area = (maxx - minx) * (maxy - miny)
-    wirelength = incidence_hpwl(circuit, x + w / 2.0, y + h / 2.0)
-    ds = 1.0 - circuit.total_area / area if area > 0 else 0.0
-    hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
-    cost = alpha * (area / circuit.total_area - 1.0) + beta * (wirelength / hmin - 1.0)
-    if target_aspect is not None:
-        height = maxy - miny
-        ratio = (maxx - minx) / height if height > 0 else 1.0
-        cost += gamma * (target_aspect - ratio) ** 2
-    return area, wirelength, ds, -cost
+    evaluate = coords_evaluator(circuit, hpwl_min, target_aspect, alpha, beta, gamma)
+    return evaluate(x, y, w, h)
 
 
 def evaluate_placement(
@@ -196,12 +244,11 @@ def evaluate_placement(
 
     Dead space uses the *true* block areas (not the inflated packing
     sizes), matching how the paper reports dead space for spaced methods.
-    HPWL is served by the vectorized incidence path (bit-identical to the
-    :func:`repro.floorplan.metrics.hpwl` reference, golden-tested).
+    Scored by :func:`coords_evaluator` (bit-identical to the scalar
+    per-net HPWL reference, golden-tested).
     """
-    x, y, w, h = _placement_arrays(circuit, rects)
     return evaluate_coords(
-        circuit, x, y, w, h,
+        circuit, *_placement_coords(circuit, rects),
         hpwl_min=hpwl_min, target_aspect=target_aspect,
         alpha=alpha, beta=beta, gamma=gamma,
     )
@@ -222,7 +269,7 @@ def evaluate_population(
     ``(len(placements),)``; every entry is bit-identical to evaluating
     that placement alone.  Population loops that pack their own
     candidates should prefer :func:`evaluate_coords_population` over
-    ``pack_coords`` outputs — it skips the PlacedRect round trip.
+    ``pack_population`` outputs — it skips the PlacedRect round trip.
     """
     n_p = len(placements)
     n = circuit.num_blocks
@@ -234,7 +281,7 @@ def evaluate_population(
     w = np.empty((n_p, n))
     h = np.empty((n_p, n))
     for p, rects in enumerate(placements):
-        x[p], y[p], w[p], h[p] = _placement_arrays(circuit, rects)
+        x[p], y[p], w[p], h[p] = _placement_coords(circuit, rects)
     return evaluate_coords_population(
         circuit, x, y, w, h,
         hpwl_min=hpwl_min, target_aspect=target_aspect,

@@ -23,7 +23,7 @@ from .common import (
     inflated_shapes,
     publish_result,
 )
-from .seqpair import SequencePair, pack, pack_coords, random_neighbor
+from .seqpair import SequencePair, choose_two, pack, pack_population, random_neighbor
 
 
 @dataclass
@@ -41,7 +41,7 @@ class GAConfig:
 def _order_crossover(a: Tuple[int, ...], b: Tuple[int, ...], rng: np.random.Generator) -> Tuple[int, ...]:
     """Classic OX: copy a slice from parent a, fill the rest in b's order."""
     n = len(a)
-    i, j = sorted(rng.choice(n, size=2, replace=False))
+    i, j = sorted(choose_two(n, rng))
     child: List[Optional[int]] = [None] * n
     child[i:j + 1] = a[i:j + 1]
     used = set(child[i:j + 1])
@@ -77,17 +77,11 @@ def genetic_algorithm(
     hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
 
     def score_all(pairs):
-        """Pack each pair to coordinate arrays, then batch-evaluate the
-        whole generation in one numpy pass (no PlacedRect round trip)."""
-        coords = [pack_coords(p, sizes) for p in pairs]
+        """Pack each pair, then batch-evaluate the whole generation in
+        one numpy pass (no PlacedRect round trip)."""
         _, _, _, rewards = evaluate_coords_population(
-            circuit,
-            np.stack([c[0] for c in coords]),
-            np.stack([c[1] for c in coords]),
-            np.stack([c[2] for c in coords]),
-            np.stack([c[3] for c in coords]),
-            hpwl_min=hmin,
-            target_aspect=target_aspect,
+            circuit, *pack_population(pairs, sizes),
+            hpwl_min=hmin, target_aspect=target_aspect,
         )
         return rewards.tolist()
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .common import (
     inflated_shapes,
     publish_result,
 )
-from .seqpair import SequencePair, pack, pack_coords
+from .seqpair import SequencePair, pack, pack_population
 
 
 @dataclass
@@ -70,15 +70,9 @@ def particle_swarm(
         """Decode + pack each particle to coordinate arrays, then
         batch-evaluate the swarm in one numpy pass."""
         pairs = [decode_keys(pos[p], n) for p in range(pos.shape[0])]
-        coords = [pack_coords(pair, sizes) for pair in pairs]
         _, _, _, rewards = evaluate_coords_population(
-            circuit,
-            np.stack([c[0] for c in coords]),
-            np.stack([c[1] for c in coords]),
-            np.stack([c[2] for c in coords]),
-            np.stack([c[3] for c in coords]),
-            hpwl_min=hmin,
-            target_aspect=target_aspect,
+            circuit, *pack_population(pairs, sizes),
+            hpwl_min=hmin, target_aspect=target_aspect,
         )
         return rewards, pairs
 

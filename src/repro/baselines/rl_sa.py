@@ -6,36 +6,27 @@ weighted bandit over the four SP move types, rewarded by the cost
 improvement each move realizes — the annealer quickly learns, e.g., that
 shape changes pay off early while in-both swaps matter late.  Runtime
 stays SA-like (Table I shows ~1-2 s), unlike the from-scratch RL baseline.
+
+Candidates go through the same per-run machinery as :mod:`.sa`: one
+:func:`~repro.baselines.seqpair.pair_evaluator`, a per-run cost memo and
+:func:`~repro.baselines.seqpair.apply_move` with its exact
+``rng.choice(n, 2, replace=False)`` replay, so results are bit-identical
+to the straightforward numpy loop (golden-tested against it).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..circuits.netlist import Circuit
 from ..config import NUM_SHAPES
 from ..floorplan.metrics import hpwl_lower_bound
-from .common import (
-    DEFAULT_SPACING,
-    FloorplanResult,
-    evaluate_coords,
-    evaluate_placement,
-    inflated_shapes,
-    publish_result,
-)
-from .seqpair import (
-    SequencePair,
-    change_shape,
-    pack,
-    pack_coords,
-    swap_in_both,
-    swap_in_minus,
-    swap_in_plus,
-)
+from .common import DEFAULT_SPACING, FloorplanResult, inflated_shapes, publish_result
+from .seqpair import SequencePair, apply_move, memoized_cost, pack, pair_evaluator
 
 NUM_MOVE_TYPES = 4
 
@@ -51,18 +42,6 @@ class RLSAConfig:
     seed: int = 0
 
 
-def _apply_move(pair: SequencePair, move: int, rng: np.random.Generator) -> SequencePair:
-    n = pair.num_blocks
-    if move == 3 or n < 2:
-        return change_shape(pair, int(rng.integers(0, n)), int(rng.integers(0, NUM_SHAPES)))
-    i, j = rng.choice(n, size=2, replace=False)
-    if move == 0:
-        return swap_in_plus(pair, int(i), int(j))
-    if move == 1:
-        return swap_in_minus(pair, int(i), int(j))
-    return swap_in_both(pair, int(i), int(j))
-
-
 def rl_simulated_annealing(
     circuit: Circuit,
     config: Optional[RLSAConfig] = None,
@@ -75,15 +54,8 @@ def rl_simulated_annealing(
     start = time.perf_counter()
     sizes = inflated_shapes(circuit, config.spacing)
     hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
-
-    def cost_of(pair: SequencePair) -> float:
-        # Object-free hot path (see baselines.sa): rects are materialized
-        # only for the winning pair.
-        coords = pack_coords(pair, sizes)
-        _, _, _, reward = evaluate_coords(
-            circuit, *coords, hpwl_min=hmin, target_aspect=target_aspect
-        )
-        return -reward
+    evaluate = pair_evaluator(circuit, sizes, hmin, target_aspect)
+    cost_of, memo = memoized_cost(evaluate)
 
     current = SequencePair.random(circuit.num_blocks, NUM_SHAPES, rng)
     current_cost = cost_of(current)
@@ -99,12 +71,13 @@ def rl_simulated_annealing(
             probs /= probs.sum()
             move = int(rng.choice(NUM_MOVE_TYPES, p=probs))
             move_counts[move] += 1
-            candidate = _apply_move(current, move, rng)
+            candidate = apply_move(current, move, NUM_SHAPES, rng)
             cand_cost = cost_of(candidate)
             delta = cand_cost - current_cost
             accepted = delta <= 0 or rng.random() < np.exp(-delta / temperature)
-            # Bandit update: reward = realized improvement (clipped).
-            gain = float(np.clip(-delta if accepted else 0.0, -1.0, 1.0))
+            # Bandit update: reward = realized improvement, clipped to
+            # [-1, 1] (np.clip's min-of-max, on a Python float).
+            gain = min(max(-delta if accepted else 0.0, -1.0), 1.0)
             preferences[move] += config.bandit_lr * gain * (1.0 - probs[move])
             if accepted:
                 current, current_cost = candidate, cand_cost
@@ -112,18 +85,19 @@ def rl_simulated_annealing(
                     best_cost, best_pair = current_cost, current
         temperature *= config.cooling
 
-    best_rects = pack(best_pair, sizes)
-    area, wirelength, ds, reward = evaluate_placement(
-        circuit, best_rects, hpwl_min=hmin, target_aspect=target_aspect
-    )
+    evaluations = int(move_counts.sum()) + 1
+    area, wirelength, ds, reward = evaluate(best_pair)
     return publish_result(FloorplanResult(
         circuit_name=circuit.name,
         method="RL-SA [13]",
-        rects=best_rects,
+        rects=pack(best_pair, sizes),
         area=area,
         hpwl=wirelength,
         dead_space=ds,
         reward=reward,
         runtime=time.perf_counter() - start,
-        extra={"move_counts": move_counts.tolist()},
-    ), started=start, evaluations=int(move_counts.sum()) + 1, name="rl_sa")
+        extra={
+            "move_counts": move_counts.tolist(),
+            "cost_cache_hits": evaluations - len(memo),
+        },
+    ), started=start, evaluations=evaluations, name="rl_sa")

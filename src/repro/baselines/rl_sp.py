@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .common import (
     inflated_shapes,
     publish_result,
 )
-from .seqpair import SequencePair, pack, pack_coords
+from .seqpair import SequencePair, pack, pack_population
 
 
 @dataclass
@@ -80,7 +80,6 @@ def rl_sequence_pair(
         grads_shape = np.zeros((n, NUM_SHAPES))
         samples = []
         pairs = []
-        coords = []
         for k in range(config.batch):
             gp = _sample_permutation(plus_scores, config.temperature, rng)
             gm = _sample_permutation(minus_scores, config.temperature, rng)
@@ -93,19 +92,13 @@ def rl_sequence_pair(
                 tuple(int(s) for s in shapes),
             )
             pairs.append(pair)
-            coords.append(pack_coords(pair, sizes))
             samples.append((gp, gm, shapes, probs))
 
         # One batched evaluation per iteration instead of `batch` scalar
         # ones, straight from the packed coordinate arrays.
         _, _, _, rewards = evaluate_coords_population(
-            circuit,
-            np.stack([c[0] for c in coords]),
-            np.stack([c[1] for c in coords]),
-            np.stack([c[2] for c in coords]),
-            np.stack([c[3] for c in coords]),
-            hpwl_min=hmin,
-            target_aspect=target_aspect,
+            circuit, *pack_population(pairs, sizes),
+            hpwl_min=hmin, target_aspect=target_aspect,
         )
         for k in range(config.batch):
             if rewards[k] > best_reward:

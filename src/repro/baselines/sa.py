@@ -3,28 +3,28 @@
 The SA baseline of paper Table I (also the engine inside ALIGN, ref [28]).
 Geometric cooling with the standard Metropolis criterion over the four SP
 moves (swap in gamma+, swap in gamma-, swap in both, change shape).
+
+The per-move path is plain Python (see :mod:`repro.baselines.seqpair`):
+one :func:`~repro.baselines.seqpair.pair_evaluator` built per run, a
+per-run cost memo that skips revisited candidates, and an exact replay of
+``rng.choice(n, 2, replace=False)`` for the swap operands.  Every RNG draw
+and float operation matches the straightforward numpy loop, so results
+are bit-identical to it (golden-tested against that loop).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..circuits.netlist import Circuit
 from ..config import NUM_SHAPES
 from ..floorplan.metrics import hpwl_lower_bound
-from .common import (
-    DEFAULT_SPACING,
-    FloorplanResult,
-    evaluate_coords,
-    evaluate_placement,
-    inflated_shapes,
-    publish_result,
-)
-from .seqpair import SequencePair, pack, pack_coords, random_neighbor
+from .common import DEFAULT_SPACING, FloorplanResult, inflated_shapes, publish_result
+from .seqpair import SequencePair, memoized_cost, pack, pair_evaluator, random_neighbor
 
 
 @dataclass
@@ -51,16 +51,8 @@ def simulated_annealing(
     start = time.perf_counter()
     sizes = inflated_shapes(circuit, config.spacing)
     hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
-
-    def cost_of(pair: SequencePair) -> float:
-        # Object-free hot path: pack to coordinate arrays and evaluate
-        # them directly; PlacedRect objects are only materialized for the
-        # winning pair below.
-        coords = pack_coords(pair, sizes)
-        _, _, _, reward = evaluate_coords(
-            circuit, *coords, hpwl_min=hmin, target_aspect=target_aspect
-        )
-        return -reward
+    evaluate = pair_evaluator(circuit, sizes, hmin, target_aspect)
+    cost_of, memo = memoized_cost(evaluate)
 
     current = SequencePair.random(circuit.num_blocks, NUM_SHAPES, rng)
     current_cost = cost_of(current)
@@ -80,18 +72,19 @@ def simulated_annealing(
                     best, best_cost = current, current_cost
         temperature *= config.cooling
 
-    best_rects = pack(best, sizes)
-    area, wirelength, ds, reward = evaluate_placement(
-        circuit, best_rects, hpwl_min=hmin, target_aspect=target_aspect
-    )
+    area, wirelength, ds, reward = evaluate(best)
     return publish_result(FloorplanResult(
         circuit_name=circuit.name,
         method="SA",
-        rects=best_rects,
+        rects=pack(best, sizes),
         area=area,
         hpwl=wirelength,
         dead_space=ds,
         reward=reward,
         runtime=time.perf_counter() - start,
-        extra={"evaluations": evaluations, "final_temperature": temperature},
+        extra={
+            "evaluations": evaluations,
+            "final_temperature": temperature,
+            "cost_cache_hits": evaluations - len(memo),
+        },
     ), started=start, evaluations=evaluations)

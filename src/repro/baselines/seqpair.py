@@ -1,4 +1,4 @@
-"""Sequence-Pair floorplan representation and packing.
+"""Sequence-Pair floorplan representation, packing and the SA move path.
 
 The classic topological model (Murata et al.; paper refs [14]) used by all
 metaheuristic baselines: a pair of permutations ``(gamma_plus,
@@ -9,18 +9,35 @@ gamma_minus)`` encodes relative block positions —
   precedes it in ``gamma_minus``.
 
 Packing evaluates the two constraint graphs with a longest-path sweep
-over position-rank arrays (:func:`pack_coords`), golden-tested
+over position-rank lists (:func:`pack_coords`), golden-tested
 bit-identical to the classic O(n^2) double loop.
+
+The annealers' per-move path lives here too, all on plain Python
+objects because candidates have at most a few dozen blocks and numpy's
+per-call overhead would dominate:
+
+* :func:`pair_evaluator` builds one scalar cost per run (pack, then
+  :func:`repro.baselines.common.coords_evaluator`);
+* :func:`memoized_cost` wraps it in a per-run ``SequencePair -> cost``
+  dict, since annealers often revisit candidates;
+* :func:`apply_move` is the one neighbourhood move, and
+  :func:`choose_two` replays ``rng.choice(n, 2, replace=False)`` draw for
+  draw.  The replay is pinned to numpy's current ``Generator.choice``
+  by a hypothesis test that compares pairs *and* bit-generator states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from operator import getitem
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .common import PlacedRect
+from ..circuits.netlist import Circuit
+from .common import PlacedRect, coords_evaluator
+
+Sizes = Sequence[Sequence[Tuple[float, float]]]
 
 
 @dataclass(frozen=True)
@@ -52,53 +69,61 @@ class SequencePair:
 
 
 def pack_coords(
-    pair: SequencePair,
-    sizes: Sequence[Sequence[Tuple[float, float]]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pack a sequence pair into dense coordinate arrays ``(x, y, w, h)``.
+    pair: SequencePair, sizes: Sizes
+) -> Tuple[List[float], List[float], List[float], List[float]]:
+    """Pack a sequence pair into per-block coordinate lists ``(x, y, w, h)``.
 
     The object-free hot path behind :func:`pack`: a single longest-path
-    sweep in ``gamma_minus`` order over *position-rank arrays*.  Block
+    sweep in ``gamma_minus`` order over *position-rank lists*.  Block
     ``a`` is left of ``b`` iff ``a`` precedes ``b`` in both sequences, so
     when blocks are processed in ``gamma_minus`` order the left-of
     predecessors of ``b`` are exactly the already-processed blocks with a
-    smaller ``gamma_plus`` rank — a prefix-max over an array indexed by
+    smaller ``gamma_plus`` rank — a prefix-max over a list indexed by
     plus-rank (and symmetrically a suffix-max for below).  This replaces
-    the reference's O(n^2) Python double loop with C-speed slice maxima
-    and is bit-identical to the double loop (golden-tested).
+    the reference's O(n^2) double loop with slice maxima and is
+    bit-identical to it (golden-tested).
     """
     n = pair.num_blocks
     if len(sizes) != n:
         raise ValueError(f"expected sizes for {n} blocks, got {len(sizes)}")
-    shapes = pair.shapes
-    w = [sizes[b][shapes[b]][0] for b in range(n)]
-    h = [sizes[b][shapes[b]][1] for b in range(n)]
+    dims = list(map(getitem, sizes, pair.shapes))
+    w = [d[0] for d in dims]
+    h = [d[1] for d in dims]
     pos_plus = [0] * n
     for i, b in enumerate(pair.gamma_plus):
         pos_plus[b] = i
 
     x = [0.0] * n
     y = [0.0] * n
-    # ends_x[p] / ends_y[p]: right edge / top edge of the processed block
-    # whose gamma_plus rank is p (0.0 where unprocessed — harmless, the
-    # reference floors at 0.0 too since all coordinates are >= 0).
-    ends_x = [0.0] * n
-    ends_y = [0.0] * n
+    # ends_x[p + 1] / ends_y[p]: right edge / top edge of the processed
+    # block whose gamma_plus rank is p.  ends_x[0] and ends_y[n] are 0.0
+    # sentinels, so every prefix / suffix slice is non-empty; the
+    # reference floors at 0.0 too, and unprocessed slots (0.0) are
+    # harmless since all coordinates are >= 0.
+    ends_x = [0.0] * (n + 1)
+    ends_y = [0.0] * (n + 1)
     for b in pair.gamma_minus:
         p = pos_plus[b]
-        xb = max(ends_x[:p], default=0.0)
-        yb = max(ends_y[p + 1:], default=0.0)
+        xb = max(ends_x[:p + 1])
+        yb = max(ends_y[p + 1:])
         x[b] = xb
         y[b] = yb
-        ends_x[p] = xb + w[b]
+        ends_x[p + 1] = xb + w[b]
         ends_y[p] = yb + h[b]
-    return np.asarray(x), np.asarray(y), np.asarray(w), np.asarray(h)
+    return x, y, w, h
 
 
-def pack(
-    pair: SequencePair,
-    sizes: Sequence[Sequence[Tuple[float, float]]],
-) -> List[PlacedRect]:
+def pack_population(
+    pairs: Sequence[SequencePair], sizes: Sizes
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pack_coords` over a population: four ``(P, num_blocks)``
+    arrays, the input of
+    :func:`repro.baselines.common.evaluate_coords_population`."""
+    x, y, w, h = (np.array(column) for column in zip(*(pack_coords(p, sizes) for p in pairs)))
+    return x, y, w, h
+
+
+def pack(pair: SequencePair, sizes: Sizes) -> List[PlacedRect]:
     """Pack a sequence pair into placed rectangles (lower-left at origin).
 
     ``sizes[b][s]`` is the (width, height) of block ``b`` under shape
@@ -113,45 +138,101 @@ def pack(
     ]
 
 
+def pair_evaluator(
+    circuit: Circuit,
+    sizes: Sizes,
+    hpwl_min: Optional[float] = None,
+    target_aspect: Optional[float] = None,
+) -> Callable[[SequencePair], Tuple[float, float, float, float]]:
+    """Build once per run: ``pair -> (area, hpwl, dead_space, reward)``.
+
+    Packs with :func:`pack_coords` and scores with one
+    :func:`repro.baselines.common.coords_evaluator`, so every candidate
+    costs exactly what :func:`repro.baselines.common.evaluate_placement`
+    reports for ``pack(pair, sizes)``.
+    """
+    evaluate = coords_evaluator(circuit, hpwl_min, target_aspect)
+
+    def evaluate_pair(pair: SequencePair) -> Tuple[float, float, float, float]:
+        return evaluate(*pack_coords(pair, sizes))
+
+    return evaluate_pair
+
+
+def memoized_cost(
+    evaluate_pair: Callable[[SequencePair], Tuple[float, float, float, float]],
+) -> Tuple[Callable[[SequencePair], float], Dict[SequencePair, float]]:
+    """Per-run cost memo over a :func:`pair_evaluator`.
+
+    Returns ``(cost_of, memo)``: ``cost_of(pair)`` is ``-reward``, looked
+    up in ``memo`` before packing.  The evaluation is a pure function of
+    the pair, so a hit returns the very float a re-evaluation would.
+    Build one per annealing run; ``evaluations - len(memo)`` afterwards
+    counts the revisits it saved.
+    """
+    memo: Dict[SequencePair, float] = {}
+
+    def cost_of(pair: SequencePair) -> float:
+        cost = memo.get(pair)
+        if cost is None:
+            cost = memo[pair] = -evaluate_pair(pair)[3]
+        return cost
+
+    return cost_of, memo
+
+
 # ---------------------------------------------------------------------------
-# Neighbourhood moves shared by SA / GA mutation
+# Neighbourhood moves shared by SA / RL-SA / GA mutation
 # ---------------------------------------------------------------------------
 
-def swap_in_plus(pair: SequencePair, i: int, j: int) -> SequencePair:
-    seq = list(pair.gamma_plus)
-    seq[i], seq[j] = seq[j], seq[i]
-    return SequencePair(tuple(seq), pair.gamma_minus, pair.shapes)
+def choose_two(n: int, rng: np.random.Generator) -> Tuple[int, int]:
+    """``tuple(rng.choice(n, 2, replace=False))``, replayed draw for draw.
+
+    For two draws without replacement numpy's ``Generator.choice`` runs
+    Floyd's sampler (Bentley & Floyd, CACM 1987) — a draw in ``[0, n-2]``,
+    then one in ``[0, n-1]`` that becomes ``n-1`` on a collision — and
+    then shuffles the two with one draw in ``[0, 1]``.  Each step is an
+    ``rng.integers`` call on the same bounded-integer path, so the pair
+    and the bit-generator state afterwards are identical, at about half
+    the cost of the ``choice`` call.
+    """
+    i = int(rng.integers(0, n - 1))
+    j = int(rng.integers(0, n))
+    if j == i:
+        j = n - 1
+    return (i, j) if rng.integers(0, 2) else (j, i)
 
 
-def swap_in_minus(pair: SequencePair, i: int, j: int) -> SequencePair:
-    seq = list(pair.gamma_minus)
-    seq[i], seq[j] = seq[j], seq[i]
-    return SequencePair(pair.gamma_plus, tuple(seq), pair.shapes)
+def _swapped(seq: Tuple[int, ...], i: int, j: int) -> Tuple[int, ...]:
+    out = list(seq)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
 
 
-def swap_in_both(pair: SequencePair, i: int, j: int) -> SequencePair:
-    return swap_in_minus(swap_in_plus(pair, i, j), i, j)
+def apply_move(
+    pair: SequencePair, move: int, num_shapes: int, rng: np.random.Generator
+) -> SequencePair:
+    """Apply one of the four classic SP moves, drawing its operands.
 
-
-def change_shape(pair: SequencePair, block: int, shape: int) -> SequencePair:
-    shapes = list(pair.shapes)
-    shapes[block] = shape
-    return SequencePair(pair.gamma_plus, pair.gamma_minus, tuple(shapes))
+    ``move`` 0 swaps two positions in ``gamma_plus``, 1 in
+    ``gamma_minus``, 2 in both; 3 (forced for a single block) gives a
+    random block a random shape.
+    """
+    n = pair.num_blocks
+    if move == 3 or n < 2:
+        block = int(rng.integers(0, n))
+        shapes = list(pair.shapes)
+        shapes[block] = int(rng.integers(0, num_shapes))
+        return SequencePair(pair.gamma_plus, pair.gamma_minus, tuple(shapes))
+    i, j = choose_two(n, rng)
+    plus, minus = pair.gamma_plus, pair.gamma_minus
+    if move != 1:
+        plus = _swapped(plus, i, j)
+    if move != 0:
+        minus = _swapped(minus, i, j)
+    return SequencePair(plus, minus, pair.shapes)
 
 
 def random_neighbor(pair: SequencePair, num_shapes: int, rng: np.random.Generator) -> SequencePair:
     """One random move among the four classic SP move types."""
-    n = pair.num_blocks
-    move = int(rng.integers(0, 4))
-    if n < 2:
-        move = 3
-    if move == 3:
-        block = int(rng.integers(0, n))
-        shape = int(rng.integers(0, num_shapes))
-        return change_shape(pair, block, shape)
-    i, j = rng.choice(n, size=2, replace=False)
-    if move == 0:
-        return swap_in_plus(pair, int(i), int(j))
-    if move == 1:
-        return swap_in_minus(pair, int(i), int(j))
-    return swap_in_both(pair, int(i), int(j))
+    return apply_move(pair, int(rng.integers(0, 4)), num_shapes, rng)

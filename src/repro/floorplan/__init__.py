@@ -19,7 +19,6 @@ from .metrics import (
     final_reward,
     floorplan_area,
     hpwl_lower_bound,
-    incidence_hpwl,
     incidence_hpwl_batch,
     intermediate_reward,
     state_hpwl,
@@ -48,7 +47,6 @@ __all__ = [
     "final_reward",
     "floorplan_area",
     "hpwl_lower_bound",
-    "incidence_hpwl",
     "incidence_hpwl_batch",
     "intermediate_reward",
     "observation_masks",

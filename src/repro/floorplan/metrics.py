@@ -29,31 +29,11 @@ def _sum_like_reference(spans: np.ndarray) -> float:
     return total
 
 
-def incidence_hpwl(circuit: Circuit, cx: np.ndarray, cy: np.ndarray) -> float:
-    """Full-placement HPWL from dense per-block center arrays.
-
-    ``cx[b]`` / ``cy[b]`` hold block ``b``'s center; every block must be
-    covered.  Vectorized over the precomputed ``circuit.incidence``
-    structure and bit-identical to the scalar per-net HPWL loop.
-    """
-    inc = circuit.incidence
-    if inc.num_nets == 0:
-        return 0.0
-    starts = inc.net_offsets[:-1]
-    mx = cx[inc.net_members]
-    my = cy[inc.net_members]
-    spans = (
-        np.maximum.reduceat(mx, starts) - np.minimum.reduceat(mx, starts)
-    ) + (
-        np.maximum.reduceat(my, starts) - np.minimum.reduceat(my, starts)
-    )
-    return _sum_like_reference(spans)
-
-
 def incidence_hpwl_batch(circuit: Circuit, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """Batched :func:`incidence_hpwl`: ``cx`` / ``cy`` are ``(P, num_blocks)``
-    center arrays for ``P`` placements; returns ``(P,)`` HPWL values,
-    each bit-identical to the per-placement scalar path."""
+    """Population HPWL from block centres: ``cx`` / ``cy`` are
+    ``(P, num_blocks)`` center arrays for ``P`` placements; returns
+    ``(P,)`` HPWL values, each bit-identical to the scalar per-net loop
+    (vectorized over the precomputed ``circuit.incidence`` structure)."""
     inc = circuit.incidence
     n_p = cx.shape[0]
     if inc.num_nets == 0:

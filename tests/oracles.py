@@ -7,13 +7,24 @@ stated relative tolerance), and the hot-path benchmarks time against it.  They
 live with the tests because nothing in the package calls them.
 """
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
-from repro.baselines import PlacedRect, SequencePair
-from repro.circuits import Net
+from repro.baselines import (
+    FloorplanResult,
+    GAConfig,
+    PlacedRect,
+    RLSAConfig,
+    SAConfig,
+    SequencePair,
+    evaluate_coords_population,
+    inflated_shapes,
+)
+from repro.circuits import Circuit, Net
+from repro.config import NUM_SHAPES, REWARD_ALPHA, REWARD_BETA, REWARD_GAMMA
+from repro.floorplan import hpwl_lower_bound
 from repro.floorplan import FloorplanState, placement_mask
 from repro.floorplan.masks import HPWL_MIN_FLOOR
 from repro.nn import Tensor
@@ -32,7 +43,7 @@ def hpwl(
 ) -> float:
     """Half-perimeter wirelength over nets (paper Eq. 3).
 
-    Reference for ``state_hpwl`` / ``incidence_hpwl``.  With
+    Reference for ``state_hpwl`` / the evaluators' HPWL.  With
     ``partial=True``, nets with fewer than two placed members contribute
     zero; with ``partial=False`` a net with any unplaced member raises
     ``KeyError``.
@@ -86,6 +97,324 @@ def pack_reference(
         PlacedRect(b, pair.shapes[b], float(x[b]), float(y[b]), float(widths[b]), float(heights[b]))
         for b in range(n)
     ]
+
+
+def pack_arrays_reference(
+    pair: SequencePair,
+    sizes: Sequence[Sequence[Tuple[float, float]]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reference for ``pack_coords``: :func:`pack_reference` as per-block
+    ``(x, y, w, h)`` arrays."""
+    rects = pack_reference(pair, sizes)
+    return (
+        np.array([r.x for r in rects]),
+        np.array([r.y for r in rects]),
+        np.array([r.width for r in rects]),
+        np.array([r.height for r in rects]),
+    )
+
+
+def sum_like_reference(spans: np.ndarray) -> float:
+    """Sequential left-to-right accumulation, matching a scalar
+    ``total +=`` loop over nets bit for bit (numpy's pairwise summation
+    does not)."""
+    total = 0.0
+    for span in spans.tolist():
+        total += span
+    return total
+
+
+def incidence_hpwl_reference(circuit: Circuit, cx: np.ndarray, cy: np.ndarray) -> float:
+    """Full-placement HPWL from dense per-block center arrays, vectorized
+    over ``circuit.incidence`` with ``reduceat`` (the numpy scalar path
+    the per-run evaluator replaced)."""
+    inc = circuit.incidence
+    if inc.num_nets == 0:
+        return 0.0
+    starts = inc.net_offsets[:-1]
+    mx = cx[inc.net_members]
+    my = cy[inc.net_members]
+    spans = (
+        np.maximum.reduceat(mx, starts) - np.minimum.reduceat(mx, starts)
+    ) + (
+        np.maximum.reduceat(my, starts) - np.minimum.reduceat(my, starts)
+    )
+    return sum_like_reference(spans)
+
+
+def evaluate_coords_reference(
+    circuit: Circuit,
+    x: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    h: np.ndarray,
+    hpwl_min: Optional[float] = None,
+    target_aspect: Optional[float] = None,
+    alpha: float = REWARD_ALPHA,
+    beta: float = REWARD_BETA,
+    gamma: float = REWARD_GAMMA,
+) -> Tuple[float, float, float, float]:
+    """Reference for ``coords_evaluator``: ``(area, hpwl, dead_space,
+    reward)`` of one placement given as dense numpy arrays."""
+    minx = float(x.min())
+    miny = float(y.min())
+    maxx = float((x + w).max())
+    maxy = float((y + h).max())
+    area = (maxx - minx) * (maxy - miny)
+    wirelength = incidence_hpwl_reference(circuit, x + w / 2.0, y + h / 2.0)
+    ds = 1.0 - circuit.total_area / area if area > 0 else 0.0
+    hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
+    cost = alpha * (area / circuit.total_area - 1.0) + beta * (wirelength / hmin - 1.0)
+    if target_aspect is not None:
+        height = maxy - miny
+        ratio = (maxx - minx) / height if height > 0 else 1.0
+        cost += gamma * (target_aspect - ratio) ** 2
+    return area, wirelength, ds, -cost
+
+
+def swap_in_plus(pair: SequencePair, i: int, j: int) -> SequencePair:
+    seq = list(pair.gamma_plus)
+    seq[i], seq[j] = seq[j], seq[i]
+    return SequencePair(tuple(seq), pair.gamma_minus, pair.shapes)
+
+
+def swap_in_minus(pair: SequencePair, i: int, j: int) -> SequencePair:
+    seq = list(pair.gamma_minus)
+    seq[i], seq[j] = seq[j], seq[i]
+    return SequencePair(pair.gamma_plus, tuple(seq), pair.shapes)
+
+
+def swap_in_both(pair: SequencePair, i: int, j: int) -> SequencePair:
+    return swap_in_minus(swap_in_plus(pair, i, j), i, j)
+
+
+def change_shape(pair: SequencePair, block: int, shape: int) -> SequencePair:
+    shapes = list(pair.shapes)
+    shapes[block] = shape
+    return SequencePair(pair.gamma_plus, pair.gamma_minus, tuple(shapes))
+
+
+def random_neighbor_reference(
+    pair: SequencePair, num_shapes: int, rng: np.random.Generator
+) -> SequencePair:
+    """Reference for ``random_neighbor``: draws the swap operands with
+    ``rng.choice(n, size=2, replace=False)``."""
+    n = pair.num_blocks
+    move = int(rng.integers(0, 4))
+    if n < 2:
+        move = 3
+    if move == 3:
+        block = int(rng.integers(0, n))
+        shape = int(rng.integers(0, num_shapes))
+        return change_shape(pair, block, shape)
+    i, j = rng.choice(n, size=2, replace=False)
+    if move == 0:
+        return swap_in_plus(pair, int(i), int(j))
+    if move == 1:
+        return swap_in_minus(pair, int(i), int(j))
+    return swap_in_both(pair, int(i), int(j))
+
+
+def apply_move_reference(pair: SequencePair, move: int, rng: np.random.Generator) -> SequencePair:
+    n = pair.num_blocks
+    if move == 3 or n < 2:
+        return change_shape(pair, int(rng.integers(0, n)), int(rng.integers(0, NUM_SHAPES)))
+    i, j = rng.choice(n, size=2, replace=False)
+    if move == 0:
+        return swap_in_plus(pair, int(i), int(j))
+    if move == 1:
+        return swap_in_minus(pair, int(i), int(j))
+    return swap_in_both(pair, int(i), int(j))
+
+
+def _final_result(circuit, method, pair, sizes, hmin, target_aspect, extra) -> FloorplanResult:
+    """Pack and score the winning pair the way the baselines report it."""
+    rects = pack_reference(pair, sizes)
+    area, wirelength, ds, reward = evaluate_coords_reference(
+        circuit, *pack_arrays_reference(pair, sizes),
+        hpwl_min=hmin, target_aspect=target_aspect,
+    )
+    return FloorplanResult(
+        circuit_name=circuit.name, method=method, rects=rects, area=area,
+        hpwl=wirelength, dead_space=ds, reward=reward, runtime=0.0, extra=extra,
+    )
+
+
+def sa_reference(
+    circuit: Circuit,
+    config: SAConfig,
+    hpwl_min: Optional[float] = None,
+    target_aspect: Optional[float] = None,
+) -> FloorplanResult:
+    """Reference for ``simulated_annealing``: every candidate packed and
+    evaluated on numpy arrays, no memo, ``rng.choice`` swap draws."""
+    rng = np.random.default_rng(config.seed)
+    sizes = inflated_shapes(circuit, config.spacing)
+    hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
+
+    def cost_of(pair: SequencePair) -> float:
+        coords = pack_arrays_reference(pair, sizes)
+        _, _, _, reward = evaluate_coords_reference(
+            circuit, *coords, hpwl_min=hmin, target_aspect=target_aspect
+        )
+        return -reward
+
+    current = SequencePair.random(circuit.num_blocks, NUM_SHAPES, rng)
+    current_cost = cost_of(current)
+    best, best_cost = current, current_cost
+
+    temperature = config.initial_temperature
+    evaluations = 1
+    while temperature > config.final_temperature:
+        for _ in range(config.moves_per_temperature):
+            candidate = random_neighbor_reference(current, NUM_SHAPES, rng)
+            cand_cost = cost_of(candidate)
+            evaluations += 1
+            delta = cand_cost - current_cost
+            if delta <= 0 or rng.random() < np.exp(-delta / temperature):
+                current, current_cost = candidate, cand_cost
+                if current_cost < best_cost:
+                    best, best_cost = current, current_cost
+        temperature *= config.cooling
+
+    return _final_result(
+        circuit, "SA", best, sizes, hmin, target_aspect,
+        {"evaluations": evaluations, "final_temperature": temperature},
+    )
+
+
+def rl_sa_reference(
+    circuit: Circuit,
+    config: RLSAConfig,
+    hpwl_min: Optional[float] = None,
+    target_aspect: Optional[float] = None,
+) -> FloorplanResult:
+    """Reference for ``rl_simulated_annealing``: the numpy bandit loop
+    with per-candidate numpy evaluation and ``rng.choice`` swap draws."""
+    rng = np.random.default_rng(config.seed)
+    sizes = inflated_shapes(circuit, config.spacing)
+    hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
+
+    def cost_of(pair: SequencePair) -> float:
+        coords = pack_arrays_reference(pair, sizes)
+        _, _, _, reward = evaluate_coords_reference(
+            circuit, *coords, hpwl_min=hmin, target_aspect=target_aspect
+        )
+        return -reward
+
+    current = SequencePair.random(circuit.num_blocks, NUM_SHAPES, rng)
+    current_cost = cost_of(current)
+    best_cost, best_pair = current_cost, current
+
+    preferences = np.zeros(4)
+    move_counts = np.zeros(4, dtype=int)
+    temperature = config.initial_temperature
+
+    while temperature > config.final_temperature:
+        for _ in range(config.moves_per_temperature):
+            probs = np.exp(preferences - preferences.max())
+            probs /= probs.sum()
+            move = int(rng.choice(4, p=probs))
+            move_counts[move] += 1
+            candidate = apply_move_reference(current, move, rng)
+            cand_cost = cost_of(candidate)
+            delta = cand_cost - current_cost
+            accepted = delta <= 0 or rng.random() < np.exp(-delta / temperature)
+            gain = float(np.clip(-delta if accepted else 0.0, -1.0, 1.0))
+            preferences[move] += config.bandit_lr * gain * (1.0 - probs[move])
+            if accepted:
+                current, current_cost = candidate, cand_cost
+                if current_cost < best_cost:
+                    best_cost, best_pair = current_cost, current
+        temperature *= config.cooling
+
+    return _final_result(
+        circuit, "RL-SA [13]", best_pair, sizes, hmin, target_aspect,
+        {"move_counts": move_counts.tolist()},
+    )
+
+
+def _order_crossover_reference(
+    a: Tuple[int, ...], b: Tuple[int, ...], rng: np.random.Generator
+) -> Tuple[int, ...]:
+    n = len(a)
+    i, j = sorted(rng.choice(n, size=2, replace=False))
+    child: List[Optional[int]] = [None] * n
+    child[i:j + 1] = a[i:j + 1]
+    used = set(child[i:j + 1])
+    fill = [g for g in b if g not in used]
+    k = 0
+    for idx in range(n):
+        if child[idx] is None:
+            child[idx] = fill[k]
+            k += 1
+    return tuple(child)  # type: ignore[arg-type]
+
+
+def ga_reference(
+    circuit: Circuit,
+    config: GAConfig,
+    hpwl_min: Optional[float] = None,
+    target_aspect: Optional[float] = None,
+) -> FloorplanResult:
+    """Reference for ``genetic_algorithm``: ``rng.choice`` OX cut points
+    and mutation draws, populations packed by :func:`pack_arrays_reference`
+    and stacked."""
+    rng = np.random.default_rng(config.seed)
+    sizes = inflated_shapes(circuit, config.spacing)
+    hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
+
+    def score_all(pairs):
+        coords = [pack_arrays_reference(p, sizes) for p in pairs]
+        _, _, _, rewards = evaluate_coords_population(
+            circuit,
+            np.stack([c[0] for c in coords]),
+            np.stack([c[1] for c in coords]),
+            np.stack([c[2] for c in coords]),
+            np.stack([c[3] for c in coords]),
+            hpwl_min=hmin,
+            target_aspect=target_aspect,
+        )
+        return rewards.tolist()
+
+    def crossover(pa: SequencePair, pb: SequencePair) -> SequencePair:
+        gp = _order_crossover_reference(pa.gamma_plus, pb.gamma_plus, rng)
+        gm = _order_crossover_reference(pa.gamma_minus, pb.gamma_minus, rng)
+        shapes = tuple(
+            pa.shapes[k] if rng.random() < 0.5 else pb.shapes[k] for k in range(len(pa.shapes))
+        )
+        return SequencePair(gp, gm, shapes)
+
+    population = [
+        SequencePair.random(circuit.num_blocks, NUM_SHAPES, rng)
+        for _ in range(config.population)
+    ]
+    scored = score_all(population)
+
+    def tournament_pick() -> SequencePair:
+        picks = rng.choice(len(population), size=config.tournament, replace=False)
+        best_idx = max(picks, key=lambda k: scored[k])
+        return population[best_idx]
+
+    for _ in range(config.generations):
+        ranked = sorted(range(len(population)), key=lambda k: -scored[k])
+        next_pop = [population[k] for k in ranked[: config.elites]]
+        while len(next_pop) < config.population:
+            if rng.random() < config.crossover_rate:
+                child = crossover(tournament_pick(), tournament_pick())
+            else:
+                child = tournament_pick()
+            if rng.random() < config.mutation_rate:
+                child = random_neighbor_reference(child, NUM_SHAPES, rng)
+            next_pop.append(child)
+        population = next_pop
+        scored = score_all(population)
+
+    best_idx = max(range(len(population)), key=lambda k: scored[k])
+    return _final_result(
+        circuit, "GA", population[best_idx], sizes, hmin, target_aspect,
+        {"generations": config.generations, "population": config.population},
+    )
 
 
 def wire_mask_reference(

@@ -1,13 +1,15 @@
 """Golden tests for the incremental-metrics hot path (ISSUE 2).
 
 The vectorized fast paths — incremental ``state_hpwl``, stacked
-``wire_mask``, prefix-max ``pack`` / ``pack_coords``, incidence-based
-``evaluate_placement`` / ``evaluate_population`` — must be *bit-identical*
-to the scalar reference implementations they replaced (``hpwl`` over
-``state_centers``, ``wire_mask_reference``, ``pack_reference``).  These
-tests pin that equivalence across library circuits, random synthetic
-circuits, and random placement orders, plus the satellite regressions
-(hpwl_min clamp, middle-shape derivation, full-HPWL validation).
+``wire_mask``, prefix-max ``pack`` / ``pack_coords``, the per-run scalar
+evaluator behind ``evaluate_coords`` / ``evaluate_placement`` and the
+batched ``evaluate_population`` — must be *bit-identical* to the
+reference implementations they replaced (``hpwl`` over
+``state_centers``, ``wire_mask_reference``, ``pack_reference``,
+``evaluate_coords_reference``).  These tests pin that equivalence across
+library circuits, random synthetic circuits, and random placement
+orders, plus the satellite regressions (hpwl_min clamp, middle-shape
+derivation, full-HPWL validation).
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from repro.baselines import (
     pack,
     true_shapes,
 )
-from repro.baselines.common import evaluate_coords
+from repro.baselines.common import coords_evaluator, evaluate_coords
 from repro.baselines.seqpair import pack_coords
 from repro.circuits import Circuit, Net, get_circuit, random_circuit
 from repro.config import NUM_SHAPES
@@ -29,7 +31,6 @@ from repro.floorplan import (
     FloorplanState,
     action_mask,
     hpwl_lower_bound,
-    incidence_hpwl,
     observation_masks,
     placement_mask,
     positional_mask,
@@ -38,7 +39,14 @@ from repro.floorplan import (
     wire_mask,
 )
 
-from oracles import hpwl, pack_reference, state_centers, wire_mask_reference
+from oracles import (
+    evaluate_coords_reference,
+    hpwl,
+    pack_arrays_reference,
+    pack_reference,
+    state_centers,
+    wire_mask_reference,
+)
 
 LIBRARY = ("ota1", "ota2", "bias1", "bias2", "driver", "ota_small")
 
@@ -254,21 +262,21 @@ class TestEvaluateGolden:
         sizes = inflated_shapes(circuit)
         for _ in range(10):
             pair = SequencePair.random(circuit.num_blocks, NUM_SHAPES, rng)
-            coords = pack_coords(pair, sizes)
-            assert evaluate_coords(circuit, *coords) == evaluate_placement(
-                circuit, pack(pair, sizes)
-            )
+            reference = evaluate_coords_reference(circuit, *pack_arrays_reference(pair, sizes))
+            assert evaluate_coords(circuit, *pack_coords(pair, sizes)) == reference
+            assert evaluate_placement(circuit, pack(pair, sizes)) == reference
 
     def test_incidence_hpwl_matches_reference(self):
+        """The evaluator's per-net HPWL over ``circuit.incidence`` equals
+        the scalar per-net loop (zero sizes put the centres at x, y)."""
         rng = np.random.default_rng(14)
         for circuit in _circuits(14):
             n = circuit.num_blocks
-            cx = rng.uniform(0, 100, size=n)
-            cy = rng.uniform(0, 100, size=n)
-            centers = {b: (float(cx[b]), float(cy[b])) for b in range(n)}
-            assert incidence_hpwl(circuit, cx, cy) == hpwl(
-                circuit.nets, centers, partial=False
-            )
+            cx = rng.uniform(0, 100, size=n).tolist()
+            cy = rng.uniform(0, 100, size=n).tolist()
+            centers = {b: (cx[b], cy[b]) for b in range(n)}
+            _, wirelength, _, _ = coords_evaluator(circuit)(cx, cy, [0.0] * n, [0.0] * n)
+            assert wirelength == hpwl(circuit.nets, centers, partial=False)
 
     def test_duplicate_block_index_rejected(self):
         circuit = get_circuit("ota_small")
