@@ -17,7 +17,8 @@ import pytest
 from _util import check
 from oracles import hpwl, pack_reference, state_centers, wire_mask_reference
 
-from repro.baselines import SequencePair, inflated_shapes, pair_evaluator
+from repro.baselines import SequencePair, inflated_shapes
+from repro.baselines.seqpair import pair_evaluator
 from repro.circuits import get_circuit
 from repro.config import NUM_SHAPES
 from repro.engine import ArtifactCache, Executor, TaskSpec

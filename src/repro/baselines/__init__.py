@@ -4,8 +4,6 @@ from .common import (
     DEFAULT_SPACING,
     FloorplanResult,
     PlacedRect,
-    coords_evaluator,
-    evaluate_coords,
     evaluate_coords_population,
     evaluate_placement,
     evaluate_population,
@@ -20,13 +18,8 @@ from .rl_sp import RLSPConfig, rl_sequence_pair
 from .sa import SAConfig, simulated_annealing
 from .seqpair import (
     SequencePair,
-    apply_move,
-    choose_two,
-    memoized_cost,
     pack,
     pack_coords,
-    pack_population,
-    pair_evaluator,
     random_neighbor,
 )
 
@@ -40,21 +33,14 @@ __all__ = [
     "RLSPConfig",
     "SAConfig",
     "SequencePair",
-    "apply_move",
-    "choose_two",
-    "coords_evaluator",
     "decode_keys",
-    "evaluate_coords",
     "evaluate_coords_population",
     "evaluate_placement",
     "evaluate_population",
     "genetic_algorithm",
     "inflated_shapes",
-    "memoized_cost",
     "pack",
     "pack_coords",
-    "pack_population",
-    "pair_evaluator",
     "particle_swarm",
     "random_neighbor",
     "rects_overlap",

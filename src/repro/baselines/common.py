@@ -161,21 +161,16 @@ def coords_evaluator(
     hpwl, dead_space, reward)`` over per-block sequences.
 
     The package's one scalar cost.  Everything that does not depend on
-    the placement is fixed here: each net's members from
-    ``circuit.incidence`` (an index pair for a two-pin net, otherwise an
-    ``itemgetter``, which returns a tuple since every net has at least
-    two members), the total block area and the HPWL normalizer.  A call
-    is plain Python float arithmetic in a fixed order: block centres are
-    ``x + w / 2.0``, and HPWL adds ``(max - min) + (max - min)`` per net
-    left to right, as the scalar per-net loop does.
+    the placement is fixed here: one ``itemgetter`` per net over its
+    members in ``circuit.incidence`` (it returns a tuple, since every net
+    has at least two members), the total block area and the HPWL
+    normalizer.  A call is plain Python float arithmetic in a fixed
+    order: block centres are ``x + w / 2.0``, and HPWL adds ``(max - min)
+    + (max - min)`` per net left to right, as the scalar per-net loop
+    does.
     """
     inc = circuit.incidence
-    # Two-pin nets (most nets) become an index pair: |a - b| equals
-    # max - min bit for bit, since IEEE subtraction is sign-symmetric.
-    nets = []
-    for i in range(inc.num_nets):
-        members = inc.members_of(i).tolist()
-        nets.append(tuple(members) if len(members) == 2 else itemgetter(*members))
+    nets = [itemgetter(*inc.members_of(i).tolist()) for i in range(inc.num_nets)]
     total_area = circuit.total_area
     hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
 
@@ -189,13 +184,9 @@ def coords_evaluator(
         cy = [yb + hb / 2.0 for yb, hb in zip(y, h)]
         wirelength = 0.0
         for net in nets:
-            if net.__class__ is tuple:
-                a, b = net
-                wirelength += abs(cx[a] - cx[b]) + abs(cy[a] - cy[b])
-            else:
-                xs = net(cx)
-                ys = net(cy)
-                wirelength += (max(xs) - min(xs)) + (max(ys) - min(ys))
+            xs = net(cx)
+            ys = net(cy)
+            wirelength += (max(xs) - min(xs)) + (max(ys) - min(ys))
         ds = 1.0 - total_area / area if area > 0 else 0.0
         cost = alpha * (area / total_area - 1.0) + beta * (wirelength / hmin - 1.0)
         if target_aspect is not None:
@@ -205,30 +196,6 @@ def coords_evaluator(
         return area, wirelength, ds, -cost
 
     return evaluate
-
-
-def evaluate_coords(
-    circuit: Circuit,
-    x: Sequence[float],
-    y: Sequence[float],
-    w: Sequence[float],
-    h: Sequence[float],
-    hpwl_min: Optional[float] = None,
-    target_aspect: Optional[float] = None,
-    alpha: float = REWARD_ALPHA,
-    beta: float = REWARD_BETA,
-    gamma: float = REWARD_GAMMA,
-) -> Tuple[float, float, float, float]:
-    """:func:`evaluate_placement` on per-block coordinate sequences.
-
-    ``x[b]``/``y[b]``/``w[b]``/``h[b]`` must cover every block (as
-    :func:`repro.baselines.seqpair.pack_coords` guarantees by
-    construction).  One-off calls only: loops that evaluate many
-    placements should build :func:`coords_evaluator` (or
-    :func:`repro.baselines.seqpair.pair_evaluator`) once.
-    """
-    evaluate = coords_evaluator(circuit, hpwl_min, target_aspect, alpha, beta, gamma)
-    return evaluate(x, y, w, h)
 
 
 def evaluate_placement(
@@ -247,11 +214,8 @@ def evaluate_placement(
     Scored by :func:`coords_evaluator` (bit-identical to the scalar
     per-net HPWL reference, golden-tested).
     """
-    return evaluate_coords(
-        circuit, *_placement_coords(circuit, rects),
-        hpwl_min=hpwl_min, target_aspect=target_aspect,
-        alpha=alpha, beta=beta, gamma=gamma,
-    )
+    evaluate = coords_evaluator(circuit, hpwl_min, target_aspect, alpha, beta, gamma)
+    return evaluate(*_placement_coords(circuit, rects))
 
 
 def evaluate_population(

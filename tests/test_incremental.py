@@ -2,7 +2,7 @@
 
 The vectorized fast paths — incremental ``state_hpwl``, stacked
 ``wire_mask``, prefix-max ``pack`` / ``pack_coords``, the per-run scalar
-evaluator behind ``evaluate_coords`` / ``evaluate_placement`` and the
+evaluator ``coords_evaluator`` behind ``evaluate_placement`` and the
 batched ``evaluate_population`` — must be *bit-identical* to the
 reference implementations they replaced (``hpwl`` over
 ``state_centers``, ``wire_mask_reference``, ``pack_reference``,
@@ -23,7 +23,7 @@ from repro.baselines import (
     pack,
     true_shapes,
 )
-from repro.baselines.common import coords_evaluator, evaluate_coords
+from repro.baselines.common import coords_evaluator
 from repro.baselines.seqpair import pack_coords
 from repro.circuits import Circuit, Net, get_circuit, random_circuit
 from repro.config import NUM_SHAPES
@@ -263,7 +263,7 @@ class TestEvaluateGolden:
         for _ in range(10):
             pair = SequencePair.random(circuit.num_blocks, NUM_SHAPES, rng)
             reference = evaluate_coords_reference(circuit, *pack_arrays_reference(pair, sizes))
-            assert evaluate_coords(circuit, *pack_coords(pair, sizes)) == reference
+            assert coords_evaluator(circuit)(*pack_coords(pair, sizes)) == reference
             assert evaluate_placement(circuit, pack(pair, sizes)) == reference
 
     def test_incidence_hpwl_matches_reference(self):

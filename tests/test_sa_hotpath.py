@@ -20,17 +20,19 @@ from repro.baselines import (
     RLSAConfig,
     SAConfig,
     SequencePair,
-    apply_move,
-    choose_two,
     genetic_algorithm,
     inflated_shapes,
+    random_neighbor,
+    rl_simulated_annealing,
+    simulated_annealing,
+)
+from repro.baselines.seqpair import (
+    apply_move,
+    choose_two,
     memoized_cost,
     pack_coords,
     pack_population,
     pair_evaluator,
-    random_neighbor,
-    rl_simulated_annealing,
-    simulated_annealing,
 )
 from repro.circuits import available_circuits, get_circuit
 from repro.config import NUM_SHAPES
