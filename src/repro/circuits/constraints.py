@@ -67,10 +67,6 @@ class Constraint:
     def is_symmetry(self) -> bool:
         return self.kind in (ConstraintKind.SYM_V, ConstraintKind.SYM_H)
 
-    @property
-    def is_alignment(self) -> bool:
-        return not self.is_symmetry
-
     def involves(self, block_index: int) -> bool:
         return block_index in self.blocks
 

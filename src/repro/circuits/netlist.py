@@ -169,9 +169,6 @@ class Circuit:
                 return i
         raise KeyError(f"circuit {self.name}: no block named {name!r}")
 
-    def constraints_for(self, block_index: int) -> List[Constraint]:
-        return [c for c in self.constraints if c.involves(block_index)]
-
     def with_constraints(self, constraints: Sequence[Constraint]) -> "Circuit":
         """A copy of this circuit with a different constraint set."""
         return Circuit(self.name, self.blocks, self.nets, list(constraints))

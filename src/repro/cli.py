@@ -14,10 +14,13 @@ Subcommands::
     python -m repro.cli serve --port 8951 --max-batch 8   # solve service
 
 Engine flags (``pipeline`` / ``table1`` / ``sweep``): ``--workers N`` and
-``--backend {serial,thread,process}`` pick the execution backend;
+``--backend {serial,process}`` pick the execution backend;
 ``--cache`` / ``--no-cache`` toggle the content-addressed artifact cache
 (default on for ``sweep`` and ``table1``; location ``~/.cache/repro``,
-override with ``--cache-dir`` or ``$REPRO_CACHE_DIR``).
+override with ``--cache-dir`` or ``$REPRO_CACHE_DIR``); ``--task-timeout``
+/ ``--task-retries`` set the retry policy (``serve`` takes all but these
+two).  A killed ``sweep`` resumes when rerun on the same cache: finished
+cells replay from it.
 
 Observability flags (every subcommand): ``--metrics PATH`` / ``--trace
 PATH`` enable ``repro.obs`` telemetry and write metrics / Chrome-trace
@@ -69,14 +72,9 @@ def _executor_from_args(args, default_cache: bool = False):
     from .engine import ArtifactCache, Executor
     from .resil import RetryPolicy
 
-    use_cache = getattr(args, "cache", None)
-    if use_cache is None:
-        use_cache = default_cache
+    use_cache = default_cache if args.cache is None else args.cache
     cache = ArtifactCache(root=args.cache_dir) if use_cache else None
-    policy = RetryPolicy(
-        retries=getattr(args, "task_retries", None) or 0,
-        timeout=getattr(args, "task_timeout", None),
-    )
+    policy = RetryPolicy(retries=args.task_retries, timeout=args.task_timeout)
     return Executor(backend=args.backend, workers=args.workers, cache=cache,
                     policy=policy)
 
@@ -222,16 +220,8 @@ def cmd_sweep(args) -> int:
         config=_parse_overrides(args.set or []),
         unconstrained=args.unconstrained,
     )
-    journal_path = args.journal
-    if args.resume and journal_path is None:
-        journal_path = "results/sweep_journal.jsonl"
     executor = _executor_from_args(args, default_cache=True)
-    if args.resume and executor.cache is None:
-        print("sweep --resume needs the artifact cache (drop --no-cache)",
-              file=sys.stderr)
-        raise SystemExit(2)
-    result = run_sweep(spec, executor=executor,
-                       journal_path=journal_path, resume=args.resume)
+    result = run_sweep(spec, executor=executor)
     print(result.table())
     print(f"\n{result.summary()}")
     _print_engine_stats(executor)
@@ -335,19 +325,27 @@ def _int_at_least(minimum: int):
 _positive_int = _int_at_least(1)
 
 
-def _engine_flags() -> argparse.ArgumentParser:
-    """Shared parallel-execution / caching flags (pipeline, table1, sweep)."""
+def _engine_flags(retry_policy: bool = True) -> argparse.ArgumentParser:
+    """Shared parallel-execution / caching flags (pipeline, table1, sweep).
+
+    ``retry_policy=False`` leaves out ``--task-timeout``/``--task-retries``
+    (``serve`` sets no retry policy).
+    """
+    from .engine import BACKENDS
+
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("engine")
     group.add_argument("--workers", type=_positive_int, default=None, metavar="N",
-                       help="pool size for thread/process backends (default: CPU count)")
-    group.add_argument("--backend", choices=["serial", "thread", "process"],
+                       help="pool size for the process backend (default: CPU count)")
+    group.add_argument("--backend", choices=BACKENDS,
                        default="serial", help="task execution backend")
     group.add_argument("--cache", action=argparse.BooleanOptionalAction, default=None,
                        help="serve identical cells from the artifact cache "
                             "(--no-cache to always recompute)")
     group.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="cache root (default ~/.cache/repro or $REPRO_CACHE_DIR)")
+    if not retry_policy:
+        return parent
     group.add_argument("--task-timeout", type=float, default=None, metavar="SEC",
                        help="per-task wall-clock deadline (default: none); a "
                             "blown deadline on the process backend costs a "
@@ -443,13 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repeatable), e.g. --set moves_per_temperature=20")
     p.add_argument("--unconstrained", action="store_true",
                    help="drop placement constraints (as in Table I)")
-    p.add_argument("--journal", default=None, metavar="PATH",
-                   help="append completed cells to a JSONL journal "
-                        "(enables crash-resumable sweeps)")
-    p.add_argument("--resume", action="store_true",
-                   help="skip cells already journaled as complete (default "
-                        "journal: results/sweep_journal.jsonl); requires "
-                        "the artifact cache")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("svg", parents=[obs_flags],
@@ -464,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Fresh engine-flag instance: argparse parents share Action objects,
     # so set_defaults(backend=...) below would otherwise leak the serve
     # default into every other subcommand.
-    p = sub.add_parser("serve", parents=[_engine_flags(), obs_flags],
+    p = sub.add_parser("serve", parents=[_engine_flags(retry_policy=False),
+                                         obs_flags],
                        help="run the floorplan solve service (line-delimited "
                             "JSON over TCP)")
     p.add_argument("--host", default="127.0.0.1")

@@ -5,15 +5,16 @@ repeated seeds, Table II's pipeline runs, the benchmark figures — are
 embarrassingly parallel and fully deterministic given their seeds.  This
 subsystem turns each grid cell into a content-hashed
 :class:`~repro.engine.task.TaskSpec`, fans the cells out over a pluggable
-:class:`~repro.engine.executor.Executor` (serial / thread / process), and
+:class:`~repro.engine.executor.Executor` (serial or process), and
 memoizes artifacts in a content-addressed on-disk
 :class:`~repro.engine.cache.ArtifactCache` so identical cells are never
-recomputed.
+recomputed — which is also how a killed sweep resumes: rerun it on the
+same cache and only the unfinished cells compute.
 
 Guarantees:
 
 * **Determinism** — seeds travel inside the spec and every task builds
-  its own generators, so serial and parallel backends produce
+  its own generators, so the serial and process backends produce
   bit-identical artifacts.
 * **Ordered results** — :meth:`Executor.map_tasks` returns results in
   submission order regardless of completion order.

@@ -164,9 +164,6 @@ class ArtifactCache:
     def _blob_path(self, key: str, fmt: str) -> Path:
         return self.root / key[:2] / f"{key}.{'npz' if fmt == 'npz' else 'pkl'}"
 
-    def contains(self, spec: TaskSpec) -> bool:
-        return self._meta_path(spec.content_hash()).exists()
-
     # -- access --------------------------------------------------------
     def get(self, spec: TaskSpec) -> Optional[TaskResult]:
         """Load the artifact for ``spec``, or ``None`` on a miss.

@@ -1,15 +1,17 @@
-"""Pluggable task executors: serial, thread pool, process pool.
+"""Task executors: an in-process loop or a process pool.
 
 One API — :meth:`Executor.map_tasks` — fans a list of
 :class:`~repro.engine.task.TaskSpec` out over the chosen backend and
 returns :class:`~repro.engine.task.TaskResult` objects **in submission
 order**, regardless of completion order.  Results are bit-identical
-across backends because every source of randomness travels inside the
-spec (the seed) and each task builds its own generators from it.
+across the two backends because every source of randomness travels
+inside the spec (the seed) and each task builds its own generators
+from it.
 
 Cache integration: when an :class:`~repro.engine.cache.ArtifactCache` is
 attached, hits are served without dispatching and misses are persisted
-as they complete, so a re-run of the same grid is pure cache replay.
+as they complete, so a re-run of the same grid is pure cache replay —
+and a re-run of a killed grid recomputes only its unfinished cells.
 
 The optional ``context`` argument to :meth:`map_tasks` ships one live
 object (e.g. a trained :class:`~repro.rl.agent.FloorplanAgent`) to every
@@ -24,7 +26,7 @@ import multiprocessing
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..obs import (
@@ -46,15 +48,13 @@ from ..resil import chaos
 from .cache import ArtifactCache
 from .task import TaskResult, TaskSpec, run_task
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
+
+#: Worker start method: fork where the platform has it, else spawn.
+START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                else "spawn")
 
 logger = get_logger("engine")
-
-def default_start_method() -> str:
-    """Multiprocessing start method: ``$REPRO_MP_CONTEXT``, else fork/spawn."""
-    return os.environ.get("REPRO_MP_CONTEXT") or (
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    )
 
 
 #: Per-worker shared context under the process backend (set by initializer).
@@ -94,10 +94,6 @@ def _process_run(spec: TaskSpec, flow_id: Optional[str] = None) -> TaskResult:
     return result
 
 
-#: Progress callback signature: (completed_count, total, latest_result).
-ProgressFn = Callable[[int, int, TaskResult], None]
-
-
 @dataclass
 class ExecutorStats:
     """Bookkeeping for the most recent :meth:`Executor.map_tasks` call."""
@@ -133,25 +129,19 @@ class Executor:
     Parameters
     ----------
     backend:
-        ``"serial"`` (in-process loop, the default), ``"thread"``
-        (:class:`~concurrent.futures.ThreadPoolExecutor` — useful when
-        tasks block on I/O), or ``"process"``
+        ``"serial"`` (in-process loop, the default) or ``"process"``
         (:class:`~concurrent.futures.ProcessPoolExecutor` — true
         multi-core scaling for the CPU-bound solvers).
     workers:
-        Pool size for thread/process backends; defaults to
+        Pool size for the process backend; defaults to
         ``os.cpu_count()``.
     cache:
         Optional :class:`ArtifactCache`; pass ``None`` to always compute.
-    progress:
-        Optional callback invoked in the parent process as each task
-        finishes (cache hits included).
     policy:
-        Default :class:`~repro.resil.RetryPolicy` applied to every task
-        (per-spec ``timeout``/``retries`` override it).  The default —
-        no retries, no deadline — reproduces pre-fault-tolerance
-        behavior exactly; backoff is deterministic (no RNG), so enabling
-        retries cannot perturb seeded results.
+        :class:`~repro.resil.RetryPolicy` applied to every task.  The
+        default — no retries, no deadline — reproduces
+        pre-fault-tolerance behavior exactly; backoff is deterministic
+        (no RNG), so enabling retries cannot perturb seeded results.
     max_pool_rebuilds:
         How many times a crashed worker pool (``BrokenProcessPool``, or
         a deadline-blown worker that had to be killed) is rebuilt before
@@ -171,7 +161,6 @@ class Executor:
         backend: str = "serial",
         workers: Optional[int] = None,
         cache: Optional[ArtifactCache] = None,
-        progress: Optional[ProgressFn] = None,
         policy: Optional[RetryPolicy] = None,
         max_pool_rebuilds: int = 5,
         keep_pool: bool = False,
@@ -183,7 +172,6 @@ class Executor:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         self.cache = cache
-        self.progress = progress
         self.policy = policy or RetryPolicy()
         if max_pool_rebuilds < 0:
             raise ValueError("max_pool_rebuilds must be >= 0")
@@ -199,9 +187,6 @@ class Executor:
         self.pools_discarded = 0
 
     # -- fault-tolerance plumbing --------------------------------------
-    def _policy_for(self, spec: TaskSpec) -> RetryPolicy:
-        return self.policy.merged(timeout=spec.timeout, retries=spec.retries)
-
     def _note_timeout(self) -> None:
         self.stats.timeouts += 1
         if OBS.enabled:
@@ -227,7 +212,6 @@ class Executor:
         start = time.perf_counter()
         self.stats = ExecutorStats(total=len(specs))
         results: List[Optional[TaskResult]] = [None] * len(specs)
-        done = 0
         # Cache hit accounting is read back from the cache's own metrics
         # registry (the single counting site) as a per-call delta.
         hits_before = self.cache.hits if self.cache is not None else 0
@@ -242,9 +226,6 @@ class Executor:
             hit = self.cache.get(spec) if self.cache is not None else None
             if hit is not None:
                 results[i] = hit
-                done += 1
-                if self.progress is not None:
-                    self.progress(done, len(specs), hit)
             else:
                 pending.append(i)
         self.stats.cache_hits = (self.cache.hits - hits_before
@@ -254,7 +235,6 @@ class Executor:
         submitted: Dict[int, float] = {}
 
         def finish(index: int, result: TaskResult) -> None:
-            nonlocal done
             results[index] = result
             self.stats.computed += 1
             self.stats.task_seconds += result.seconds
@@ -278,16 +258,12 @@ class Executor:
                 if result.obs is not None:
                     merge_worker(result.obs, label="engine-worker")
                     result.obs = None
-            done += 1
-            if self.progress is not None:
-                self.progress(done, len(specs), result)
 
-        # The single-pending shortcut must not apply to the process
-        # backend under chaos: an injected kill_worker would then take
-        # out the coordinating process instead of a pool worker.
+        # The single-pending shortcut must not apply under chaos: an
+        # injected kill_worker would then take out the coordinating
+        # process instead of a pool worker.
         inline = self.backend == "serial" or (
-            len(pending) <= 1 and not self.keep_pool
-            and not (self.backend == "process" and chaos.enabled())
+            len(pending) <= 1 and not self.keep_pool and not chaos.enabled()
         )
         if inline:
             for i in pending:
@@ -309,15 +285,14 @@ class Executor:
 
     # ------------------------------------------------------------------
     def _run_serial(self, spec: TaskSpec, context: Any) -> TaskResult:
-        """One task in-process, under its merged retry/timeout policy."""
-        policy = self._policy_for(spec)
-        if policy.is_default:
+        """One task in-process, under the executor's retry/timeout policy."""
+        if self.policy.is_default:
             # Exactly the pre-fault-tolerance call — no wrapper thread,
             # no policy machinery on the default path.
             return run_task(spec, context)
         try:
             return call_with_retries(
-                lambda: run_task(spec, context), policy,
+                lambda: run_task(spec, context), self.policy,
                 label=spec.label, on_retry=self._note_retry,
             )
         except TaskTimeoutError:
@@ -326,9 +301,7 @@ class Executor:
 
     # ------------------------------------------------------------------
     def _make_pool(self, context: Any, telemetry: bool, n_pending: int):
-        if self.backend == "thread":
-            return concurrent.futures.ThreadPoolExecutor(self.workers)
-        ctx = multiprocessing.get_context(default_start_method())
+        ctx = multiprocessing.get_context(START_METHOD)
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=min(self.workers, max(1, n_pending)), mp_context=ctx,
             initializer=_init_worker,
@@ -337,7 +310,7 @@ class Executor:
 
     def _teardown_pool(self, pool, kill: bool = False) -> None:
         """Shut a pool down without waiting; optionally kill stuck workers."""
-        if kill and isinstance(pool, concurrent.futures.ProcessPoolExecutor):
+        if kill:
             # A worker past its deadline never returns; terminate so the
             # executor's shutdown doesn't join a process that won't exit.
             for proc in list((getattr(pool, "_processes", None) or {}).values()):
@@ -388,11 +361,11 @@ class Executor:
         submitted: Dict[int, float],
         telemetry: bool,
     ) -> None:
-        """Pool backends with retries, deadlines, and crash recovery.
+        """The process pool with retries, deadlines, and crash recovery.
 
         Replaces the plain submit/as_completed loop with a coordinator
-        that (a) retries failed attempts under each task's merged
-        policy, with deterministic backoff served by resubmit-not-before
+        that (a) retries failed attempts under the executor's policy,
+        with deterministic backoff served by resubmit-not-before
         timestamps instead of blocking sleeps; (b) enforces per-task
         wall deadlines from submission time; and (c) survives a broken
         pool (crashed worker, or a deadline-blown worker that had to be
@@ -401,8 +374,7 @@ class Executor:
         no attributable culprit.  ``finish`` still delivers results into
         their submission-order slots, so ordering is unaffected.
         """
-        is_process = self.backend == "process"
-        policies = {i: self._policy_for(specs[i]) for i in pending}
+        policy = self.policy
         attempts = {i: 0 for i in pending}    # failed attempts consumed
         ready_at = {i: 0.0 for i in pending}  # backoff: no resubmit before
         unfinished = set(pending)
@@ -416,16 +388,13 @@ class Executor:
         def submit_one(index: int) -> None:
             spec = specs[index]
             flow_id = (OBS.tracer.flow_start("engine.task")
-                       if telemetry and is_process else None)
+                       if telemetry else None)
             now = time.perf_counter()
-            if is_process:
-                future = pool.submit(_process_run, spec, flow_id)
-            else:
-                future = pool.submit(run_task, spec, context)
+            future = pool.submit(_process_run, spec, flow_id)
             submitted[index] = now
             inflight[future] = index
-            timeout = policies[index].timeout
-            deadlines[future] = (now + timeout) if timeout is not None else None
+            deadlines[future] = (now + policy.timeout
+                                 if policy.timeout is not None else None)
 
         try:
             while unfinished and failure is None:
@@ -474,12 +443,12 @@ class Executor:
                             broken = True
                         except Exception as exc:  # the task's own failure
                             attempts[i] += 1
-                            if attempts[i] > policies[i].retries:
+                            if attempts[i] > policy.retries:
                                 failure = exc
                             else:
                                 self._note_retry(attempts[i], exc)
                                 ready_at[i] = (time.perf_counter()
-                                               + policies[i].delay(attempts[i]))
+                                               + policy.delay(attempts[i]))
                         else:
                             unfinished.discard(i)
                             finish(i, result)
@@ -497,15 +466,15 @@ class Executor:
                         # The worker under this future is stuck; the only
                         # way to reclaim the slot is a pool rebuild.
                         broken = True
-                        if attempts[i] > policies[i].retries:
+                        if attempts[i] > policy.retries:
                             failure = TaskTimeoutError(
-                                specs[i].label, policies[i].timeout or 0.0,
+                                specs[i].label, policy.timeout or 0.0,
                                 attempts=attempts[i])
                         else:
                             self.stats.retries += 1
                             if telemetry:
                                 OBS.registry.inc("resil.retries")
-                            ready_at[i] = now + policies[i].delay(attempts[i])
+                            ready_at[i] = now + policy.delay(attempts[i])
 
                 if broken and failure is None and unfinished:
                     rebuilds += 1

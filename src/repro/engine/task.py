@@ -111,26 +111,14 @@ class TaskSpec:
         RNG seed; part of the identity, so repeated runs of the same cell
         with different seeds are distinct computations.
     tag:
-        Free-form display label for progress output; *excluded* from the
+        Free-form display label for logs and traces; *excluded* from the
         content hash.
-    timeout:
-        Optional per-task wall-clock deadline in seconds, overriding the
-        executor's default :class:`~repro.resil.RetryPolicy`.  Execution
-        policy, not identity — *excluded* from the content hash, so the
-        same computation keeps its cache entry whatever deadline it ran
-        under.
-    retries:
-        Optional per-task retry budget (extra attempts after the first
-        failure), overriding the executor default.  Also excluded from
-        the hash.
     """
 
     fn: str
     params: Mapping[str, Any] = field(default_factory=dict)
     seed: int = 0
     tag: str = ""
-    timeout: Optional[float] = None
-    retries: Optional[int] = None
 
     def content_hash(self) -> str:
         """Stable hex digest identifying this computation."""

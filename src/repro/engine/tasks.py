@@ -110,7 +110,7 @@ def table1_rl_task(
 
     Each repeat clones the shared agent and reseeds the clone's sampler
     from the spec seed, so results are independent of execution order and
-    bit-identical across serial/thread/process backends.
+    bit-identical across the serial and process backends.
     """
     if context is None or "agent" not in context:
         raise RuntimeError("table1_rl task needs an executor context with 'agent'")

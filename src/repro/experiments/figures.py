@@ -35,10 +35,6 @@ class Fig3Result:
     history: TrainingHistory
     dataset_size: int
 
-    @property
-    def final_train_loss(self) -> float:
-        return self.history.train_loss[-1]
-
 
 def run_fig3(
     dataset_config: Optional[DatasetConfig] = None,

@@ -107,10 +107,6 @@ class FloorplanEnv:
         self._action_mask: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    @property
-    def num_steps(self) -> int:
-        return self.circuit.num_blocks
-
     def set_circuit(self, circuit: Circuit, hpwl_min: Optional[float] = None) -> None:
         """Swap the task (used by the curriculum trainer); requires reset."""
         self.circuit = circuit

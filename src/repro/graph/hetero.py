@@ -169,14 +169,6 @@ class HeteroGraph:
                 result.append(u)
         return sorted(set(result))
 
-    def degree_histogram(self) -> Dict[str, np.ndarray]:
-        """Per-relation degree counts (useful for dataset statistics)."""
-        out = {}
-        for relation in RELATIONS:
-            adj = self.adjacency(relation, normalize=False)
-            out[relation] = adj.sum(axis=1)
-        return out
-
     @staticmethod
     def batch(graphs: Sequence["HeteroGraph"]) -> "BatchedHeteroGraph":
         """Batch ``graphs`` for one cross-graph forward (memoized).

@@ -491,9 +491,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def flatten(self) -> "Tensor":
-        return self.reshape(-1)
-
     def transpose(self, *axes) -> "Tensor":
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))

@@ -46,7 +46,7 @@ def _rows(header: List[str], rows: List[List[str]]) -> List[str]:
 _RESIL_PREFIXES = (
     "resil.", "chaos.", "engine.pool_rebuilds", "serve.shed",
     "serve.deadline_exceeded", "serve.queue_depth", "serve.drained",
-    "serve.drain_abandoned", "sweep.resumed_cells",
+    "serve.drain_abandoned",
 )
 
 

@@ -225,14 +225,6 @@ class Tracer:
             for event in meta + events:
                 handle.write(json.dumps(event) + "\n")
 
-    def write_perfetto(self, path: str) -> None:
-        """Write one Perfetto/chrome://tracing-loadable JSON file."""
-        meta = self.metadata_events()
-        with self._lock:
-            events = list(self.events)
-        with open(path, "w") as handle:
-            handle.write(perfetto_json(meta + events, trace_id=self.trace_id))
-
 
 def perfetto_json(events: List[Dict[str, Any]],
                   trace_id: Optional[str] = None) -> str:

@@ -1,6 +1,6 @@
 """Fault tolerance for the execution layer — retries, deadlines, chaos.
 
-The package splits into four small pieces, consumed across the engine
+The package splits into three small pieces, consumed across the engine
 and the solve server:
 
 - :mod:`repro.resil.errors` — typed substrate failures
@@ -9,8 +9,6 @@ and the solve server:
 - :mod:`repro.resil.policy` — :class:`RetryPolicy` (retries, per-attempt
   timeout, deterministic exponential backoff — no RNG, preserving the
   bit-identical-when-quiet contract) plus the retry/timeout runners.
-- :mod:`repro.resil.journal` — :class:`SweepJournal`, the append-only
-  completion log behind ``repro sweep --resume``.
 - :mod:`repro.resil.chaos` — the seeded fault-injection harness that
   proves all of the above actually recovers.
 """
@@ -22,7 +20,6 @@ from .errors import (
     QueueFullError,
     TaskTimeoutError,
 )
-from .journal import SweepJournal
 from .policy import RetryPolicy, call_with_retries, run_with_timeout
 
 __all__ = [
@@ -31,7 +28,6 @@ __all__ = [
     "PoolRebuildLimitError",
     "QueueFullError",
     "RetryPolicy",
-    "SweepJournal",
     "TaskTimeoutError",
     "call_with_retries",
     "run_with_timeout",

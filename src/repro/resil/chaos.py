@@ -22,7 +22,8 @@ Spec grammar: ``kind[:key=value,...]`` joined by ``;``.  Known kinds:
 ``kill_worker``     ``os._exit`` the process running a task (engine
                     worker under the process backend; the sweep process
                     itself under the serial backend — simulating a
-                    mid-sweep kill for ``--resume`` testing).
+                    mid-sweep kill, which a rerun on the same artifact
+                    cache resumes).
 ``hang_task``       sleep ``value`` seconds (default 3600) inside a task
                     — exercises per-task timeouts and pool rebuilds.
 ``delay_task``      sleep ``value`` milliseconds (default 50) inside a
@@ -45,7 +46,7 @@ Once-markers
 worker respawns with no memory), so markers are empty files created
 with ``O_EXCL`` under ``$REPRO_CHAOS_DIR`` — atomic across processes.
 Without the env var, markers fall back to a process-local set, which is
-enough for serial/thread chaos but not for killed-and-respawned workers.
+enough for serial chaos but not for killed-and-respawned workers.
 """
 
 from __future__ import annotations

@@ -1,23 +1,32 @@
 """Retry/timeout/backoff policy — deterministic by construction.
 
-A :class:`RetryPolicy` bundles the three execution knobs the engine and
-the solve server share: how many times to retry a failed attempt, how
-long one attempt may run, and how long to pause between attempts
-(exponential backoff, capped).  Backoff delays are a pure function of
-the attempt number — **no jitter, no RNG** — so enabling retries cannot
-perturb the program's seeded generators and a run with fault handling
-configured but no faults occurring is bit-identical to a run without it
-(the determinism contract pinned by ``tests/test_determinism.py``).
+A :class:`RetryPolicy` bundles the two execution knobs the engine
+exposes: how many times to retry a failed attempt and how long one
+attempt may run.  Between attempts it pauses by a fixed exponential
+backoff (:data:`BACKOFF` seconds, times :data:`MULTIPLIER` per further
+retry, capped at :data:`MAX_BACKOFF`).  The delays are a pure function
+of the attempt number — **no jitter, no RNG** — so enabling retries
+cannot perturb the program's seeded generators and a run with fault
+handling configured but no faults occurring is bit-identical to a run
+without it (the determinism contract pinned by
+``tests/test_determinism.py``).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .errors import TaskTimeoutError
+
+#: Delay before the first retry, in seconds.
+BACKOFF = 0.05
+#: Growth factor of the delay per further retry.
+MULTIPLIER = 2.0
+#: Cap on any single delay, in seconds.
+MAX_BACKOFF = 2.0
 
 
 @dataclass(frozen=True)
@@ -33,60 +42,34 @@ class RetryPolicy:
         Wall-clock seconds one attempt may take; ``None`` disables the
         deadline.  Under the process backend a blown deadline costs a
         pool rebuild (the stuck worker must be killed); under the
-        serial/thread backends the runaway call keeps running in a
-        leaked thread while the caller moves on.
-    backoff:
-        Delay before the first retry, in seconds.
-    multiplier:
-        Growth factor per further retry (exponential backoff).
-    max_backoff:
-        Cap on any single delay.
+        serial backend the runaway call keeps running in a leaked
+        thread while the caller moves on.
     """
 
     retries: int = 0
     timeout: Optional[float] = None
-    backoff: float = 0.05
-    multiplier: float = 2.0
-    max_backoff: float = 2.0
 
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
-        if self.backoff < 0 or self.max_backoff < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
 
     @property
     def attempts(self) -> int:
         """Total attempts this policy allows (first try + retries)."""
         return self.retries + 1
 
-    def delay(self, retry_number: int) -> float:
+    @staticmethod
+    def delay(retry_number: int) -> float:
         """Backoff before retry ``retry_number`` (1-based), in seconds.
 
-        Deterministic: ``backoff * multiplier**(n-1)`` capped at
-        ``max_backoff`` — no randomness, so retries never touch RNG.
+        Deterministic: ``BACKOFF * MULTIPLIER**(n-1)`` capped at
+        ``MAX_BACKOFF`` — no randomness, so retries never touch RNG.
         """
         if retry_number < 1:
             raise ValueError("retry_number is 1-based")
-        return min(self.backoff * self.multiplier ** (retry_number - 1),
-                   self.max_backoff)
-
-    def merged(
-        self,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-    ) -> "RetryPolicy":
-        """This policy with per-task overrides applied (``None`` keeps)."""
-        updates = {}
-        if timeout is not None:
-            updates["timeout"] = timeout
-        if retries is not None:
-            updates["retries"] = retries
-        return replace(self, **updates) if updates else self
+        return min(BACKOFF * MULTIPLIER ** (retry_number - 1), MAX_BACKOFF)
 
     @property
     def is_default(self) -> bool:

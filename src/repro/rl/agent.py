@@ -230,10 +230,9 @@ class FloorplanAgent:
     def clone(self) -> "FloorplanAgent":
         """Independent copy (own optimizer state) for per-circuit fine-tuning.
 
-        The config is copied as well: ``fine_tune`` temporarily rewrites
-        ``rollout_steps`` on its config, and clones fine-tuning
-        concurrently (e.g. Table I cells on the engine's thread backend)
-        must not race on one shared ``TrainConfig``.
+        The config is copied as well, so a clone shares no mutable state
+        with the agent it came from (Table I cells clone one shared
+        context agent per repeat).
         """
         twin = FloorplanAgent(config=replace(self.config))
         twin.policy.load_state_dict(self.policy.state_dict())

@@ -81,15 +81,6 @@ class DetailedRoute:
     def wires_of(self, net: str) -> List[Wire]:
         return [w for w in self.wires if w.net == net]
 
-    def count_shorts(self) -> int:
-        """Same-layer overlaps between wires of different nets."""
-        shorts = 0
-        for i, a in enumerate(self.wires):
-            for b in self.wires[i + 1:]:
-                if a.layer == b.layer and a.net != b.net and a.overlaps(b):
-                    shorts += 1
-        return shorts
-
 
 def _spans(conduit: Conduit) -> Tuple[float, float, float]:
     """(base coordinate, span start, span end) of a conduit."""

@@ -1,9 +1,8 @@
 """Wire protocol of the floorplan solve service.
 
-Line-delimited JSON over a byte stream (TCP or unix socket): every
-request is one JSON object on one line, every response is one JSON
-object on one line, in request order per connection.  The protocol is
-deliberately framework-free — ``nc``/``socat`` or a ten-line client in
+Line-delimited JSON over TCP: every request is one JSON object on one
+line, every response is one JSON object on one line, in request order
+per connection.  The protocol is deliberately framework-free — ``nc``/``socat`` or a ten-line client in
 any language can talk to it.
 
 Requests::

@@ -47,7 +47,7 @@ from ..circuits.library import available_circuits, get_circuit
 from ..circuits.netlist import Circuit
 from ..config import TrainConfig
 from ..engine.cache import ArtifactCache, floorplan_result_to_dict
-from ..engine.executor import Executor
+from ..engine.executor import BACKENDS, Executor
 from ..engine.task import TaskResult, TaskSpec
 from ..engine.tasks import agent_fingerprint
 from ..floorplan.env import FloorplanEnv, Observation
@@ -73,6 +73,9 @@ from .protocol import (
 
 logger = get_logger("serve")
 
+#: Crashed baseline-pool rebuilds allowed per request.
+POOL_REBUILDS = 2
+
 
 @dataclass
 class ServeConfig:
@@ -85,11 +88,10 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    unix_socket: Optional[str] = None   #: serve on a unix socket instead
     max_batch: int = 8                  #: micro-batch size cap
     max_wait_ms: float = 5.0            #: micro-batch max wait (ms)
     workers: Optional[int] = None       #: cold-solve pool size
-    backend: str = "process"            #: cold-solve backend (process/thread/serial)
+    backend: str = "process"            #: cold-solve backend (process/serial)
     cache: bool = True                  #: serve repeats from the artifact cache
     cache_dir: Optional[str] = None     #: cache root override
     agent_prefix: Optional[str] = None  #: checkpoint prefix to load
@@ -99,12 +101,11 @@ class ServeConfig:
     deadline_ms: Optional[float] = None  #: server-default per-request deadline
     queue_size: int = 1024              #: micro-batcher queue bound
     drain_timeout: float = 5.0          #: close(): grace for in-flight solves
-    pool_restarts: int = 2              #: crashed baseline-pool rebuilds per request
 
     def __post_init__(self) -> None:
-        if self.backend not in ("serial", "thread", "process"):
+        if self.backend not in BACKENDS:
             raise ValueError(
-                f"backend must be serial|thread|process, got {self.backend!r}"
+                f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -116,8 +117,6 @@ class ServeConfig:
             raise ValueError("queue_size must be >= 1")
         if self.drain_timeout < 0:
             raise ValueError("drain_timeout must be >= 0")
-        if self.pool_restarts < 0:
-            raise ValueError("pool_restarts must be >= 0")
 
 
 @dataclass
@@ -164,7 +163,7 @@ class SolveServer:
         #: lifetime (rebuilt when a worker crashes).
         self.executor = Executor(
             backend=self.config.backend, workers=self.config.workers,
-            max_pool_rebuilds=self.config.pool_restarts, keep_pool=True,
+            max_pool_rebuilds=POOL_REBUILDS, keep_pool=True,
         )
         self._server: Optional[asyncio.AbstractServer] = None
         #: Solve requests currently being processed (admission control).
@@ -188,16 +187,10 @@ class SolveServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self._batcher.start()
-        if self.config.unix_socket:
-            self._server = await asyncio.start_unix_server(
-                self._handle_conn, path=self.config.unix_socket,
-                limit=MAX_LINE_BYTES,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_conn, host=self.config.host, port=self.config.port,
-                limit=MAX_LINE_BYTES,
-            )
+        self._server = await asyncio.start_server(
+            self._handle_conn, host=self.config.host, port=self.config.port,
+            limit=MAX_LINE_BYTES,
+        )
         logger.info("serving on %s (max_batch=%d, max_wait=%.1fms, cache=%s)",
                     self.endpoint, self.config.max_batch,
                     self.config.max_wait_ms,
@@ -206,16 +199,14 @@ class SolveServer:
     @property
     def address(self) -> Tuple[str, int]:
         """Bound ``(host, port)`` — resolves ephemeral ``port=0`` binds."""
-        if self._server is None or self.config.unix_socket:
-            raise RuntimeError("server not started on a TCP socket")
+        if self._server is None:
+            raise RuntimeError("server not started")
         sock = self._server.sockets[0]
         host, port = sock.getsockname()[:2]
         return host, port
 
     @property
     def endpoint(self) -> str:
-        if self.config.unix_socket:
-            return self.config.unix_socket
         if self._server is not None:
             host, port = self.address
             return f"{host}:{port}"
@@ -541,7 +532,7 @@ class SolveServer:
 
         The executor's kept pool survives between requests; when a
         worker crashes it is rebuilt and the solve resubmitted, up to
-        ``config.pool_restarts`` times per request.
+        :data:`POOL_REBUILDS` times per request.
         """
         (result,) = await asyncio.to_thread(self.executor.map_tasks, [spec])
         return result.value
@@ -616,7 +607,7 @@ class SolveServer:
             "shed": int(self.metrics.counters.get("serve.shed", 0)),
             "deadline_exceeded": int(
                 self.metrics.counters.get("serve.deadline_exceeded", 0)),
-            "pool_restarts": self.executor.pools_discarded,
+            "pool_rebuilds": self.executor.pools_discarded,
             "agent": self.agent_digest,
             "endpoint": self.endpoint,
         }

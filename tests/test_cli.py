@@ -38,6 +38,13 @@ class TestParser:
         assert args.backend == "serial"
         assert args.cache is None  # resolved per-command (sweep defaults on)
 
+    @pytest.mark.parametrize("flag", ["--task-timeout", "--task-retries"])
+    def test_serve_rejects_retry_policy_flags(self, flag):
+        # serve sets no retry policy, so it must not accept one silently.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve", flag, "5"])
+        assert info.value.code == 2
+
     def test_sweep_options(self):
         args = build_parser().parse_args(
             ["sweep", "--methods", "sa,ga", "--circuits", "ota1,ota2",
@@ -87,7 +94,7 @@ class TestCommands:
     def test_sweep_runs_with_workers(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         argv = ["sweep", "--methods", "sa", "--circuits", "ota_small",
-                "--seeds", "2", "--workers", "2", "--backend", "thread",
+                "--seeds", "2", "--workers", "2", "--backend", "process",
                 "--set", "moves_per_temperature=4"]
         assert main(argv) == 0
         out = capsys.readouterr().out

@@ -83,10 +83,10 @@ class TestFineTuneDeterminism:
         assert_results_identical(a, b)
         assert agent_fingerprint(agent) == before
 
-    def test_k_shot_grid_bit_identical_serial_vs_thread(self):
-        """Concurrent fine-tunes must not interact: each clone owns its
-        config (``fine_tune`` rewrites ``rollout_steps`` on it), so the
-        thread backend reproduces the serial grid bit for bit."""
+    def test_k_shot_grid_bit_identical_serial_vs_process(self):
+        """Fine-tunes must not interact: each repeat clones the shared
+        agent and reseeds the clone, so the process backend reproduces
+        the serial grid bit for bit."""
         agent = _small_agent()
         specs = [
             TaskSpec(fn="table1_rl",
@@ -99,10 +99,10 @@ class TestFineTuneDeterminism:
         ]
         context = {"agent": agent}
         reference = Executor().map_tasks(specs, context=context)
-        threaded = Executor(backend="thread", workers=2).map_tasks(
+        parallel = Executor(backend="process", workers=2).map_tasks(
             specs, context=context
         )
-        for a, b in zip(reference, threaded):
+        for a, b in zip(reference, parallel):
             assert_results_identical(a.value[0], b.value[0])
 
     def test_fine_tune_same_seed_identical_weights(self):

@@ -36,6 +36,14 @@ class TestTaskSpec:
         assert base.content_hash() != TaskSpec(fn="baseline", params={"x": 2}, seed=0).content_hash()
         assert base.content_hash() != TaskSpec(fn="baseline", params={"x": 1}, seed=1).content_hash()
 
+    def test_hash_is_pinned(self):
+        # The artifact-cache key: a change here orphans every cached cell.
+        spec = TaskSpec(fn="baseline", seed=3, tag="x", params={
+            "circuit": "ota1", "method": "sa",
+            "config": {"moves_per_temperature": 4}})
+        assert spec.content_hash() == (
+            "930ace189c0c2d2a0e728937daafdb4a55a65fc2ba2f5accf95fb2c7d6430fbf")
+
     def test_tag_excluded_from_hash(self):
         a = TaskSpec(fn="baseline", params={}, seed=0, tag="a")
         b = TaskSpec(fn="baseline", params={}, seed=0, tag="b")
@@ -88,7 +96,7 @@ class TestExecutor:
         assert all(r.seconds > 0 for r in results)
         assert all(r.value.method == "SA" for r in results)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_backends_match_serial(self, backend):
         specs = [TaskSpec(fn="baseline", params=FAST_SA, seed=s) for s in range(3)]
         serial = Executor().map_tasks(specs)
@@ -96,12 +104,6 @@ class TestExecutor:
         for a, b in zip(serial, parallel):
             assert a.value.rects == b.value.rects
             assert a.value.reward == b.value.reward
-
-    def test_progress_callback_sees_every_task(self):
-        seen = []
-        ex = Executor(progress=lambda done, total, res: seen.append((done, total)))
-        ex.map_tasks([TaskSpec(fn="baseline", params=FAST_SA, seed=s) for s in range(2)])
-        assert seen == [(1, 2), (2, 2)]
 
     def test_stats_accounting(self):
         ex = Executor()

@@ -343,10 +343,6 @@ class TestHistogramCap:
 
 
 class TestAggregation:
-    def _sweep_counters(self, backend: str, workers=2) -> dict:
-        state = self._sweep_state(backend, workers)
-        return state["counters"]
-
     def _sweep_state(self, backend: str, workers=2) -> dict:
         obs.reset()
         obs.enable()
@@ -371,11 +367,6 @@ class TestAggregation:
         assert serial["counters"]["engine.tasks.computed"] == 4
         assert serial["counters"]["baseline.runs"] == 4
         assert serial["counters"]["baseline.evaluations"] > 0
-
-    def test_thread_backend_matches_serial(self):
-        serial = self._sweep_counters("serial")
-        threaded = self._sweep_counters("thread")
-        assert threaded == serial
 
 class TestCacheMetrics:
     def test_registry_is_single_source_of_truth(self, tmp_path):

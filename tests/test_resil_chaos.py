@@ -29,7 +29,7 @@ from repro.engine import (
     register_task,
     run_sweep,
 )
-from repro.resil import RetryPolicy, SweepJournal
+from repro.resil import RetryPolicy
 from repro.resil import chaos
 from repro.resil.chaos import KILL_EXIT_CODE, _fraction
 from repro.rl import FloorplanAgent
@@ -77,10 +77,9 @@ def chaos_env(monkeypatch, tmp_path):
 
 
 @pytest.fixture
-def fork_ctx(monkeypatch):
+def fork_ctx():
     if "fork" not in __import__("multiprocessing").get_all_start_methods():
         pytest.skip("fork start method unavailable")
-    monkeypatch.setenv("REPRO_MP_CONTEXT", "fork")
 
 
 def small_agent(seed: int = 0) -> FloorplanAgent:
@@ -124,8 +123,7 @@ class TestEngineChaos:
         chaos_env(f"hang_task:rate=1,value=60,seed={CHAOS_SEED}")
         specs = [TaskSpec(fn="chaos_echo", seed=s) for s in range(2)]
         ex = Executor(backend="process", workers=2,
-                      policy=RetryPolicy(retries=1, timeout=1.0,
-                                         backoff=0.01))
+                      policy=RetryPolicy(retries=1, timeout=1.0))
         began = time.perf_counter()
         results = ex.map_tasks(specs)
         assert [r.value for r in results] == [0, 7]
@@ -138,8 +136,7 @@ class TestEngineChaos:
     def test_hang_task_recovered_serial(self, chaos_env):
         chaos_env(f"hang_task:rate=1,value=5,seed={CHAOS_SEED}")
         ex = Executor(backend="serial",
-                      policy=RetryPolicy(retries=1, timeout=0.3,
-                                         backoff=0.01))
+                      policy=RetryPolicy(retries=1, timeout=0.3))
         results = ex.map_tasks([TaskSpec(fn="chaos_echo", seed=3)])
         assert results[0].value == 21
         assert ex.stats.timeouts == 1
@@ -271,10 +268,10 @@ class TestServeChaos:
         with ServerThread(config, agent=small_agent()) as handle:
             with SolveClient(handle.address) as client:
                 assert client.solve("ota_small", seed=0, **sa)["ok"]
-                assert client.stats()["pool_restarts"] == 1
+                assert client.stats()["pool_rebuilds"] == 1
                 # A new site: the rebuilt pool absorbs one more kill.
                 assert client.solve("ota_small", seed=1, **sa)["ok"]
-                assert client.stats()["pool_restarts"] == 2
+                assert client.stats()["pool_rebuilds"] == 2
 
     def test_stats_exposes_resilience_counters(self):
         config = ServeConfig(backend="serial", cache=False)
@@ -282,22 +279,21 @@ class TestServeChaos:
             with SolveClient(handle.address) as client:
                 stats = client.stats()
         for key in ("queue_depth", "shed", "deadline_exceeded",
-                    "pool_restarts"):
+                    "pool_rebuilds"):
             assert key in stats
 
 
 # ---------------------------------------------------------------------------
-# Crash-resumable sweeps: mid-sweep kill, then bit-identical resume
+# Crash-resumable sweeps: mid-sweep kill, then a bit-identical rerun
 # ---------------------------------------------------------------------------
 
 _SWEEP_SCRIPT = textwrap.dedent("""
     import sys
     from repro.engine import ArtifactCache, Executor, SweepSpec, run_sweep
-    cache_dir, journal = sys.argv[1], sys.argv[2]
     spec = SweepSpec(methods=["sa"], circuits=["ota_small"],
                      seeds=range(4), config={"moves_per_temperature": 4})
-    ex = Executor(backend="serial", cache=ArtifactCache(root=cache_dir))
-    run_sweep(spec, executor=ex, journal_path=journal)
+    ex = Executor(backend="serial", cache=ArtifactCache(root=sys.argv[1]))
+    run_sweep(spec, executor=ex)
     print("completed-without-kill")
 """)
 
@@ -329,35 +325,32 @@ class TestSweepResume:
         kill_seed = self._kill_seed(keys, victim_index=2)
 
         cache_dir = str(tmp_path / "cache")
-        journal_path = str(tmp_path / "journal.jsonl")
         env = dict(os.environ)
         env["REPRO_CHAOS"] = f"kill_worker:rate=0.25,seed={kill_seed}"
         env["REPRO_CHAOS_DIR"] = str(tmp_path / "markers")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in ("src", env.get("PYTHONPATH", "")) if p)
         proc = subprocess.run(
-            [sys.executable, "-c", _SWEEP_SCRIPT, cache_dir, journal_path],
+            [sys.executable, "-c", _SWEEP_SCRIPT, cache_dir],
             env=env, capture_output=True, text=True, timeout=300,
         )
         # The serial sweep process itself is the kill_worker victim: it
-        # must die mid-sweep with the sentinel code, cells 0-1 journaled.
+        # must die mid-sweep with the sentinel code, after cells 0-1.
         assert proc.returncode == KILL_EXIT_CODE, proc.stderr
         assert "completed-without-kill" not in proc.stdout
-        journaled = SweepJournal(journal_path,
-                                 sweep_hash=spec.content_hash()).load()
-        assert journaled == set(keys[:2])
 
-        # Warm resume, no chaos: zero completed cells recomputed.
+        # Rerun on the same cache, no chaos: the two finished cells
+        # replay from the cache, only the unfinished two compute.
         ex = Executor(backend="serial",
                       cache=ArtifactCache(root=cache_dir))
-        resumed = run_sweep(spec, executor=ex, journal_path=journal_path,
-                            resume=True)
-        assert resumed.resumed == 2
-        assert ex.stats.cache_hits == 2   # journal and cache agree
-        assert ex.stats.computed == 2     # only the unfinished tail
+        resumed = run_sweep(spec, executor=ex)
+        assert ex.stats.cache_hits == 2
+        assert ex.stats.computed == 2
+        assert [r.cached for r in resumed.results] == [True, True,
+                                                       False, False]
 
-        # Bit-identical to an uninterrupted run (fresh cache, fresh
-        # journal): every deterministic per-run metric matches exactly.
+        # Bit-identical to an uninterrupted run (fresh cache): every
+        # deterministic per-run metric matches exactly.
         ref_ex = Executor(backend="serial",
                           cache=ArtifactCache(root=str(tmp_path / "ref")))
         reference = run_sweep(spec, executor=ref_ex)
@@ -367,48 +360,11 @@ class TestSweepResume:
                           for r in reference.results]
         assert resumed_runs == reference_runs
         assert (resumed.summary().split(" in ")[0]
-                == "4 cells (2 from cache, 2 resumed)")
+                == "4 cells (2 from cache)")
 
-        # A second resume finds everything journaled: nothing computed.
+        # A second rerun finds every cell cached: nothing computed.
         ex2 = Executor(backend="serial",
                        cache=ArtifactCache(root=cache_dir))
-        full = run_sweep(spec, executor=ex2, journal_path=journal_path,
-                         resume=True)
-        assert full.resumed == 4
+        run_sweep(spec, executor=ex2)
         assert ex2.stats.computed == 0
         assert ex2.stats.cache_hits == 4
-
-    def test_resume_distrusts_journal_when_cache_is_gone(self, tmp_path):
-        spec = self._spec()
-        journal_path = str(tmp_path / "journal.jsonl")
-        cache_dir = str(tmp_path / "cache")
-        ex = Executor(backend="serial", cache=ArtifactCache(root=cache_dir))
-        run_sweep(spec, executor=ex, journal_path=journal_path)
-
-        # Journal says done, but the artifacts vanished (cache cleared):
-        # resume must recompute rather than trust the journal alone.
-        fresh_cache = str(tmp_path / "elsewhere")
-        ex2 = Executor(backend="serial",
-                       cache=ArtifactCache(root=fresh_cache))
-        result = run_sweep(spec, executor=ex2, journal_path=journal_path,
-                           resume=True)
-        assert result.resumed == 0
-        assert ex2.stats.computed == 4
-
-    def test_journal_stamp_ignores_other_grids(self, tmp_path):
-        spec = self._spec()
-        journal_path = str(tmp_path / "journal.jsonl")
-        cache_dir = str(tmp_path / "cache")
-        ex = Executor(backend="serial", cache=ArtifactCache(root=cache_dir))
-        run_sweep(spec, executor=ex, journal_path=journal_path)
-
-        # Same journal path, different grid: completions must not carry.
-        other = SweepSpec(methods=["sa"], circuits=["ota_small"],
-                          seeds=range(2),
-                          config={"moves_per_temperature": 8})
-        ex2 = Executor(backend="serial",
-                       cache=ArtifactCache(root=cache_dir))
-        result = run_sweep(other, executor=ex2, journal_path=journal_path,
-                           resume=True)
-        assert result.resumed == 0
-        assert ex2.stats.computed == 2
