@@ -40,31 +40,12 @@ import sys
 from typing import List, Optional
 
 from . import obs
-from .baselines import (
-    GAConfig,
-    PSOConfig,
-    RLSAConfig,
-    RLSPConfig,
-    SAConfig,
-    genetic_algorithm,
-    particle_swarm,
-    rl_sequence_pair,
-    rl_simulated_annealing,
-    simulated_annealing,
-)
 from .circuits import TRAINING_SET, available_circuits, get_circuit
 from .config import TrainConfig
+from .engine.tasks import BASELINE_RUNNERS
 from .rl import FloorplanAgent
 
 logger = obs.get_logger("cli")
-
-_BASELINES = {
-    "sa": (simulated_annealing, SAConfig),
-    "ga": (genetic_algorithm, GAConfig),
-    "pso": (particle_swarm, PSOConfig),
-    "rl-sa": (rl_simulated_annealing, RLSAConfig),
-    "rl-sp": (rl_sequence_pair, RLSPConfig),
-}
 
 
 def _executor_from_args(args, default_cache: bool = False):
@@ -103,7 +84,7 @@ def cmd_circuits(_args) -> int:
 
 def cmd_floorplan(args) -> int:
     circuit = _circuit_or_exit(args.circuit)
-    runner, config_cls = _BASELINES[args.method]
+    runner, config_cls = BASELINE_RUNNERS[args.method]
     result = runner(circuit, config_cls(seed=args.seed))
     print(result.summary())
     if args.verbose:
@@ -207,9 +188,9 @@ def cmd_sweep(args) -> int:
     circuits = [c.strip() for c in args.circuits.split(",") if c.strip()]
     for name in circuits:
         _circuit_or_exit(name)
-    unknown = [m for m in methods if m not in _BASELINES]
+    unknown = [m for m in methods if m not in BASELINE_RUNNERS]
     if unknown:
-        print(f"unknown method(s) {unknown}; available: {', '.join(sorted(_BASELINES))}",
+        print(f"unknown method(s) {unknown}; available: {', '.join(sorted(BASELINE_RUNNERS))}",
               file=sys.stderr)
         raise SystemExit(2)
 
@@ -234,7 +215,7 @@ def cmd_svg(args) -> int:
     from .routing.global_router import route_circuit
 
     circuit = _circuit_or_exit(args.circuit)
-    runner, config_cls = _BASELINES[args.method]
+    runner, config_cls = BASELINE_RUNNERS[args.method]
     result = runner(circuit, config_cls(seed=args.seed))
     route = route_circuit(circuit, result.rects) if args.route else None
     svg = floorplan_svg(circuit, result.rects, route=route)
@@ -390,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("floorplan", parents=[obs_flags],
                        help="run one floorplanning baseline")
     p.add_argument("circuit")
-    p.add_argument("--method", choices=sorted(_BASELINES), default="sa")
+    p.add_argument("--method", choices=sorted(BASELINE_RUNNERS), default="sa")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_floorplan)
@@ -402,9 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_pipeline)
 
     p = sub.add_parser("train", parents=[obs_flags], help="HCL-train the RL agent")
-    p.add_argument("--episodes", type=int, default=8)
-    p.add_argument("--envs", type=int, default=2)
-    p.add_argument("--rollout", type=int, default=48)
+    p.add_argument("--episodes", type=_int_at_least(2), default=8,
+                   help="HCL episodes per circuit (curriculum needs >= 2)")
+    p.add_argument("--envs", type=_positive_int, default=2)
+    p.add_argument("--rollout", type=_positive_int, default=48)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--circuits", nargs="*", default=None)
     p.add_argument("--out", default=None, help="checkpoint path prefix")
@@ -447,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render a floorplan (and routing) to SVG")
     p.add_argument("circuit")
     p.add_argument("--out", default="floorplan.svg")
-    p.add_argument("--method", choices=sorted(_BASELINES), default="sa")
+    p.add_argument("--method", choices=sorted(BASELINE_RUNNERS), default="sa")
     p.add_argument("--route", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_svg)

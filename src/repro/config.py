@@ -59,6 +59,13 @@ class TrainConfig:
     max_grad_norm: float = 0.5
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # A zero budget would never step the envs, so training would
+        # never end.
+        for name in ("num_envs", "rollout_steps", "ppo_epochs", "minibatch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"TrainConfig.{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class PretrainConfig:

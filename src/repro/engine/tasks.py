@@ -33,7 +33,7 @@ from ..circuits.library import get_circuit
 from ..floorplan.metrics import hpwl_lower_bound
 from .task import register_task
 
-#: Method name -> (runner, config class); keys match the CLI baselines.
+#: Method name -> (runner, config class); also the CLI's ``--method`` choices.
 BASELINE_RUNNERS = {
     "sa": (simulated_annealing, SAConfig),
     "ga": (genetic_algorithm, GAConfig),
@@ -43,7 +43,7 @@ BASELINE_RUNNERS = {
 }
 
 #: Table I column label -> baseline key.
-TABLE1_BASELINES = {
+TABLE1_BASELINE_KEYS = {
     "SA": "sa",
     "GA": "ga",
     "PSO": "pso",

@@ -37,7 +37,7 @@ from ..circuits.netlist import Circuit
 from ..config import TrainConfig
 from ..engine.executor import Executor
 from ..engine.task import TaskSpec
-from ..engine.tasks import TABLE1_BASELINES, agent_fingerprint
+from ..engine.tasks import TABLE1_BASELINE_KEYS, agent_fingerprint
 from ..rl.agent import FloorplanAgent
 from .stats import iqm_and_std
 
@@ -147,7 +147,7 @@ def table1_task_specs(
                     tag=f"{method}/{name}/s{r}",
                 ), method))
         for method, config in baseline_configs.items():
-            params = {"circuit": name, "method": TABLE1_BASELINES[method],
+            params = {"circuit": name, "method": TABLE1_BASELINE_KEYS[method],
                       "config": _config_dict(config), "unconstrained": True}
             for r in range(scale.repeats):
                 pairs.append((TaskSpec(

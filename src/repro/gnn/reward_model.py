@@ -2,8 +2,10 @@
 
 Paper Fig. 3 / Sec. IV-C: four R-GCN layers, node mean aggregation, then
 five fully-connected layers regressing the floorplan reward; trained with
-MSE on metaheuristic-optimized floorplans.  After pre-training, the FC
-head is dropped and the encoder conditions the RL agent.
+MSE on metaheuristic-optimized floorplans.  In the paper the FC head is
+then dropped and the pre-trained encoder conditions the RL agent; here
+the agent still builds its own untrained encoder, so only Fig. 3 runs
+this model.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ class RewardModel(Module):
         self.head = mlp([hidden_dim, 64, 64, 32, 16, 1], rng=rng)
 
     def forward(self, graph: HeteroGraph) -> Tensor:
-        _, graph_embedding = self.encoder(graph)
-        return self.head(graph_embedding.reshape(1, -1)).reshape(())
+        _, graph_embedding = self.encoder.encode_batch([graph])
+        return self.head(graph_embedding).reshape(())
 
     def predict(self, graph: HeteroGraph) -> float:
         """Inference-only scoring: tape-free under ``nn.no_grad()``."""

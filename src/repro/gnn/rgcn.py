@@ -8,22 +8,19 @@ an R-GCN layer is a handful of matmuls:
 with A_r_norm the row-normalized adjacency of relation r (the 1/c_{u,r}
 constant of Eq. 2 baked in).
 
-Cross-graph batching (:meth:`RGCNEncoder.encode_batch`) runs a whole
-fleet of graphs through one set of large GEMMs per layer: node features
-are zero-padded to ``(G, max_nodes, d)``, each relation is applied as a
-single batched ``np.matmul`` against the padded adjacency stack, and the
-readout is a per-graph segment mean.  The batched ops are written so
-both forward and backward are **bit-identical** to looping the per-graph
-path (same GEMM row contractions, sequential per-graph accumulation of
-weight/bias gradients); golden tests in ``tests/test_gnn_batched.py``
-pin the contract.  The only tolerated divergence: a graph without edges
-under some relation is skipped by the per-graph path but contributes an
-exact-zero term in the batch, which can flip a ``-0.0`` to ``+0.0``.
+There is one forward, :meth:`RGCNEncoder.encode_batch`, shared by the
+reward model (a batch of one graph) and the RL agent (a fleet of
+graphs).  It runs a whole batch through one set of GEMMs per layer: node
+features are zero-padded to ``(G, max_nodes, d)``, each relation is
+applied as a single batched ``np.matmul`` against the padded adjacency
+stack, and the readout is a per-graph node mean.  Forward values and
+parameter gradients do not depend on which graphs share a batch (up to
+the sign of a zero); the golden tests in ``tests/test_gnn_batched.py``
+pin them bit for bit to the per-graph reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,16 +34,17 @@ from ..obs import OBS, phase
 
 # ---------------------------------------------------------------------------
 # Padded-batch autograd ops.  These exist (rather than composing generic
-# tensor ops) to keep gradient accumulation bit-identical to the
-# per-graph loop: weight/bias gradients accumulate per graph in batch
-# order, exactly like running the graphs one at a time.
+# tensor ops) so a graph's result does not depend on its batch:
+# weight/bias gradients accumulate per graph in batch order, exactly like
+# encoding the graphs one at a time (``rgcn_encode_reference`` in
+# ``tests/oracles.py``).
 # ---------------------------------------------------------------------------
 
 def _padded_bias_add(x: Tensor, bias: Tensor) -> Tensor:
     """``x + bias`` for padded ``(G, N_max, d)`` activations.
 
     The bias VJP reduces per graph first (``sum(axis=1)``) and then
-    sequentially over graphs — the same order the per-graph loop
+    sequentially over graphs — the order one-graph-at-a-time encoding
     accumulates — where a plain broadcast add would reduce with
     ``sum(axis=(0, 1))`` and regroup the partial sums.
     """
@@ -64,7 +62,7 @@ def _padded_spmm(adj: np.ndarray, h: Tensor) -> Tensor:
 
     ``adj`` is the zero-padded per-graph adjacency ``(G, N_max, N_max)``
     (structure only — no gradient); the VJP applies the transposed
-    blocks, matching ``Tensor(adj_g) @ h_g`` graph by graph.
+    blocks graph by graph.
     """
     out_data = np.matmul(adj, h.data)
     adj_t = adj.transpose(0, 2, 1)
@@ -78,7 +76,7 @@ def _padded_spmm(adj: np.ndarray, h: Tensor) -> Tensor:
 def _padded_graph_readout(h: Tensor, sizes: np.ndarray) -> Tensor:
     """Per-graph node mean over padded activations -> ``(G, d)``.
 
-    Replicates ``nodes.mean(axis=0)`` of the per-graph path exactly:
+    Each row is ``nodes.mean(axis=0)`` of that graph's nodes, exactly:
     contiguous-slice row sum times a reciprocal cast to the default NN
     dtype (the op order ``Tensor.mean`` produces).
     """
@@ -127,30 +125,7 @@ class RGCNLayer(Module):
     def relation_weight(self, r: int) -> Tensor:
         return getattr(self, f"w_rel{r}")
 
-    def forward(self, h: Tensor, adj_stack: np.ndarray) -> Tensor:
-        """Apply the layer.
-
-        Parameters
-        ----------
-        h:
-            Node features, shape (N, in_dim).
-        adj_stack:
-            Row-normalized adjacency per relation, shape (R, N, N); plain
-            ndarray (graph structure carries no gradient).
-        """
-        if adj_stack.shape[0] != self.num_relations:
-            raise ValueError(
-                f"expected {self.num_relations} relations, got {adj_stack.shape[0]}"
-            )
-        out = h @ self.w_self + self.bias
-        for r in range(self.num_relations):
-            adj = adj_stack[r]
-            if not adj.any():
-                continue
-            out = out + Tensor(adj) @ h @ self.relation_weight(r)
-        return out.relu() if self.activation else out
-
-    def forward_batched(
+    def forward(
         self, h: Tensor, adj_padded: np.ndarray, active: np.ndarray
     ) -> Tensor:
         """Apply the layer to a padded batch of graphs at once.
@@ -165,7 +140,7 @@ class RGCNLayer(Module):
             ``(R, G, N_max, N_max)``.
         active:
             Per-relation flags; relations with no edges anywhere in the
-            batch are skipped, like the per-graph path skips them.
+            batch are skipped.
         """
         if adj_padded.shape[0] != self.num_relations:
             raise ValueError(
@@ -203,43 +178,6 @@ class RGCNEncoder(Module):
         for i in range(num_layers):
             setattr(self, f"layer{i}", RGCNLayer(dims[i], dims[i + 1], rng=rng))
 
-    def node_embeddings(self, graph: HeteroGraph) -> Tensor:
-        # Graph structure/features stay float64 in the graph layer; cast
-        # once at the NN boundary so the whole stack runs in one dtype.
-        # The cast itself is memoized per (graph, dtype) inside the
-        # graph's adjacency cache instead of re-running astype per call.
-        dtype = self.dtype
-        adj_stack = graph.adjacency_stack(normalize=True, dtype=dtype)
-        h = Tensor(graph.features.astype(dtype, copy=False))
-        for i in range(self.num_layers):
-            h = getattr(self, f"layer{i}")(h, adj_stack)
-        return h
-
-    def forward(self, graph: HeteroGraph) -> Tuple[Tensor, Tensor]:
-        """Returns (node_embeddings (N, d), graph_embedding (d,))."""
-        if not OBS.enabled:
-            nodes = self.node_embeddings(graph)
-            return nodes, nodes.mean(axis=0)
-        t0 = time.perf_counter()
-        nodes = self.node_embeddings(graph)
-        graph_embedding = nodes.mean(axis=0)
-        registry = OBS.registry
-        registry.inc("gnn.encode.calls")
-        registry.observe("gnn.encode.seconds", time.perf_counter() - t0)
-        return nodes, graph_embedding
-
-    def encode_numpy(self, graph: HeteroGraph) -> Tuple[np.ndarray, np.ndarray]:
-        """Gradient-free encoding for the (frozen) RL feature path.
-
-        Runs under ``nn.no_grad()``: no autograd tape is recorded.
-        """
-        with no_grad():
-            nodes, graph_embedding = self.forward(graph)
-        return nodes.numpy().copy(), graph_embedding.numpy().copy()
-
-    # ------------------------------------------------------------------
-    # Cross-graph batched inference (ISSUE 7)
-    # ------------------------------------------------------------------
     def encode_batch(
         self, graphs: Union[BatchedHeteroGraph, Sequence[HeteroGraph]]
     ) -> Tuple[Tensor, Tensor]:
@@ -249,10 +187,10 @@ class RGCNEncoder(Module):
         embeddings concatenated over graphs (``(total_nodes, d)``, rows
         ordered by graph then node — use ``batch.node_slices()`` /
         ``batch.offsets`` to split) and one graph embedding per graph
-        (``(G, d)``).  Bit-identical to running :meth:`forward` per
-        graph, in both forward values and parameter gradients; honors
-        ``no_grad`` and the ``REPRO_NN_DTYPE`` policy like the per-graph
-        path.
+        (``(G, d)``).  Each graph's values and parameter gradients are
+        those of encoding it alone, up to the sign of a zero (a relation
+        only other graphs use adds an exact-zero term); honors
+        ``no_grad`` and the ``REPRO_NN_DTYPE`` policy.
         """
         batch = (
             graphs
@@ -265,7 +203,7 @@ class RGCNEncoder(Module):
             adj_padded, active = batch.adjacency_padded(dtype=dtype)
             h = Tensor(batch.features_padded(dtype=dtype))
             for i in range(self.num_layers):
-                h = getattr(self, f"layer{i}").forward_batched(h, adj_padded, active)
+                h = getattr(self, f"layer{i}")(h, adj_padded, active)
             graph_embeddings = _padded_graph_readout(h, batch.sizes)
             nodes = take(
                 h.reshape(batch.num_graphs * batch.max_nodes, h.shape[-1]),
@@ -281,9 +219,9 @@ class RGCNEncoder(Module):
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Gradient-free batched encoding, split back per graph.
 
-        Returns one ``(node_embeddings, graph_embedding)`` ndarray pair
-        per input graph (the shape :meth:`encode_numpy` produces), so
-        embedding caches can be filled from a single batched forward.
+        Returns one ``(node_embeddings (N, d), graph_embedding (d,))``
+        ndarray pair per input graph, so embedding caches can be filled
+        from a single batched forward.
         """
         batch = (
             graphs

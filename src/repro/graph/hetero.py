@@ -16,7 +16,7 @@ import secrets
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class HeteroGraph:
         # Mutation counter: bumped by add_edge so batched-structure caches
         # keyed on (uid, version) never serve a stale snapshot.
         self._version: int = 0
-        self._adj_cache: Dict[Tuple[bool, Optional[str]], np.ndarray] = {}
+        self._adj_cache: Dict[bool, np.ndarray] = {}
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] != self.num_nodes:
             raise ValueError(
@@ -108,7 +108,7 @@ class HeteroGraph:
         """Structure mutation counter (getattr tolerates old pickles)."""
         return getattr(self, "_version", 0)
 
-    def _adj_cache_dict(self) -> Dict[Tuple[bool, Optional[str]], np.ndarray]:
+    def _adj_cache_dict(self) -> Dict[bool, np.ndarray]:
         # getattr tolerates instances unpickled from pre-cache payloads.
         cache = getattr(self, "_adj_cache", None)
         if cache is None:
@@ -137,27 +137,17 @@ class HeteroGraph:
             adj = adj / degree
         return adj
 
-    def adjacency_stack(self, normalize: bool = True, dtype=None) -> np.ndarray:
+    def adjacency_stack(self, normalize: bool = True) -> np.ndarray:
         """All relations stacked: shape ``(num_relations, N, N)``.
 
-        Cached per ``(normalize, dtype)`` (invalidated by
-        :meth:`add_edge`); encoders call this on every forward pass, and
-        passing their compute ``dtype`` memoizes the cast as well instead
-        of re-running ``astype`` per call.  Treat the result as read-only.
+        Cached per ``normalize`` (invalidated by :meth:`add_edge`).  Treat
+        the result as read-only.
         """
         cache = self._adj_cache_dict()
-        dtype = np.dtype(dtype) if dtype is not None else None
-        key = (bool(normalize), dtype.str if dtype is not None else None)
-        stack = cache.get(key)
+        stack = cache.get(bool(normalize))
         if stack is None:
-            base_key = (bool(normalize), None)
-            stack = cache.get(base_key)
-            if stack is None:
-                stack = np.stack([self.adjacency(r, normalize) for r in RELATIONS])
-                cache[base_key] = stack
-            if dtype is not None:
-                stack = stack.astype(dtype, copy=False)
-                cache[key] = stack
+            stack = np.stack([self.adjacency(r, normalize) for r in RELATIONS])
+            cache[bool(normalize)] = stack
         return stack
 
     def neighbors(self, node: int, relation: str) -> List[int]:
@@ -169,17 +159,6 @@ class HeteroGraph:
                 result.append(u)
         return sorted(set(result))
 
-    @staticmethod
-    def batch(graphs: Sequence["HeteroGraph"]) -> "BatchedHeteroGraph":
-        """Batch ``graphs`` for one cross-graph forward (memoized).
-
-        Repeated batches of the same graph objects (keyed on their
-        ``(uid, version)`` tuples) reuse the cached structure, so a
-        vec-env that encodes the same fleet of circuits every rollout
-        pays the concatenation/padding cost once.
-        """
-        return batch_graphs(graphs)
-
 
 class BatchedHeteroGraph:
     """A batch of heterogeneous graphs viewed as one padded structure.
@@ -189,8 +168,8 @@ class BatchedHeteroGraph:
     ``(num_relations, num_graphs, max_nodes, max_nodes)`` so one batched
     ``np.matmul`` per relation applies every graph's message passing at
     once (equivalent to a block-diagonal matrix, laid out for batched
-    GEMM instead).  Per-dtype casts of the stack and the padded feature
-    tensor are memoized, mirroring ``HeteroGraph.adjacency_stack``.
+    GEMM instead).  The stack and the padded feature tensor are memoized
+    per dtype.
     """
 
     def __init__(self, graphs: Sequence[HeteroGraph]):
@@ -208,10 +187,6 @@ class BatchedHeteroGraph:
         self.max_nodes = int(self.sizes.max())
         #: Cache key: the member graphs' identity + structure versions.
         self.key: Tuple = tuple((g.uid, g.version) for g in self.graphs)
-        #: segment_ids[i] = graph index of concatenated row i.
-        self.segment_ids = np.repeat(
-            np.arange(self.num_graphs, dtype=np.int64), self.sizes
-        )
         #: Flat indices of the valid rows inside the padded
         #: (num_graphs * max_nodes, d) layout, in concatenation order.
         self.flat_index = np.concatenate([
@@ -241,8 +216,7 @@ class BatchedHeteroGraph:
         ``(R, G, max_nodes, max_nodes)`` (each graph's row-normalized
         adjacency in its top-left block, zeros elsewhere) and
         ``active[r]`` is True iff any graph has relation-``r`` edges
-        (inactive relations are skipped entirely, matching the per-graph
-        path's skip).
+        (the R-GCN layers skip inactive relations entirely).
         """
         dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
         cached = self._adj_cache.get(dtype.str)
@@ -253,7 +227,7 @@ class BatchedHeteroGraph:
             )
             for g, graph in enumerate(self.graphs):
                 n = graph.num_nodes
-                stack[:, g, :n, :n] = graph.adjacency_stack(normalize=True, dtype=dtype)
+                stack[:, g, :n, :n] = graph.adjacency_stack(normalize=True)
             active = np.array([
                 any(graph.num_edges(r) for graph in self.graphs) for r in RELATIONS
             ])
@@ -276,8 +250,13 @@ _BATCH_CACHE_LOCK = threading.Lock()
 
 
 def batch_graphs(graphs: Sequence[HeteroGraph]) -> BatchedHeteroGraph:
-    """LRU-cached :class:`BatchedHeteroGraph` construction (see
-    :meth:`HeteroGraph.batch`)."""
+    """LRU-cached :class:`BatchedHeteroGraph` construction.
+
+    Repeated batches of the same graph objects (keyed on their
+    ``(uid, version)`` tuples) reuse the cached structure, so a vec-env
+    that encodes the same fleet of circuits every rollout pays the
+    concatenation/padding cost once.
+    """
     key = tuple((g.uid, g.version) for g in graphs)
     with _BATCH_CACHE_LOCK:
         batch = _BATCH_CACHE.get(key)

@@ -1,4 +1,4 @@
-"""Convolution, linear and segment primitives for the autograd engine.
+"""Convolution and linear primitives for the autograd engine.
 
 The RL policy of the paper (Fig. 4) uses a CNN feature extractor
 (3x3 kernels, stride 1, padding 1) and a deconvolutional policy head
@@ -28,10 +28,6 @@ groups those small products differently once folded.  PPO training
 amplifies any regrouped sum into different learned floorplans, so this
 keeps the trained agent, and every golden built from it, as it was.
 The per-sample kernels live on in ``tests/oracles.py`` as references.
-
-The segment helpers (:func:`segment_mean`, :func:`segment_softmax`)
-compose the index primitives of :mod:`repro.nn.tensor` into the ragged
-reductions cross-graph batching needs (see ``repro.gnn.rgcn``).
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from typing import Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Tensor, segment_sum
+from .tensor import Tensor
 
 
 def _pad_channel_major(x: np.ndarray, offset: int, rows: int, cols: int) -> np.ndarray:
@@ -228,54 +224,3 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             send(x, (g @ weight.data).reshape(x.shape))
 
     return Tensor._make(out_data, (x, weight, bias), backward)
-
-
-# ---------------------------------------------------------------------------
-# Segment reductions over ragged row groups
-# ---------------------------------------------------------------------------
-
-def segment_mean(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Per-segment row mean: ``segment_sum(x) / counts`` (empty segments
-    yield zeros rather than NaN)."""
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    sums = segment_sum(x, ids, num_segments)
-    counts = np.bincount(ids, minlength=num_segments).astype(sums.data.dtype)
-    counts[counts == 0] = 1
-    return sums * Tensor(1.0 / counts.reshape((num_segments,) + (1,) * (sums.ndim - 1)))
-
-
-def segment_softmax(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Softmax over each segment of rows (the ragged-batch analogue of the
-    masked distribution's row softmax).
-
-    ``x`` holds per-row scores, ``segment_ids`` assigns each row to a
-    group; the result sums to one within every group.  Computed with the
-    standard per-segment max shift for stability, and a single fused
-    backward (``p * (g - segsum(p * g))``) instead of the exp/sum/div
-    tape — honoring ``no_grad`` like every primitive.
-    """
-    x_t = x if isinstance(x, Tensor) else Tensor(x)
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.shape[0] != x_t.shape[0]:
-        raise ValueError(
-            f"segment_ids must be 1D with one id per row; got {ids.shape} "
-            f"for {x_t.shape[0]} rows"
-        )
-    z = x_t.data
-    # Per-segment max (running maximum; -inf for empty segments is fine,
-    # those contribute no rows).
-    seg_max = np.full((num_segments,) + z.shape[1:], -np.inf, dtype=z.dtype)
-    np.maximum.at(seg_max, ids, z)
-    shifted = z - seg_max[ids]
-    exp = np.exp(shifted)
-    denom = np.zeros_like(seg_max)
-    np.add.at(denom, ids, exp)
-    p = exp / denom[ids]
-
-    def backward(grad, send):
-        pg = p * grad
-        seg = np.zeros_like(seg_max)
-        np.add.at(seg, ids, pg)
-        send(x_t, pg - p * seg[ids])
-
-    return Tensor._make(p, (x_t,), backward)

@@ -1,8 +1,8 @@
 """Neural-network layers built on the autograd engine.
 
 Provides a small ``Module`` hierarchy mirroring the PyTorch API surface the
-paper relies on: ``Linear``, ``Conv2d``, ``ConvTranspose2d``, activations,
-``Sequential`` and ``Flatten``.
+paper relies on: ``Linear``, ``Conv2d``, ``ConvTranspose2d``, ``ReLU`` and
+``Sequential``.
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ class Module:
             yield (f"{prefix}{name}", p)
         for mod_name, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{mod_name}.")
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     @property
     def dtype(self) -> np.dtype:
@@ -160,13 +153,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class Flatten(Module):
-    """Flatten all but the batch dimension."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
-
-
 class Sequential(Module):
     def __init__(self, *modules: Module):
         super().__init__()
@@ -179,12 +165,6 @@ class Sequential(Module):
         for module in self._sequence:
             x = module(x)
         return x
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._sequence)
-
-    def __len__(self) -> int:
-        return len(self._sequence)
 
 
 def mlp(

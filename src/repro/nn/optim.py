@@ -1,4 +1,4 @@
-"""Gradient-based optimizers: SGD (with momentum) and Adam.
+"""The Adam optimizer and its gradient-norm clipping.
 
 Adam keeps its moments in flat concatenated vectors and updates them in
 place, one cache-sized block at a time, with ``out=`` ufuncs into
@@ -10,7 +10,7 @@ under the default policy, float64 under ``REPRO_NN_DTYPE=float64``).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -57,26 +57,6 @@ class Optimizer:
                 if p.grad is not None:
                     p.grad *= scale
         return norm
-
-
-class SGD(Optimizer):
-    def __init__(self, params: List[Tensor], lr: float = 1e-2, momentum: float = 0.0):
-        super().__init__(params)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: Optional[List[np.ndarray]] = None
-        if momentum > 0:
-            self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            if self._velocity is not None:
-                self._velocity[i] = self.momentum * self._velocity[i] + p.grad
-                p.data -= self.lr * self._velocity[i]
-            else:
-                p.data -= self.lr * p.grad
 
 
 class Adam(Optimizer):

@@ -98,43 +98,21 @@ def is_grad_enabled() -> bool:
     return _grad_mode.enabled
 
 
-class _GradModeContext:
-    """Re-entrant context manager (and decorator) toggling grad recording."""
-
-    _target: bool = True
+class no_grad:
+    """Re-entrant context manager disabling autograd recording: ops
+    return plain tensors with no tape."""
 
     def __init__(self) -> None:
         self._stack: list = []
 
     def __enter__(self):
         self._stack.append(_grad_mode.enabled)
-        _grad_mode.enabled = self._target
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc):
         _grad_mode.enabled = self._stack.pop()
         return False
-
-    def __call__(self, fn):
-        def wrapped(*args, **kwargs):
-            with type(self)():
-                return fn(*args, **kwargs)
-
-        wrapped.__name__ = getattr(fn, "__name__", "wrapped")
-        wrapped.__doc__ = fn.__doc__
-        return wrapped
-
-
-class no_grad(_GradModeContext):
-    """Disable autograd recording: ops return plain tensors with no tape."""
-
-    _target = False
-
-
-class enable_grad(_GradModeContext):
-    """Re-enable autograd recording inside a :class:`no_grad` block."""
-
-    _target = True
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
@@ -208,10 +186,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -325,9 +299,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other_t), backward)
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) - self
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data * other_t.data
@@ -339,29 +310,6 @@ class Tensor:
         return Tensor._make(out_data, (self, other_t), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data / other_t.data
-
-        def backward(grad, send):
-            send(self, _unbroadcast(grad / other_t.data, self.shape))
-            send(other_t, _unbroadcast(-grad * self.data / (other_t.data ** 2), other_t.shape))
-
-        return Tensor._make(out_data, (self, other_t), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if isinstance(exponent, Tensor):
-            raise TypeError("tensor exponents are not supported; use exp/log")
-        out_data = self.data ** exponent
-
-        def backward(grad, send):
-            send(self, grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
@@ -408,9 +356,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
     def relu(self) -> "Tensor":
         # Single-pass forward; the backward mask derives from the output
         # (out > 0 iff input > 0), so no bool array is built on inference.
@@ -455,28 +400,6 @@ class Tensor:
             count = int(np.prod([self.shape[a % self.data.ndim] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad, send):
-            if axis is None:
-                mask = (self.data == self.data.max()).astype(self.data.dtype)
-                mask /= mask.sum()
-                send(self, grad * mask)
-            else:
-                expand = self.data.max(axis=axis, keepdims=True)
-                mask = (self.data == expand).astype(self.data.dtype)
-                mask /= mask.sum(axis=axis, keepdims=True)
-                g = grad
-                if not keepdims:
-                    axes = axis if isinstance(axis, tuple) else (axis,)
-                    axes = tuple(a % self.data.ndim for a in axes)
-                    shape = [1 if i in axes else s for i, s in enumerate(self.shape)]
-                    g = g.reshape(shape)
-                send(self, mask * g)
-
-        return Tensor._make(out_data, (self,), backward)
-
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
@@ -508,44 +431,10 @@ class Tensor:
     def T(self) -> "Tensor":
         return self.transpose()
 
-    def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-
-        def backward(grad, send):
-            g = np.zeros_like(self.data)
-            np.add.at(g, index, grad)
-            send(self, g)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    # ------------------------------------------------------------------
-    # Comparisons (no grad; returned as raw arrays)
-    # ------------------------------------------------------------------
-    def __gt__(self, other) -> np.ndarray:
-        other_d = other.data if isinstance(other, Tensor) else other
-        return self.data > other_d
-
-    def __lt__(self, other) -> np.ndarray:
-        other_d = other.data if isinstance(other, Tensor) else other
-        return self.data < other_d
-
 
 # ----------------------------------------------------------------------
 # Free functions
 # ----------------------------------------------------------------------
-
-def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
-    """Create a tensor (module-level convenience mirroring ``torch.tensor``)."""
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
-
 
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing."""
@@ -559,19 +448,6 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             slicer = [slice(None)] * grad.ndim
             slicer[axis] = slice(start, stop)
             send(t, grad[tuple(slicer)])
-
-    return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient routing."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad, send):
-        pieces = np.split(grad, len(tensors), axis=axis)
-        for t, piece in zip(tensors, pieces):
-            send(t, np.squeeze(piece, axis=axis))
 
     return Tensor._make(out_data, tuple(tensors), backward)
 
@@ -597,10 +473,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - log_sum
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return log_softmax(x, axis=axis).exp()
-
-
 def gather(x: Tensor, indices: np.ndarray, axis: int = -1) -> Tensor:
     """Pick one element per row along ``axis`` (like ``torch.gather`` for 2D)."""
     if x.ndim != 2 or axis not in (-1, 1):
@@ -618,7 +490,7 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = -1) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Index / segment primitives (HIPS-autograd ``take``/``untake`` pattern)
+# Row gather (HIPS-autograd ``take``/``untake`` pattern)
 # ----------------------------------------------------------------------
 
 def take(x: Tensor, indices: np.ndarray) -> Tensor:
@@ -636,55 +508,5 @@ def take(x: Tensor, indices: np.ndarray) -> Tensor:
         g = np.zeros_like(x_t.data)
         np.add.at(g, idx, grad)
         send(x_t, g)
-
-    return Tensor._make(out_data, (x_t,), backward)
-
-
-def index_add(base: Tensor, indices: np.ndarray, values: Tensor) -> Tensor:
-    """Scatter-add rows: ``out = base; out[indices[j]] += values[j]``.
-
-    ``base`` is never mutated; repeated indices accumulate.  Gradients
-    flow to both operands: ``base`` receives the upstream gradient
-    unchanged, ``values`` receives its gathered rows (``grad[indices]``).
-    """
-    base_t = base if isinstance(base, Tensor) else Tensor(base)
-    values_t = values if isinstance(values, Tensor) else Tensor(values)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or values_t.shape[0] != idx.shape[0]:
-        raise ValueError(
-            f"indices must be 1D with one entry per value row; got "
-            f"{idx.shape} indices for {values_t.shape[0]} rows"
-        )
-    out_data = np.array(base_t.data, copy=True)
-    np.add.at(out_data, idx, values_t.data)
-
-    def backward(grad, send):
-        send(base_t, grad)
-        send(values_t, grad[idx])
-
-    return Tensor._make(out_data, (base_t, values_t), backward)
-
-
-def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``x`` by segment: ``out[s] = sum(x[i] for ids[i] == s)``.
-
-    Accumulation is sequential in row order (``np.add.at``); the VJP is a
-    pure gather (``grad[segment_ids]``), which makes the backward exact —
-    every row receives its segment's gradient bit-for-bit.
-    """
-    x_t = x if isinstance(x, Tensor) else Tensor(x)
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.shape[0] != x_t.shape[0]:
-        raise ValueError(
-            f"segment_ids must be 1D with one id per row; got {ids.shape} "
-            f"for {x_t.shape[0]} rows"
-        )
-    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
-        raise ValueError(f"segment ids outside [0, {num_segments})")
-    out_data = np.zeros((num_segments,) + x_t.data.shape[1:], dtype=x_t.data.dtype)
-    np.add.at(out_data, ids, x_t.data)
-
-    def backward(grad, send):
-        send(x_t, grad[ids])
 
     return Tensor._make(out_data, (x_t,), backward)

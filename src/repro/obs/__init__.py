@@ -33,9 +33,9 @@ report — and one Perfetto-loadable trace — covers the whole fleet.
     if OBS.enabled:                      # per-step sites: one flag read
         OBS.registry.observe("env.step.seconds", dt)
 
-Per-env-step and per-graph sites (``env.step``, ``env.hpwl``,
-``gnn.encode``) keep the flag-guarded histogram: a null ``with`` block
-costs about ten times the bare flag read.
+Per-env-step sites (``env.step``, ``env.hpwl``) keep the flag-guarded
+histogram: a null ``with`` block costs about ten times the bare flag
+read.
 
 :mod:`repro.obs.prof` — a sampling profiler (:func:`start_profiler` /
 :func:`stop_profiler`, CLI ``--profile``) — shares the zero-overhead

@@ -1,8 +1,8 @@
 """High-level floorplanning agent: HCL training, fine-tuning, inference.
 
-``FloorplanAgent`` glues together the pre-trained R-GCN encoder, the
-actor-critic policy and masked PPO.  It exposes the three usage modes the
-paper evaluates in Table I:
+``FloorplanAgent`` glues together the frozen R-GCN encoder (freshly
+initialised unless one is passed in), the actor-critic policy and masked
+PPO.  It exposes the three usage modes the paper evaluates in Table I:
 
 * ``train_hcl``   — hybrid-curriculum training over the 5-circuit set;
 * ``fine_tune``   — k-shot refinement on one circuit (1/100/1000-shot);
@@ -128,7 +128,8 @@ class FloorplanAgent:
         episode budget is exhausted.
         """
         cfg = self.config
-        episodes = episodes_per_circuit or cfg.episodes_per_circuit
+        episodes = (cfg.episodes_per_circuit if episodes_per_circuit is None
+                    else episodes_per_circuit)
         curriculum = HybridCurriculum(
             list(circuits), episodes_per_circuit=episodes,
             rng=rng or np.random.default_rng(cfg.seed),

@@ -27,7 +27,7 @@ from repro.config import NUM_SHAPES, REWARD_ALPHA, REWARD_BETA, REWARD_GAMMA
 from repro.floorplan import hpwl_lower_bound
 from repro.floorplan import FloorplanState, placement_mask
 from repro.floorplan.masks import HPWL_MIN_FLOOR
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 from repro.routing import Obstacle, Point, Segment, escape_coordinates
 
 
@@ -453,14 +453,48 @@ def wire_mask_reference(
     return increase
 
 
+def rgcn_layer_reference(layer, h: Tensor, adj_stack: np.ndarray) -> Tensor:
+    """Reference for ``RGCNLayer.forward``: one graph's ``(N, d)`` features
+    through Eq. 2 with the layer's own parameters, skipping relations
+    without edges."""
+    out = h @ layer.w_self + layer.bias
+    for r in range(layer.num_relations):
+        adj = adj_stack[r]
+        if not adj.any():
+            continue
+        out = out + Tensor(adj) @ h @ layer.relation_weight(r)
+    return out.relu() if layer.activation else out
+
+
+def rgcn_encode_reference(encoder, graph) -> Tuple[Tensor, Tensor]:
+    """Reference for ``RGCNEncoder.encode_batch``: one graph at a time,
+    returning ``(node_embeddings (N, d), graph_embedding (d,))`` tensors
+    built from the encoder's parameters (so a backward reaches them)."""
+    dtype = encoder.dtype
+    adj_stack = graph.adjacency_stack(normalize=True).astype(dtype, copy=False)
+    h = Tensor(graph.features.astype(dtype, copy=False))
+    for i in range(encoder.num_layers):
+        h = rgcn_layer_reference(getattr(encoder, f"layer{i}"), h, adj_stack)
+    return h, h.mean(axis=0)
+
+
+def reward_forward_reference(model, graph) -> Tensor:
+    """Reference for ``RewardModel.forward``: the MLP head over
+    :func:`rgcn_encode_reference`'s graph embedding."""
+    _, graph_embedding = rgcn_encode_reference(model.encoder, graph)
+    return model.head(graph_embedding.reshape(1, -1)).reshape(())
+
+
 def encode_reference(ppo, observation) -> Tuple[np.ndarray, np.ndarray]:
     """Reference for ``MaskedPPO._encode_batch``: one observation's frozen
     R-GCN features ``(node_emb, graph_emb)`` through the per-graph
-    ``encode_numpy`` path, sharing the trainer's embedding cache."""
+    :func:`rgcn_encode_reference`, sharing the trainer's embedding cache."""
     key = ppo._cache_key(observation.graph)
     entry = ppo._cache_get(key)
     if entry is None:
-        entry = ppo.encoder.encode_numpy(observation.graph)
+        with no_grad():
+            nodes, graph_emb = rgcn_encode_reference(ppo.encoder, observation.graph)
+        entry = (nodes.numpy().copy(), graph_emb.numpy().copy())
         ppo._cache_put(key, entry)
     nodes, graph_emb = entry
     node_index = observation.block_index

@@ -21,6 +21,16 @@ class TestParser:
         assert args.episodes == 4
         assert args.circuits == ["ota_small"]
 
+    @pytest.mark.parametrize("argv", [
+        ["--rollout", "0"], ["--envs", "0"], ["--episodes", "0"], ["--episodes", "1"],
+    ])
+    def test_train_rejects_bad_budgets(self, argv, capsys):
+        # Parse only: a zero rollout would otherwise train forever.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["train", *argv])
+        assert info.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
+
     def test_table1_engine_flags(self):
         args = build_parser().parse_args(
             ["table1", "--workers", "4", "--backend", "process", "--no-cache"])

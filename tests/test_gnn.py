@@ -15,7 +15,7 @@ from repro.gnn import (
     predict_reward,
     train_reward_model,
 )
-from repro.graph import FEATURE_DIM, RELATIONS, HeteroGraph, circuit_to_graph
+from repro.graph import FEATURE_DIM, RELATIONS, HeteroGraph, batch_graphs, circuit_to_graph
 from repro.nn import Adam, Tensor
 
 
@@ -23,18 +23,25 @@ def _graph(name="ota2"):
     return circuit_to_graph(get_circuit(name))
 
 
+def _layer_inputs(graph, layer):
+    """One graph as a padded batch of one: ``(h, adj_padded, active)``."""
+    batch = batch_graphs([graph])
+    adj_padded, active = batch.adjacency_padded(dtype=layer.dtype)
+    return Tensor(batch.features_padded(dtype=layer.dtype)), adj_padded, active
+
+
 class TestRGCNLayer:
     def test_forward_shape(self):
         rng = np.random.default_rng(0)
         layer = RGCNLayer(6, 8, rng=rng)
         g = HeteroGraph(4, np.eye(4, 6), {"connect": [(0, 1)], "v_sym": [(2, 3)]})
-        out = layer(Tensor(g.features), g.adjacency_stack())
-        assert out.shape == (4, 8)
+        out = layer(*_layer_inputs(g, layer))
+        assert out.shape == (1, 4, 8)
 
     def test_rejects_wrong_relation_count(self):
         layer = RGCNLayer(3, 3, num_relations=2)
         with pytest.raises(ValueError):
-            layer(Tensor(np.eye(3)), np.zeros((5, 3, 3)))
+            layer(Tensor(np.eye(3)[None]), np.zeros((5, 1, 3, 3)), np.ones(5, dtype=bool))
 
     def test_relations_affect_output(self):
         """Same topology under different relations gives different embeddings."""
@@ -43,15 +50,15 @@ class TestRGCNLayer:
         feats = np.eye(4)
         g_connect = HeteroGraph(4, feats, {"connect": [(0, 1), (2, 3)]})
         g_sym = HeteroGraph(4, feats, {"v_sym": [(0, 1), (2, 3)]})
-        out_a = layer(Tensor(feats), g_connect.adjacency_stack()).numpy()
-        out_b = layer(Tensor(feats), g_sym.adjacency_stack()).numpy()
+        out_a = layer(*_layer_inputs(g_connect, layer)).numpy()
+        out_b = layer(*_layer_inputs(g_sym, layer)).numpy()
         assert not np.allclose(out_a, out_b)
 
     def test_gradients_flow(self):
         rng = np.random.default_rng(3)
         layer = RGCNLayer(4, 4, rng=rng)
         g = HeteroGraph(3, np.eye(3, 4), {"connect": [(0, 1), (1, 2)]})
-        out = layer(Tensor(g.features), g.adjacency_stack())
+        out = layer(*_layer_inputs(g, layer))
         (out * out).sum().backward()
         assert layer.w_self.grad is not None
         assert layer.relation_weight(0).grad is not None
@@ -61,9 +68,9 @@ class TestRGCNEncoder:
     def test_embedding_dims(self):
         rng = np.random.default_rng(0)
         enc = RGCNEncoder(FEATURE_DIM, rng=rng)
-        nodes, graph_emb = enc(_graph())
+        nodes, graph_emb = enc.encode_batch([_graph()])
         assert nodes.shape == (8, EMBEDDING_DIM)
-        assert graph_emb.shape == (EMBEDDING_DIM,)
+        assert graph_emb.shape == (1, EMBEDDING_DIM)
 
     def test_permutation_invariance_of_graph_embedding(self):
         """Relabeling nodes must not change the mean-pooled embedding."""
@@ -78,21 +85,24 @@ class TestRGCNEncoder:
             5, feats[perm],
             {"connect": [(int(inv[u]), int(inv[v])) for u, v in edges]},
         )
-        _, emb_a = enc(g)
-        _, emb_b = enc(g_perm)
+        _, emb_a = enc.encode_batch([g])
+        _, emb_b = enc.encode_batch([g_perm])
         assert np.allclose(emb_a.numpy(), emb_b.numpy(), atol=1e-10)
 
-    def test_encode_numpy_no_grad(self):
+    def test_encode_batch_numpy_no_grad(self):
         enc = RGCNEncoder(FEATURE_DIM, rng=np.random.default_rng(0))
-        nodes, emb = enc.encode_numpy(_graph("ota1"))
+        [(nodes, emb)] = enc.encode_batch_numpy([_graph("ota1")])
         assert isinstance(nodes, np.ndarray)
         assert nodes.shape == (5, EMBEDDING_DIM)
+        assert emb.shape == (EMBEDDING_DIM,)
+        assert all(p.grad is None for p in enc.parameters())
 
     def test_handles_varied_circuit_sizes(self):
         enc = RGCNEncoder(FEATURE_DIM, rng=np.random.default_rng(0))
-        for name in ("ota_small", "driver", "bias2"):
-            nodes, emb = enc(circuit_to_graph(get_circuit(name)))
-            assert emb.shape == (EMBEDDING_DIM,)
+        graphs = [circuit_to_graph(get_circuit(n)) for n in ("ota_small", "driver", "bias2")]
+        nodes, emb = enc.encode_batch(graphs)
+        assert nodes.shape == (sum(g.num_nodes for g in graphs), EMBEDDING_DIM)
+        assert emb.shape == (len(graphs), EMBEDDING_DIM)
 
 
 class TestRewardModel:

@@ -1,27 +1,30 @@
-"""Golden tests for cross-graph batched R-GCN inference (ISSUE 7).
+"""Golden tests for the batched R-GCN forward.
 
 The contract under test: :meth:`RGCNEncoder.encode_batch` is
-**bit-identical** to looping :meth:`RGCNEncoder.forward` per graph — in
+**bit-identical** to encoding each graph on its own with the per-graph
+reference (``rgcn_encode_reference`` in ``tests/oracles.py``) — in
 forward values (both dtypes) and in parameter gradients (batched
-backward == sequential per-graph accumulation in batch order).  All
-equality assertions here are ``np.array_equal``, not ``allclose``.
+backward == sequential per-graph accumulation in batch order).  The
+reward model's training through the batched forward is pinned to
+training through the reference.  All equality assertions here are
+``np.array_equal``, not ``allclose``.
 """
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.circuits import get_circuit
-from repro.config import TrainConfig
+from repro.circuits import available_circuits, get_circuit
+from repro.config import PretrainConfig, TrainConfig
 from repro.floorplan.env import FloorplanEnv
 from repro.floorplan.vecenv import VecEnv, stack_observations
-from repro.gnn import RGCNEncoder
+from repro.gnn import RGCNEncoder, RewardModel, train_reward_model
 from repro.graph import FEATURE_DIM, batch_graphs, circuit_to_graph
 from repro.graph.hetero import _BATCH_CACHE
 from repro.nn import Tensor
 from repro.rl.agent import FloorplanAgent
 
-from oracles import encode_reference
+from oracles import encode_reference, reward_forward_reference, rgcn_encode_reference
 
 # Mixed node counts (and mixed relation populations) on purpose.
 CIRCUITS = ("ota_small", "ota2", "bias_small", "driver")
@@ -52,27 +55,28 @@ class TestBatchedForward:
             batch = batch_graphs(graphs)
             for g, (graph, sl) in enumerate(zip(graphs, batch.node_slices())):
                 with nn.no_grad():
-                    nodes, gemb = enc.forward(graph)
+                    nodes, gemb = rgcn_encode_reference(enc, graph)
                 assert np.array_equal(nodes_b.numpy()[sl], nodes.numpy()), graph
                 assert np.array_equal(gemb_b.numpy()[g], gemb.numpy()), graph
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_encode_batch_numpy_matches_encode_numpy(self, dtype):
+    def test_encode_batch_numpy_matches_reference(self, dtype):
         with nn.dtype_scope(dtype):
             enc = _encoder()
             graphs = _graphs()
             batched = enc.encode_batch_numpy(graphs)
             for graph, (nodes_b, gemb_b) in zip(graphs, batched):
-                nodes, gemb = enc.encode_numpy(graph)
-                assert np.array_equal(nodes_b, nodes)
-                assert np.array_equal(gemb_b, gemb)
+                with nn.no_grad():
+                    nodes, gemb = rgcn_encode_reference(enc, graph)
+                assert np.array_equal(nodes_b, nodes.numpy())
+                assert np.array_equal(gemb_b, gemb.numpy())
 
     def test_batch_of_one_matches_single(self):
         enc = _encoder()
         graph = _graphs()[0]
         with nn.no_grad():
             nodes_b, gemb_b = enc.encode_batch([graph])
-            nodes, gemb = enc.forward(graph)
+            nodes, gemb = rgcn_encode_reference(enc, graph)
         assert np.array_equal(nodes_b.numpy(), nodes.numpy())
         assert np.array_equal(gemb_b.numpy()[0], gemb.numpy())
 
@@ -117,7 +121,7 @@ class TestBatchedBackward:
 
             enc_s = _encoder(seed=11)
             for g, (graph, sl) in enumerate(zip(graphs, batch.node_slices())):
-                nodes_g, gemb_g = enc_s.forward(graph)
+                nodes_g, gemb_g = rgcn_encode_reference(enc_s, graph)
                 loss_g = (nodes_g * Tensor(w_nodes[sl])).sum() + (
                     gemb_g * Tensor(w_graphs[g])
                 ).sum()
@@ -137,6 +141,30 @@ class TestBatchedBackward:
         with nn.no_grad():
             nodes, gembs = enc.encode_batch(_graphs())
         assert not nodes.requires_grad and not gembs.requires_grad
+
+
+class TestRewardModelTraining:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_training_matches_reference_training(self, dtype, monkeypatch):
+        """``train_reward_model`` through the batched forward gives the
+        same loss curves and weights as through the per-graph reference."""
+        rng = np.random.default_rng(4)
+        dataset = [(circuit_to_graph(get_circuit(name)), float(rng.normal()))
+                   for name in available_circuits()]
+        config = PretrainConfig(epochs=3, batch_size=3, learning_rate=2e-3, seed=0)
+        with nn.dtype_scope(dtype):
+            model = RewardModel(FEATURE_DIM, rng=np.random.default_rng(0))
+            reference = RewardModel(FEATURE_DIM, rng=np.random.default_rng(0))
+            monkeypatch.setattr(reference, "forward",
+                                lambda graph: reward_forward_reference(reference, graph))
+            history = train_reward_model(model, dataset, config)
+            ref_history = train_reward_model(reference, dataset, config)
+        assert history.train_loss == ref_history.train_loss
+        assert history.val_loss == ref_history.val_loss
+        ref_state = reference.state_dict()
+        for name, value in model.state_dict().items():
+            assert value.dtype == dtype
+            assert np.array_equal(value, ref_state[name]), name
 
 
 class TestBatchStructureCache:
@@ -162,12 +190,18 @@ class TestBatchStructureCache:
         assert len(_BATCH_CACHE) <= hetero._BATCH_CACHE_MAX
         batch_graphs(graphs)  # still functional after evictions
 
-    def test_adjacency_dtype_cast_is_memoized(self):
-        graph = _graphs()[0]
-        a32 = graph.adjacency_stack(normalize=True, dtype=np.float32)
-        assert graph.adjacency_stack(normalize=True, dtype=np.float32) is a32
-        a64 = graph.adjacency_stack(normalize=True)
-        assert np.array_equal(a32, a64.astype(np.float32))
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_padded_adjacency_rounds_like_astype(self, dtype):
+        """Each graph's block of the typed padded stack is its float64
+        stack cast with ``astype``, and the typed stack is memoized."""
+        graphs = [circuit_to_graph(get_circuit(n)) for n in available_circuits()]
+        batch = batch_graphs(graphs)
+        stack, _ = batch.adjacency_padded(dtype=dtype)
+        assert batch.adjacency_padded(dtype=dtype)[0] is stack
+        for g, graph in enumerate(graphs):
+            n = graph.num_nodes
+            expected = graph.adjacency_stack(normalize=True).astype(dtype)
+            assert stack[:, g, :n, :n].tobytes() == expected.tobytes(), graph
 
 
 class TestPolicyBatchedPath:

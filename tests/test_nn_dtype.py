@@ -13,7 +13,7 @@ from repro import nn
 from repro.nn import Tensor
 from repro.rl.distributions import MASK_VALUE, MaskedCategorical
 
-from oracles import encode_reference
+from oracles import encode_reference, rgcn_encode_reference
 
 
 @pytest.fixture(params=[np.float32, np.float64], ids=["f32", "f64"])
@@ -112,7 +112,7 @@ class TestOptimizerDtype:
 
     def test_clip_grad_norm_no_upcast(self, dtype):
         p = Tensor(np.zeros(4, dtype=dtype), requires_grad=True)
-        opt = nn.SGD([p], lr=0.1)
+        opt = nn.Adam([p], lr=0.1)
         (p * 100.0).sum().backward()
         norm = opt.clip_grad_norm(1.0)
         assert norm == pytest.approx(200.0)
@@ -156,7 +156,7 @@ class TestOptimizerDtype:
             grads = [rng.normal(size=s) * 10.0 for s in shapes]
             for p, g in zip(params, grads):
                 p.grad = g.copy()
-            opt = nn.SGD(params, lr=0.1)
+            opt = nn.Adam(params, lr=0.1)
             norm = opt.clip_grad_norm(1.0)
             total = 0.0
             for g in grads:
@@ -209,11 +209,16 @@ class TestFloat32Float64Parity:
             e32 = RGCNEncoder(FEATURE_DIM, rng=np.random.default_rng(5))
         with nn.dtype_scope(np.float64):
             e64 = RGCNEncoder(FEATURE_DIM, rng=np.random.default_rng(5))
-        n32, g32 = e32.encode_numpy(graph)
-        n64, g64 = e64.encode_numpy(graph)
+        with nn.no_grad():
+            n32, g32 = (t.numpy() for t in rgcn_encode_reference(e32, graph))
+            n64, g64 = (t.numpy() for t in rgcn_encode_reference(e64, graph))
         assert n32.dtype == np.float32 and n64.dtype == np.float64
         assert np.allclose(n32, n64, rtol=1e-4, atol=1e-5)
         assert np.allclose(g32, g64, rtol=1e-4, atol=1e-5)
+        for encoder, nodes, graph_emb in ((e32, n32, g32), (e64, n64, g64)):
+            [(nodes_b, graph_emb_b)] = encoder.encode_batch_numpy([graph])
+            assert np.array_equal(nodes_b, nodes)
+            assert np.array_equal(graph_emb_b, graph_emb)
 
     def test_float64_forward_is_deterministic_golden(self):
         """Under REPRO_NN_DTYPE=float64 semantics, repeated forwards (with

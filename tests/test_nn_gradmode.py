@@ -24,17 +24,6 @@ class TestGradModeSwitch:
             assert not nn.is_grad_enabled()
         assert nn.is_grad_enabled()
 
-    def test_enable_grad_inside_no_grad(self):
-        x = Tensor([1.0], requires_grad=True)
-        with nn.no_grad():
-            with nn.enable_grad():
-                assert nn.is_grad_enabled()
-                y = x * 2
-            assert not nn.is_grad_enabled()
-        assert y.requires_grad
-        y.backward(np.ones(1))
-        assert np.allclose(x.grad, [2.0])
-
     def test_reentry_of_same_context_object(self):
         ctx = nn.no_grad()
         with ctx:
@@ -50,17 +39,6 @@ class TestGradModeSwitch:
         with pytest.raises(RuntimeError):
             with nn.no_grad():
                 raise RuntimeError("boom")
-        assert nn.is_grad_enabled()
-
-    def test_decorator_form(self):
-        @nn.no_grad()
-        def fn(t):
-            assert not nn.is_grad_enabled()
-            return t * 3
-
-        x = Tensor([1.0], requires_grad=True)
-        y = fn(x)
-        assert not y.requires_grad
         assert nn.is_grad_enabled()
 
 
@@ -118,7 +96,6 @@ class TestNoTapeAllocation:
         with nn.no_grad():
             for out in (
                 nn.concatenate([a, b], axis=0),
-                nn.stack([a, b]),
                 nn.where(np.ones((2, 2), dtype=bool), a, b),
                 nn.log_softmax(a),
                 nn.gather(a, np.array([0, 1])),
@@ -163,26 +140,29 @@ class TestNoTapeAllocation:
 
 
 class TestInferenceEntryPoints:
-    def test_encoder_encode_numpy_is_tape_free(self):
+    def test_encoder_encode_batch_numpy_is_tape_free(self):
         from repro.circuits import get_circuit
         from repro.gnn.rgcn import RGCNEncoder
         from repro.graph.features import FEATURE_DIM, circuit_to_graph
 
         encoder = RGCNEncoder(FEATURE_DIM, rng=np.random.default_rng(0))
         graph = circuit_to_graph(get_circuit("ota_small"))
-        nodes, graph_emb = encoder.encode_numpy(graph)
+        [(nodes, graph_emb)] = encoder.encode_batch_numpy([graph])
         assert nodes.shape[1] == graph_emb.shape[0]
         assert all(p.grad is None for p in encoder.parameters())
         assert nn.is_grad_enabled()
 
-    def test_tracked_forward_matches_encode_numpy(self):
+    def test_tracked_reference_matches_encode_batch_numpy(self):
         from repro.circuits import get_circuit
         from repro.gnn.rgcn import RGCNEncoder
         from repro.graph.features import FEATURE_DIM, circuit_to_graph
 
+        from oracles import rgcn_encode_reference
+
         encoder = RGCNEncoder(FEATURE_DIM, rng=np.random.default_rng(1))
         graph = circuit_to_graph(get_circuit("bias_small"))
-        nodes_t, emb_t = encoder(graph)
-        nodes_n, emb_n = encoder.encode_numpy(graph)
+        nodes_t, emb_t = rgcn_encode_reference(encoder, graph)
+        assert emb_t.requires_grad
+        [(nodes_n, emb_n)] = encoder.encode_batch_numpy([graph])
         assert np.array_equal(nodes_t.numpy(), nodes_n)
         assert np.array_equal(emb_t.numpy(), emb_n)

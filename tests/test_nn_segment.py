@@ -1,4 +1,5 @@
-"""Index/segment primitives (repro.nn take/index_add/segment_*) — ISSUE 7.
+"""The row-gather primitive ``repro.nn.take`` (the batched R-GCN's node
+readout).
 
 Finite-difference gradient checks run in float64 (``nn.dtype_scope``)
 so central differences resolve well below the assertion tolerance.
@@ -8,15 +9,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import (
-    Tensor,
-    index_add,
-    no_grad,
-    segment_mean,
-    segment_softmax,
-    segment_sum,
-    take,
-)
+from repro.nn import Tensor, no_grad, take
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -72,145 +65,14 @@ class TestTake:
         assert np.allclose(x.grad, numeric_grad(fn, x0.copy()), atol=1e-6)
 
 
-class TestIndexAdd:
-    def test_forward_scatter_adds_without_mutating_base(self):
-        base = Tensor(np.zeros((3, 2)))
-        values = Tensor(np.ones((4, 2)))
-        idx = np.array([0, 2, 2, 0])
-        out = index_add(base, idx, values)
-        assert np.array_equal(out.numpy(), [[2, 2], [0, 0], [2, 2]])
-        assert np.array_equal(base.numpy(), np.zeros((3, 2)))  # untouched
-
-    def test_grads_flow_to_both_operands(self):
-        base0 = RNG.normal(size=(3, 2))
-        values0 = RNG.normal(size=(4, 2))
-        idx = np.array([1, 1, 0, 2])
-        w = RNG.normal(size=(3, 2))
-
-        base = Tensor(base0.copy(), requires_grad=True)
-        values = Tensor(values0.copy(), requires_grad=True)
-        (index_add(base, idx, values) * Tensor(w)).sum().backward()
-
-        def fn_base(arr):
-            out = np.asarray(arr).copy()
-            np.add.at(out, idx, values0)
-            return float((out * w).sum())
-
-        def fn_values(arr):
-            out = base0.copy()
-            np.add.at(out, idx, np.asarray(arr))
-            return float((out * w).sum())
-
-        assert np.allclose(base.grad, numeric_grad(fn_base, base0.copy()), atol=1e-6)
-        assert np.allclose(values.grad, numeric_grad(fn_values, values0.copy()), atol=1e-6)
-
-    def test_rejects_mismatched_indices(self):
-        with pytest.raises(ValueError):
-            index_add(Tensor(np.zeros((3, 2))), np.array([0, 1]), Tensor(np.ones((3, 2))))
-
-
-class TestSegmentSum:
-    def test_forward_and_empty_segment(self):
-        x = Tensor(np.arange(8.0).reshape(4, 2))
-        out = segment_sum(x, np.array([0, 0, 2, 2]), 3)
-        assert np.array_equal(out.numpy(), [[2, 4], [0, 0], [10, 12]])
-
-    def test_grad_matches_finite_differences(self):
-        x0 = RNG.normal(size=(6, 3))
-        ids = np.array([0, 1, 1, 0, 2, 2])
-        w = RNG.normal(size=(3, 3))
-
-        def fn(arr):
-            out = np.zeros((3, 3))
-            np.add.at(out, ids, np.asarray(arr))
-            return float((out * w).sum())
-
-        x = Tensor(x0.copy(), requires_grad=True)
-        (segment_sum(x, ids, 3) * Tensor(w)).sum().backward()
-        assert np.allclose(x.grad, numeric_grad(fn, x0.copy()), atol=1e-6)
-
-    def test_rejects_out_of_range_ids(self):
-        with pytest.raises(ValueError):
-            segment_sum(Tensor(np.ones((2, 2))), np.array([0, 3]), 2)
-        with pytest.raises(ValueError):
-            segment_sum(Tensor(np.ones((2, 2))), np.array([0, -1]), 2)
-
-
-class TestSegmentMean:
-    def test_forward_matches_per_segment_mean(self):
-        x0 = RNG.normal(size=(5, 2))
-        ids = np.array([0, 0, 0, 2, 2])
-        out = segment_mean(Tensor(x0), ids, 3).numpy()
-        assert np.allclose(out[0], x0[:3].mean(axis=0))
-        assert np.array_equal(out[1], np.zeros(2))  # empty segment -> zeros
-        assert np.allclose(out[2], x0[3:].mean(axis=0))
-
-    def test_grad_matches_finite_differences(self):
-        x0 = RNG.normal(size=(5, 2))
-        ids = np.array([0, 1, 1, 1, 0])
-        w = RNG.normal(size=(2, 2))
-
-        def fn(arr):
-            arr = np.asarray(arr)
-            out = np.stack([arr[ids == s].mean(axis=0) for s in range(2)])
-            return float((out * w).sum())
-
-        x = Tensor(x0.copy(), requires_grad=True)
-        (segment_mean(x, ids, 2) * Tensor(w)).sum().backward()
-        assert np.allclose(x.grad, numeric_grad(fn, x0.copy()), atol=1e-6)
-
-
-class TestSegmentSoftmax:
-    def test_sums_to_one_per_segment(self):
-        scores = Tensor(RNG.normal(size=8))
-        ids = np.array([0, 0, 1, 1, 1, 2, 2, 2])
-        p = segment_softmax(scores, ids, 3).numpy()
-        for s in range(3):
-            assert np.isclose(p[ids == s].sum(), 1.0)
-
-    def test_matches_reference_softmax(self):
-        scores = RNG.normal(size=6) * 5.0
-        ids = np.array([0, 1, 0, 1, 0, 1])
-        p = segment_softmax(Tensor(scores), ids, 2).numpy()
-        for s in range(2):
-            seg = scores[ids == s]
-            ref = np.exp(seg - seg.max())
-            ref /= ref.sum()
-            assert np.allclose(p[ids == s], ref)
-
-    def test_grad_matches_finite_differences(self):
-        x0 = RNG.normal(size=7)
-        ids = np.array([0, 0, 0, 1, 1, 2, 2])
-        w = RNG.normal(size=7)
-
-        def fn(arr):
-            arr = np.asarray(arr)
-            out = np.empty_like(arr)
-            for s in range(3):
-                seg = arr[ids == s]
-                e = np.exp(seg - seg.max())
-                out[ids == s] = e / e.sum()
-            return float((out * w).sum())
-
-        x = Tensor(x0.copy(), requires_grad=True)
-        (segment_softmax(x, ids, 3) * Tensor(w)).sum().backward()
-        assert np.allclose(x.grad, numeric_grad(fn, x0.copy()), atol=1e-6)
-
-
 class TestGradModeAndDtype:
     def test_no_grad_records_no_tape(self):
         x = Tensor(np.ones((4, 2)), requires_grad=True)
         ids = np.array([0, 0, 1, 1])
         with no_grad():
-            for out in (
-                take(x, ids),
-                index_add(x, ids, x),
-                segment_sum(x, ids, 2),
-                segment_mean(x, ids, 2),
-                segment_softmax(Tensor(np.ones(4), requires_grad=True), ids, 2),
-            ):
-                assert not out.requires_grad
-                assert not out._parents
+            out = take(x, ids)
+        assert not out.requires_grad
+        assert not out._parents
 
     def test_primitives_preserve_input_dtype(self):
         ids = np.array([0, 1, 0])
@@ -218,6 +80,3 @@ class TestGradModeAndDtype:
             with nn.dtype_scope(dtype):
                 x = Tensor(np.ones((3, 2), dtype=dtype))
                 assert take(x, ids).numpy().dtype == dtype
-                assert segment_sum(x, ids, 2).numpy().dtype == dtype
-                assert segment_mean(x, ids, 2).numpy().dtype == dtype
-                assert segment_softmax(Tensor(np.ones(3, dtype=dtype)), ids, 2).numpy().dtype == dtype

@@ -94,6 +94,20 @@ class TestHCL:
         assert (kl >= 0).all()
 
 
+class TestTrainingBudgetValidation:
+    @pytest.mark.parametrize(
+        "field", ["num_envs", "rollout_steps", "ppo_epochs", "minibatch_size"])
+    def test_config_rejects_budgets_below_one(self, field):
+        # A zero rollout never steps the envs, so HCL training never ends.
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: 0})
+
+    def test_train_hcl_does_not_swap_zero_episodes_for_the_default(self):
+        agent = FloorplanAgent(config=tiny_config())
+        with pytest.raises(ValueError, match="episodes_per_circuit"):
+            agent.train_hcl([get_circuit("ota_small")], episodes_per_circuit=0)
+
+
 class TestAgentInference:
     def test_solve_produces_valid_floorplan(self, trained_agent):
         result = trained_agent.solve(get_circuit("ota_small"), method_name="test")
