@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 from _util import check
-from oracles import hpwl, pack_reference, state_centers, wire_mask_reference
+from oracles import (
+    escape_graph_reference,
+    hpwl,
+    oarsmt_calls,
+    oarsmt_reference,
+    pack_reference,
+    state_centers,
+    wire_mask_reference,
+)
 
 from repro.baselines import SequencePair, inflated_shapes
 from repro.baselines.seqpair import pair_evaluator
@@ -25,6 +33,8 @@ from repro.engine import ArtifactCache, Executor, TaskSpec
 from repro.floorplan import FloorplanEnv
 from repro.floorplan.masks import dead_space_mask, positional_mask
 from repro.floorplan.metrics import hpwl_lower_bound
+from repro.routing import build_escape_graph
+from repro.routing.oarsmt import steiner_tree_edges
 
 GRID_CIRCUITS = ("ota1", "ota2", "bias1")
 GRID_SEEDS = range(4)
@@ -89,6 +99,13 @@ def _reference_env_step(state, hmin):
     ).astype(bool).reshape(-1)
 
 
+def _steiner_or_none(fn, *args):
+    try:
+        return fn(*args)
+    except RuntimeError:  # obstacles disconnect the terminals
+        return None
+
+
 def _hotpath_lines():
     lines = ["hot path (Table I circuits): reference scalar vs fast path"]
 
@@ -148,7 +165,30 @@ def _hotpath_lines():
         f"   vectorized {t_new / steps * 1e6:6.1f} us"
         f"   speedup {env_speedup:5.2f}x"
     )
-    return lines, sa_speedup, env_speedup
+
+    # --- OARSMT Steiner tree: networkx vs the grid replay ---------------
+    # Every ota2 net; the escape graphs are built outside the timers.
+    t_ref = t_new = 0.0
+    calls = oarsmt_calls("ota2")
+    for terminals, obstacles in calls:
+        graph = build_escape_graph(terminals, obstacles)
+        reference = escape_graph_reference(terminals, obstacles)
+        ids = graph.node_ids([(t.x, t.y) for t in terminals])
+        t0 = time.perf_counter()
+        expected = _steiner_or_none(oarsmt_reference, reference, terminals)
+        t_ref += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        edges = _steiner_or_none(steiner_tree_edges, graph, ids)
+        t_new += time.perf_counter() - t0
+        if expected is not None:
+            assert [(graph.point(u), graph.point(v)) for u, v in edges] == expected
+    oarsmt_speedup = t_ref / t_new
+    lines.append(
+        f"OARSMT tree     reference {t_ref / len(calls) * 1e3:7.2f} ms"
+        f"   fast       {t_new / len(calls) * 1e3:6.2f} ms"
+        f"   speedup {oarsmt_speedup:5.2f}x"
+    )
+    return lines, sa_speedup, env_speedup, oarsmt_speedup
 
 
 def _grid():
@@ -204,7 +244,7 @@ def test_engine_scaling(benchmark, tmp_path):
         assert all(r.cached for r in cached)
         assert t_warm < t_serial
 
-        hot_lines, sa_speedup, env_speedup = _hotpath_lines()
+        hot_lines, sa_speedup, env_speedup, oarsmt_speedup = _hotpath_lines()
         lines.append("")
         lines.extend(hot_lines)
         assert sa_speedup >= HOTPATH_SPEEDUP_FLOOR, (
@@ -213,6 +253,10 @@ def test_engine_scaling(benchmark, tmp_path):
         )
         assert env_speedup >= HOTPATH_SPEEDUP_FLOOR, (
             f"env step hot path regressed: {env_speedup:.2f}x "
+            f"< {HOTPATH_SPEEDUP_FLOOR}x floor"
+        )
+        assert oarsmt_speedup >= HOTPATH_SPEEDUP_FLOOR, (
+            f"OARSMT Steiner tree regressed: {oarsmt_speedup:.2f}x "
             f"< {HOTPATH_SPEEDUP_FLOOR}x floor"
         )
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..circuits.netlist import Circuit
 from .geometry import CONNECTIVITY, Layer, Layout, Shape
 
@@ -38,18 +36,27 @@ class LVSReport:
 
 
 def extract_components(layout: Layout) -> List[Set[int]]:
-    """Connected components over labelled (net-carrying) shapes."""
+    """Connected components over labelled (net-carrying) shapes, as sets
+    of shape indices ordered by their lowest index."""
     shapes = [(i, s) for i, s in enumerate(layout.shapes) if s.net is not None]
-    graph = nx.Graph()
-    for i, _ in shapes:
-        graph.add_node(i)
+    parent = {i: i for i, _ in shapes}
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
     for a_pos in range(len(shapes)):
         i, a = shapes[a_pos]
         for b_pos in range(a_pos + 1, len(shapes)):
             j, b = shapes[b_pos]
             if _layers_connect(a.layer, b.layer) and a.overlaps(b):
-                graph.add_edge(i, j)
-    return [set(c) for c in nx.connected_components(graph)]
+                parent[find(i)] = find(j)
+    components: Dict[int, Set[int]] = {}
+    for i, _ in shapes:
+        components.setdefault(find(i), set()).add(i)
+    return list(components.values())
 
 
 def check_lvs(circuit: Circuit, layout: Layout) -> LVSReport:

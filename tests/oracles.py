@@ -7,7 +7,7 @@ stated relative tolerance), and the hot-path benchmarks time against it.  They
 live with the tests because nothing in the package calls them.
 """
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -22,13 +22,23 @@ from repro.baselines import (
     evaluate_coords_population,
     inflated_shapes,
 )
-from repro.circuits import Circuit, Net
+from repro.circuits import Circuit, Net, get_circuit
 from repro.config import NUM_SHAPES, REWARD_ALPHA, REWARD_BETA, REWARD_GAMMA
 from repro.floorplan import hpwl_lower_bound
 from repro.floorplan import FloorplanState, placement_mask
 from repro.floorplan.masks import HPWL_MIN_FLOOR
+from repro.layout import Layout
+from repro.layout.lvs import _layers_connect
 from repro.nn import Tensor, no_grad
-from repro.routing import Obstacle, Point, Segment, escape_coordinates
+from repro.pipeline import default_floorplanner
+from repro.routing import (
+    Obstacle,
+    Point,
+    Segment,
+    escape_coordinates,
+    global_router,
+    route_circuit,
+)
 
 
 def state_centers(state: FloorplanState) -> Dict[int, Tuple[float, float]]:
@@ -543,6 +553,63 @@ def escape_graph_reference(
                 if not any(blocks_segment(ob, seg) for ob in obstacles):
                     graph.add_edge((x, y1), (x, y2), weight=y2 - y1)
     return graph
+
+
+def oarsmt_reference(
+    graph: nx.Graph, terminals: Sequence[Point]
+) -> List[Tuple[Tuple[float, float], Tuple[float, float]]]:
+    """Reference for ``steiner_tree_edges``: networkx's Mehlhorn Steiner
+    tree over the terminals' component of the escape graph, as an edge
+    list of ``(x, y)`` pairs in networkx's order.  The replay follows
+    networkx 3.6.1, the version the ``test`` extra pins; another release
+    may break ties differently.
+
+    Raises ``RuntimeError`` when obstacles disconnect the terminals.
+    """
+    nodes = [(t.x, t.y) for t in terminals]
+    if not all(nx.has_path(graph, nodes[0], n) for n in nodes[1:]):
+        raise RuntimeError("terminals are disconnected by obstacles")
+    component = nx.node_connected_component(graph, nodes[0])
+    graph = graph.subgraph(component)
+    tree = nx.algorithms.approximation.steiner_tree(graph, nodes, weight="weight")
+    return list(tree.edges)
+
+
+def oarsmt_calls(name: str) -> List[Tuple[List[Point], List[Obstacle]]]:
+    """``(terminals, obstacles)`` of every OARSMT call (fallback attempts
+    included) that ``route_circuit`` makes on library circuit ``name``
+    under the default floorplanner."""
+    calls = []
+    route = global_router.oarsmt
+
+    def spy(net, terminals, obstacles):
+        calls.append((list(terminals), list(obstacles)))
+        return route(net, terminals, obstacles)
+
+    circuit = get_circuit(name)
+    rects = default_floorplanner(circuit).rects
+    global_router.oarsmt = spy
+    try:
+        route_circuit(circuit, rects)
+    finally:
+        global_router.oarsmt = route
+    return calls
+
+
+def extract_components_reference(layout: Layout) -> List[Set[int]]:
+    """Reference for ``extract_components``: networkx's connected
+    components of the shape-overlap graph, nodes added by shape index."""
+    shapes = [(i, s) for i, s in enumerate(layout.shapes) if s.net is not None]
+    graph = nx.Graph()
+    for i, _ in shapes:
+        graph.add_node(i)
+    for a_pos in range(len(shapes)):
+        i, a = shapes[a_pos]
+        for b_pos in range(a_pos + 1, len(shapes)):
+            j, b = shapes[b_pos]
+            if _layers_connect(a.layer, b.layer) and a.overlaps(b):
+                graph.add_edge(i, j)
+    return [set(c) for c in nx.connected_components(graph)]
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> Tuple[np.ndarray, int, int]:

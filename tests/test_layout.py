@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import SAConfig, simulated_annealing
-from repro.circuits import get_circuit
+from repro.circuits import available_circuits, get_circuit
 from repro.layout import (
     Layer,
     Layout,
@@ -14,7 +14,10 @@ from repro.layout import (
     extract_components,
     generate_layout,
 )
+from repro.pipeline import run_pipeline
 from repro.routing import detailed_route, route_circuit
+
+from oracles import extract_components_reference
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +178,13 @@ class TestLVS:
         # most a small number of opens.
         assert not report.short_pairs
         assert len(report.open_nets) <= len(ckt.nets)
+
+    def test_components_match_networkx_on_library_layouts(self):
+        """Same components in the same order (by lowest shape index), so
+        ``check_lvs`` reports shorts in the same order."""
+        for name in available_circuits():
+            layout = run_pipeline(get_circuit(name)).layout
+            assert extract_components(layout) == extract_components_reference(layout)
 
     def test_unrouted_layout_has_opens(self, placed_and_routed):
         ckt, rects, _ = placed_and_routed

@@ -1,13 +1,14 @@
 """Tests for OARSMT, global routing, channels, detailed routing."""
 
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import SAConfig, simulated_annealing
 from repro.baselines.common import PlacedRect
-from repro.circuits import get_circuit
+from repro.circuits import available_circuits, get_circuit
 from repro.routing import (
     Obstacle,
     Point,
@@ -23,8 +24,14 @@ from repro.routing import (
     pin_point,
     route_circuit,
 )
+from repro.routing.oarsmt import steiner_tree_edges
 
-from oracles import blocks_segment, escape_graph_reference
+from oracles import (
+    blocks_segment,
+    escape_graph_reference,
+    oarsmt_calls,
+    oarsmt_reference,
+)
 
 
 class TestGeometry:
@@ -132,35 +139,27 @@ class TestEscapeGraph:
         graph = build_escape_graph(
             [Point(0, 0), Point(4, 4), Point(2, 0), Point(0, 2)], [ob]
         )
-        assert (2, 2) not in graph
-        assert (1, 2) in graph  # boundary nodes stay routable
-        assert graph.number_of_edges() > 0
-        for u, v in graph.edges:
+        points = [graph.point(n) for n in graph.nodes]
+        assert (2, 2) not in points
+        assert (1, 2) in points  # boundary nodes stay routable
+        edges = _edge_list(graph)
+        assert edges
+        for u, v, _ in edges:
             assert not blocks_segment(ob, Segment(u[0], u[1], v[0], v[1]))
 
     def test_edges_have_manhattan_weights(self):
         graph = build_escape_graph([Point(0, 0), Point(3, 0)], [])
-        assert graph[(0.0, 0.0)][(3.0, 0.0)]["weight"] == 3.0
+        a, b = graph.node_ids([(0.0, 0.0), (3.0, 0.0)])
+        assert graph.adj[a] == [(b, 3.0)]
+        assert graph.adj[b] == [(a, 3.0)]
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_reference(self, data):
         """Same nodes, edges, weights and adjacency order as the per-edge
-        reference, so networkx's Steiner tree tie-breaks identically."""
-        # ±1e-6 is the router's block margin; ±1e-9 lands exactly on the
-        # interior tolerance of an obstacle at the unshifted coordinate.
-        offset = st.sampled_from([0.0, 0.0, 1e-6, -1e-6, 1e-9, -1e-9])
-        coord = st.builds(lambda c, d: c + d, st.integers(0, 8).map(float), offset)
-        obstacles = []
-        for x1, x2, y1, y2 in data.draw(st.lists(
-                st.tuples(coord, coord, coord, coord), max_size=5)):
-            if x1 != x2 and y1 != y2:
-                obstacles.append(Obstacle(min(x1, x2), min(y1, y2),
-                                          max(x1, x2), max(y1, y2)))
+        reference, so the Steiner tree tie-breaks as networkx's does."""
+        obstacles, points = _draw_grid(data)
         # Terminals on the free grid, on obstacle boundaries, or repeated.
-        xs = [float(c) for c in range(9)] + [v for ob in obstacles for v in (ob.x1, ob.x2)]
-        ys = [float(c) for c in range(9)] + [v for ob in obstacles for v in (ob.y1, ob.y2)]
-        points = st.builds(Point, st.sampled_from(xs), st.sampled_from(ys))
         terminals = data.draw(st.lists(points, min_size=1, max_size=6))
         terminals += data.draw(st.lists(st.sampled_from(terminals), max_size=2))
 
@@ -176,13 +175,140 @@ class TestEscapeGraph:
             _assert_same_graph(tree.terminals, obstacles)
 
 
+class TestSteinerReplay:
+    """The grid Steiner tree replays networkx's Mehlhorn tree exactly."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_networkx_on_random_grids(self, data):
+        obstacles, points = _draw_grid(data)
+        if data.draw(st.booleans()):
+            # Seal some terminals in a hole, sometimes all of them.
+            x0, y0 = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+            w, h = data.draw(st.integers(3, 5)), data.draw(st.integers(3, 5))
+            obstacles += _ring(float(x0), float(y0), w, h)
+            inside = st.builds(
+                Point,
+                st.sampled_from([x0 + 1 + k / 2 for k in range(2 * w - 3)]),
+                st.sampled_from([y0 + 1 + k / 2 for k in range(2 * h - 3)]),
+            )
+            points = st.one_of(inside, points) if data.draw(st.booleans()) else inside
+        terminals = data.draw(st.lists(points, min_size=1, max_size=6))
+        terminals = [t for t in terminals
+                     if not any(ob.contains_strict(t.x, t.y) for ob in obstacles)]
+        if not terminals:
+            return
+        # Coincident terminals.
+        terminals += data.draw(st.lists(st.sampled_from(terminals), max_size=2))
+
+        reference = escape_graph_reference(terminals, obstacles)
+        if _assert_same_tree(terminals, obstacles, reference):
+            event("component under half the graph")
+
+    def test_sealed_ring_takes_the_set_order_branch(self):
+        """Terminals sealed in a hole form a component under half the
+        graph, which networkx iterates in the order of a set rebuilt from
+        its BFS set; on this case a copy of the BFS set (``set(seen)``)
+        orders it differently and changes the tree."""
+        terminals = [Point(13.0, 7.0), Point(12.0, 8.0), Point(13.0, 10.0)]
+        obstacles = _ring(9.0, 6.0, 8, 5) + [
+            Obstacle(7.2, 19.1, 8.6, 21.8),
+            Obstacle(17.0, 12.4, 18.6, 14.7),
+            Obstacle(13.9, 8.4, 14.4, 8.9),  # inside the hole
+        ]
+        reference = escape_graph_reference(terminals, obstacles)
+        assert _assert_same_tree(terminals, obstacles, reference)
+
+    def test_matches_networkx_on_library_nets(self):
+        """Every OARSMT call ``route_circuit`` makes (fallback attempts
+        included) on every library circuit under the default floorplanner."""
+        calls = [call for name in available_circuits() for call in oarsmt_calls(name)]
+        assert len(calls) > 50
+        for terminals, obstacles in calls:
+            reference = escape_graph_reference(terminals, obstacles)
+            _assert_same_tree(terminals, obstacles, reference)
+
+
+def _draw_grid(data):
+    """Up to five random obstacles on a 0..8 grid, and a strategy for
+    points on that grid or on the obstacles' boundaries."""
+    # ±1e-6 is the router's block margin; ±1e-9 lands exactly on the
+    # interior tolerance of an obstacle at the unshifted coordinate.
+    offset = st.sampled_from([0.0, 0.0, 1e-6, -1e-6, 1e-9, -1e-9])
+    coord = st.builds(lambda c, d: c + d, st.integers(0, 8).map(float), offset)
+    obstacles = []
+    for x1, x2, y1, y2 in data.draw(st.lists(
+            st.tuples(coord, coord, coord, coord), max_size=5)):
+        if x1 != x2 and y1 != y2:
+            obstacles.append(Obstacle(min(x1, x2), min(y1, y2),
+                                      max(x1, x2), max(y1, y2)))
+    xs = [float(c) for c in range(9)] + [v for ob in obstacles for v in (ob.x1, ob.x2)]
+    ys = [float(c) for c in range(9)] + [v for ob in obstacles for v in (ob.y1, ob.y2)]
+    return obstacles, st.builds(Point, st.sampled_from(xs), st.sampled_from(ys))
+
+
+def _edge_list(graph):
+    """``(u, v, weight)`` in the order ``nx.Graph.edges`` yields them over
+    the same nodes and adjacency."""
+    seen = set()
+    edges = []
+    for u in graph.nodes:
+        for v, w in graph.adj[u]:
+            if v not in seen:
+                edges.append((graph.point(u), graph.point(v), w))
+        seen.add(u)
+    return edges
+
+
 def _assert_same_graph(terminals, obstacles):
     graph = build_escape_graph(terminals, obstacles)
     reference = escape_graph_reference(terminals, obstacles)
-    assert list(graph.nodes) == list(reference.nodes)
-    assert list(graph.edges(data=True)) == list(reference.edges(data=True))
-    for node in reference:
-        assert list(graph.adj[node]) == list(reference.adj[node])
+    assert [graph.point(n) for n in graph.nodes] == list(reference.nodes)
+    assert _edge_list(graph) == [
+        (u, v, d["weight"]) for u, v, d in reference.edges(data=True)
+    ]
+    for n in graph.nodes:
+        assert [(graph.point(v), w) for v, w in graph.adj[n]] == [
+            (v, d["weight"]) for v, d in reference.adj[graph.point(n)].items()
+        ]
+    blocked = set(range(len(graph.adj))) - set(graph.nodes)
+    assert not any(graph.adj[n] for n in blocked)
+
+
+def _assert_same_tree(terminals, obstacles, reference_graph):
+    """``steiner_tree_edges`` and ``oarsmt`` against networkx's Steiner tree
+    on ``reference_graph``: the same edge list, order included, and the
+    same merged segments.  Returns whether networkx's component view
+    iterated its node set (the component is under half the graph)."""
+    graph = build_escape_graph(terminals, obstacles)
+    ids = graph.node_ids([(t.x, t.y) for t in terminals])
+    try:
+        expected = oarsmt_reference(reference_graph, terminals)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            steiner_tree_edges(graph, ids)
+        return False
+    edges = [(graph.point(u), graph.point(v)) for u, v in steiner_tree_edges(graph, ids)]
+    assert edges == expected
+    if len(terminals) >= 2:
+        tree = oarsmt("n", terminals, obstacles)
+        assert tree.segments == merge_collinear(
+            [Segment(u[0], u[1], v[0], v[1]) for u, v in expected]
+        )
+    component = nx.node_connected_component(reference_graph, (terminals[0].x, terminals[0].y))
+    return 2 * len(component) < len(reference_graph)
+
+
+def _ring(x0, y0, width, height):
+    """Four overlapping unit-thick walls around a hole: boundary routing
+    cannot leave the hole, whose nodes form their own component."""
+    x1, y1 = x0 + width, y0 + height
+    return [
+        Obstacle(x0, y0, x0 + 1, y1),   # left
+        Obstacle(x1 - 1, y0, x1, y1),   # right
+        Obstacle(x0, y0, x1, y0 + 1),   # bottom
+        Obstacle(x0, y1 - 1, x1, y1),   # top
+    ]
 
 
 def _placed_ota(seed=0):
