@@ -15,8 +15,8 @@ batch size, and the warm-phase hit rate.  Nothing is persisted: served
 throughput is tracked by the perfbench ``serve`` workload.
 
 The batched-vs-sequential speedup is a regression gate: measured
-~2.1-2.2x on the dev host (the Amdahl ceiling is set by the env steps
-and wire protocol, which coalescing does not parallelize).  The floor
+~3.3x on a 2-vCPU VM (the Amdahl ceiling is set by the env steps and
+wire protocol, which coalescing does not parallelize).  The floor
 sits below that for host noise — shared CI runners relax it further via
 ``$REPRO_SERVE_FLOOR``.
 """
@@ -103,7 +103,7 @@ def test_serving_throughput(benchmark, tmp_path):
         phases = []
 
         # --- sequential baseline: no coalescing --------------------------
-        config = ServeConfig(max_batch=1, max_wait_ms=10.0, backend="serial",
+        config = ServeConfig(max_batch=1, backend="serial",
                              cache=False)
         with ServerThread(config, agent=_small_agent()) as handle:
             wall, latency, stats = _load_phase(handle, "sequential")
@@ -112,7 +112,7 @@ def test_serving_throughput(benchmark, tmp_path):
         t_sequential = wall
 
         # --- micro-batched, cold cache -----------------------------------
-        config = ServeConfig(max_batch=16, max_wait_ms=10.0, backend="serial",
+        config = ServeConfig(max_batch=16, backend="serial",
                              cache=True, cache_dir=str(tmp_path))
         with ServerThread(config, agent=_small_agent()) as handle:
             wall, latency, stats = _load_phase(handle, "batched")

@@ -236,7 +236,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         workers=args.workers,
         backend=args.backend,
         cache=use_cache,
@@ -446,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 binds an ephemeral port)")
     p.add_argument("--max-batch", type=_positive_int, default=8, metavar="N",
                    help="micro-batch size cap for coalesced policy steps")
-    p.add_argument("--max-wait-ms", type=float, default=5.0, metavar="MS",
-                   help="max time the first request of a batch waits for company")
     p.add_argument("--agent", default=None, metavar="PREFIX",
                    help="agent checkpoint path prefix (default: fresh agent)")
     p.add_argument("--seed", type=int, default=0,

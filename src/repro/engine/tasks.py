@@ -108,8 +108,11 @@ def table1_rl_task(
     zero-shot), ``agent`` (weight digest — cache-key only).  The executor
     context must carry the shared agent under ``"agent"``.
 
-    Each repeat clones the shared agent and reseeds the clone's sampler
-    from the spec seed, so results are independent of execution order and
+    A k-shot repeat clones the shared agent and reseeds the clone's
+    sampler from the spec seed; a zero-shot repeat solves with the shared
+    agent itself, drawing from its own seed-derived generator (a solve
+    given ``rng`` never reads ``ppo.rng`` and leaves the weights alone).
+    Either way results are independent of execution order and
     bit-identical across the serial and process backends.
     """
     if context is None or "agent" not in context:
@@ -120,8 +123,8 @@ def table1_rl_task(
     episodes = int(params.get("episodes", 0))
     method = params["method"]
 
-    tuned = agent.clone()
     if episodes > 0:
+        tuned = agent.clone()
         tuned.ppo.rng = np.random.default_rng(1000 + seed)
         start = time.perf_counter()
         tuned.fine_tune(circuit, episodes=episodes)
@@ -131,8 +134,7 @@ def table1_rl_task(
         )
         elapsed = time.perf_counter() - start
     else:
-        tuned.ppo.rng = np.random.default_rng(seed)
-        result = tuned.solve(
+        result = agent.solve(
             circuit, hpwl_min=hmin, deterministic=(seed == 0),
             method_name=method, rng=np.random.default_rng(seed),
         )

@@ -11,6 +11,7 @@ PPO.  It exposes the three usage modes the paper evaluates in Table I:
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
@@ -231,15 +232,16 @@ class FloorplanAgent:
     def clone(self) -> "FloorplanAgent":
         """Independent copy (own optimizer state) for per-circuit fine-tuning.
 
-        The config is copied as well, so a clone shares no mutable state
-        with the agent it came from (Table I cells clone one shared
+        The modules are deep-copied without their gradients and the
+        config is copied as well, so a clone shares no mutable state with
+        the agent it came from (Table I k-shot cells clone one shared
         context agent per repeat).
         """
-        twin = FloorplanAgent(config=replace(self.config))
-        twin.policy.load_state_dict(self.policy.state_dict())
-        twin.encoder.load_state_dict(self.encoder.state_dict())
-        twin.ppo.invalidate_cache()
-        return twin
+        params = self.encoder.parameters() + self.policy.parameters()
+        # A memo entry id(grad) -> None makes deepcopy leave grads behind.
+        memo = {id(p.grad): None for p in params if p.grad is not None}
+        encoder, policy = copy.deepcopy((self.encoder, self.policy), memo)
+        return FloorplanAgent(encoder, policy, config=replace(self.config))
 
     # ------------------------------------------------------------------
     # Persistence

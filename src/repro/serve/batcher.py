@@ -4,17 +4,16 @@ The serving hot loop is policy inference; one forward over a batch of B
 observations costs far less than B forwards over single observations
 (PR 7's batched R-GCN path).  :class:`MicroBatcher` is the generic
 coalescing primitive behind that win: producers ``await submit(item)``,
-a single consumer task gathers items until either ``max_batch`` is
-reached or ``max_wait`` seconds elapse since the first queued item, then
-invokes the handler once with the whole batch and fans results back out
-to the per-item futures.
+a single consumer task takes the first queued item, yields the event
+loop once, drains the queue up to ``max_batch`` (default 8), invokes the
+handler once with the whole batch and fans results back out to the
+per-item futures.
 
-Latency/throughput knobs:
-
-* ``max_batch`` — cap on items per handler call (default 8).
-* ``max_wait`` — how long the first item in a batch may wait for
-  company (default 5 ms).  Batch-of-one flushes after ``max_wait`` even
-  under no load, so an idle service stays low-latency.
+No timer holds a batch open: producers that do synchronous work on the
+loop between submissions (the server's solve sessions run ``env.step``
+there) have re-submitted by the time the consumer resumes, so one turn
+keeps step waves whole.  Under load, items pile up while the handler
+runs; a lone item goes out after one turn.
 
 Failure semantics: a handler exception rejects every future of that
 batch (callers see the error); items whose future was cancelled in the
@@ -34,7 +33,9 @@ on.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Generic, List, Sequence, Tuple, TypeVar
+from typing import (
+    Any, Awaitable, Callable, Generic, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 from ..obs import OBS
 from ..resil import QueueFullError
@@ -46,25 +47,31 @@ ResultT = TypeVar("ResultT")
 BatchHandler = Callable[[List[ItemT]], Awaitable[Sequence[ResultT]]]
 
 
+def _fail(pairs: List[Tuple[Any, asyncio.Future]],
+          exc: Optional[BaseException] = None) -> None:
+    """Reject every still-awaited future of ``(item, future)`` pairs with
+    ``exc`` (default: a "micro-batcher stopped" error)."""
+    exc = exc or RuntimeError("micro-batcher stopped")
+    for _, future in pairs:
+        if not future.done():
+            future.set_exception(exc)
+
+
 class MicroBatcher(Generic[ItemT, ResultT]):
-    """Single-consumer batching queue with a max-size / max-wait policy."""
+    """Single-consumer, work-conserving batching queue capped at ``max_batch``."""
 
     def __init__(
         self,
         handler: BatchHandler,
         max_batch: int = 8,
-        max_wait: float = 0.005,
         maxsize: int = 1024,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait < 0:
-            raise ValueError("max_wait must be >= 0")
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self._handler = handler
         self.max_batch = max_batch
-        self.max_wait = max_wait
         self.maxsize = maxsize
         self._queue: "asyncio.Queue[Tuple[ItemT, asyncio.Future]]" = (
             asyncio.Queue(maxsize=maxsize)
@@ -98,10 +105,8 @@ class MicroBatcher(Generic[ItemT, ResultT]):
             except asyncio.CancelledError:
                 pass
             self._task = None
-        while not self._queue.empty():
-            _, future = self._queue.get_nowait()
-            if not future.done():
-                future.set_exception(RuntimeError("micro-batcher stopped"))
+        queued = [self._queue.get_nowait() for _ in range(self._queue.qsize())]
+        _fail(queued)
 
     async def submit(self, item: ItemT) -> ResultT:
         """Enqueue ``item`` and await its result from a batched call.
@@ -123,19 +128,17 @@ class MicroBatcher(Generic[ItemT, ResultT]):
 
     # ------------------------------------------------------------------
     async def _gather(self) -> List[Tuple[ItemT, asyncio.Future]]:
-        """Block for the first item, then batch up to the policy limits."""
+        """Block for the first item, yield one loop turn, drain the queue."""
         batch = [await self._queue.get()]
-        deadline = asyncio.get_running_loop().time() + self.max_wait
-        while len(batch) < self.max_batch:
-            timeout = deadline - asyncio.get_running_loop().time()
-            if timeout <= 0:
-                break
-            try:
-                batch.append(
-                    await asyncio.wait_for(self._queue.get(), timeout)
-                )
-            except asyncio.TimeoutError:
-                break
+        try:
+            await asyncio.sleep(0)
+        except asyncio.CancelledError:
+            # stop() landed mid-gather: these items are in neither the
+            # queue nor a dispatched batch, so reject them here.
+            _fail(batch)
+            raise
+        while len(batch) < self.max_batch and not self._queue.empty():
+            batch.append(self._queue.get_nowait())
         self._publish_depth()
         return batch
 
@@ -151,23 +154,16 @@ class MicroBatcher(Generic[ItemT, ResultT]):
             try:
                 results = await self._handler([item for item, _ in live])
             except asyncio.CancelledError:
-                for _, fut in live:
-                    if not fut.done():
-                        fut.set_exception(RuntimeError("micro-batcher stopped"))
+                _fail(live)
                 raise
             except Exception as exc:  # noqa: BLE001 — fan out to callers
-                for _, fut in live:
-                    if not fut.done():
-                        fut.set_exception(exc)
+                _fail(live, exc)
                 continue
             if len(results) != len(live):
-                mismatch = RuntimeError(
+                _fail(live, RuntimeError(
                     f"batch handler returned {len(results)} results "
                     f"for {len(live)} items"
-                )
-                for _, fut in live:
-                    if not fut.done():
-                        fut.set_exception(mismatch)
+                ))
                 continue
             for (_, fut), result in zip(live, results):
                 if not fut.done():

@@ -15,9 +15,11 @@ order of preference:
    solves run too, with its per-step policy calls funneled through the
    :class:`MicroBatcher`, so N concurrent sessions share one
    ``MaskedPPO.act`` over ``stack_observations`` + the batched R-GCN
-   forward per step wave.  Each session samples from its own
-   seed-derived generator via the per-row ``act`` entry, so answers are
-   bit-identical whether a request runs alone or coalesced
+   forward per step wave.  Sessions step their envs on the loop and
+   re-submit within one loop turn, so the batcher dispatches each wave
+   as soon as it is whole, with no timer.  Each session samples from
+   its own seed-derived generator via the per-row ``act`` entry, so
+   answers are bit-identical whether a request runs alone or coalesced
    (``tests/test_determinism.py::TestServingDeterminism``).
 4. **Sharded cold solves** — baseline methods (SA/GA/...) are full
    CPU-bound searches; they run as engine tasks on the server's
@@ -89,7 +91,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     max_batch: int = 8                  #: micro-batch size cap
-    max_wait_ms: float = 5.0            #: micro-batch max wait (ms)
     workers: Optional[int] = None       #: cold-solve pool size
     backend: str = "process"            #: cold-solve backend (process/serial)
     cache: bool = True                  #: serve repeats from the artifact cache
@@ -156,7 +157,6 @@ class SolveServer:
         self._batcher: MicroBatcher = MicroBatcher(
             self._act_batch,
             max_batch=self.config.max_batch,
-            max_wait=self.config.max_wait_ms / 1000.0,
             maxsize=self.config.queue_size,
         )
         #: Runs baseline solves on one worker pool kept for the server's
@@ -191,9 +191,8 @@ class SolveServer:
             self._handle_conn, host=self.config.host, port=self.config.port,
             limit=MAX_LINE_BYTES,
         )
-        logger.info("serving on %s (max_batch=%d, max_wait=%.1fms, cache=%s)",
+        logger.info("serving on %s (max_batch=%d, cache=%s)",
                     self.endpoint, self.config.max_batch,
-                    self.config.max_wait_ms,
                     "off" if self.cache is None else self.cache.root)
 
     @property

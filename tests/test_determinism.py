@@ -115,6 +115,34 @@ class TestFineTuneDeterminism:
             digests.append(agent_fingerprint(tuned))
         assert digests[0] == digests[1]
 
+    def test_clone_then_fine_tune_golden(self):
+        """A clone starts from the parent's trained weights with no grads
+        and fresh optimizer state; the golden fingerprint pins the
+        fine-tuned clone's weights bit for bit."""
+        agent = _small_agent()
+        agent.ppo.rng = np.random.default_rng(3)
+        agent.fine_tune(get_circuit("ota_small"), episodes=2)
+        before = agent_fingerprint(agent)
+        tuned = agent.clone()
+        assert agent_fingerprint(tuned) == before
+        tuned.ppo.rng = np.random.default_rng(7)
+        tuned.fine_tune(get_circuit("bias_small"), episodes=2)
+        assert agent_fingerprint(tuned) == "e03582ee54c753c7"
+        assert agent_fingerprint(agent) == before
+
+    def test_zero_shot_cell_side_effect_free(self):
+        """0-shot cells solve with the shared agent itself: the answer
+        ignores the trainer's stream and the weights stay untouched."""
+        agent = _small_agent()
+        before = agent_fingerprint(agent)
+        params = {"circuit": "bias_small", "method": "R-GCN RL",
+                  "episodes": 0, "agent": before}
+        a, _ = table1_rl_task(params, 2, {"agent": agent})
+        agent.ppo.rng.uniform(size=1000)  # perturb the trainer's stream
+        b, _ = table1_rl_task(params, 2, {"agent": agent})
+        assert_results_identical(a, b)
+        assert agent_fingerprint(agent) == before
+
     def test_solve_independent_of_trainer_rng_state(self):
         """Inference draws from its own generator, so results cannot
         depend on how much of ``ppo.rng`` earlier training consumed."""
@@ -145,7 +173,7 @@ class TestServingDeterminism:
         from repro.serve import ServeConfig, ServerThread, SolveClient
 
         config = ServeConfig(
-            max_batch=max_batch, max_wait_ms=3.0, backend="serial",
+            max_batch=max_batch, backend="serial",
             cache=cache_dir is not None,
             cache_dir=None if cache_dir is None else str(cache_dir),
         )

@@ -436,8 +436,7 @@ class TestMicroBatcherBound:
                 await release.wait()
                 return [item for item in items]
 
-            batcher = MicroBatcher(handler, max_batch=1, max_wait=0.001,
-                                   maxsize=2)
+            batcher = MicroBatcher(handler, max_batch=1, maxsize=2)
             batcher.start()
             try:
                 # First item is pulled into the (blocked) batch; the next

@@ -41,8 +41,9 @@ def small_agent(seed: int = 0) -> FloorplanAgent:
 # ---------------------------------------------------------------------------
 
 class TestMicroBatcher:
-    def test_batch_of_one_flushes_after_max_wait(self):
-        """An idle service must answer a lone request, not wait forever."""
+    def test_lone_submit_dispatches_without_a_timer(self):
+        """An idle service answers a lone request within a few loop
+        turns: no timer holds a batch of one open for company."""
         async def run():
             batches = []
 
@@ -50,14 +51,79 @@ class TestMicroBatcher:
                 batches.append(list(items))
                 return [item * 2 for item in items]
 
-            batcher = MicroBatcher(handler, max_batch=8, max_wait=0.01)
+            batcher = MicroBatcher(handler, max_batch=8)
             batcher.start()
             try:
-                result = await asyncio.wait_for(batcher.submit(21), timeout=5)
+                pending = asyncio.ensure_future(batcher.submit(21))
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                assert pending.done()
+                assert pending.result() == 42
             finally:
                 await batcher.stop()
-            assert result == 42
             assert batches == [[21]]
+
+        asyncio.run(run())
+
+    @staticmethod
+    def _closed_loop_batches(producers, max_batch, rounds=4):
+        """Batch sizes seen when ``producers`` sessions each do
+        synchronous work on the loop, then resubmit on their result —
+        the shape of the server's solve sessions around ``env.step``."""
+        async def run():
+            batches = []
+
+            async def handler(items):
+                batches.append(len(items))
+                return await asyncio.to_thread(list, items)
+
+            batcher = MicroBatcher(handler, max_batch=max_batch)
+            batcher.start()
+
+            async def session(value):
+                for _ in range(rounds):
+                    sum(range(5000))  # the env step, run on the loop
+                    value = await batcher.submit(value)
+                return value
+
+            try:
+                results = await asyncio.gather(
+                    *(session(i) for i in range(producers)))
+            finally:
+                await batcher.stop()
+            assert results == list(range(producers))
+            return batches
+
+        return asyncio.run(run())
+
+    def test_closed_loop_sessions_batch_in_waves(self):
+        """Every session woken by one wave re-submits before the next
+        dispatch, so each wave after the first is whole."""
+        batches = self._closed_loop_batches(producers=3, max_batch=8)
+        assert batches[1:] == [3] * 3
+
+    def test_closed_loop_waves_split_at_max_batch(self):
+        batches = self._closed_loop_batches(producers=6, max_batch=4)
+        assert batches == [4] * 6
+
+    def test_stop_mid_gather_rejects_dequeued_item(self):
+        """An item the consumer has dequeued but not yet dispatched is in
+        neither the queue nor a handler call; stop() must still reject
+        it rather than leave its submit() pending forever."""
+        async def run():
+            async def handler(items):
+                await asyncio.Event().wait()  # never answers
+                return list(items)
+
+            batcher = MicroBatcher(handler, max_batch=8)
+            batcher.start()
+            pending = asyncio.ensure_future(batcher.submit("x"))
+            await asyncio.sleep(0)  # the submit task enqueues "x"
+            while batcher.queue_depth:  # consumer has not dequeued yet
+                await asyncio.sleep(0)
+            await batcher.stop()
+            with pytest.raises(RuntimeError, match="stopped"):
+                await asyncio.wait_for(pending, timeout=1.0)
 
         asyncio.run(run())
 
@@ -70,7 +136,7 @@ class TestMicroBatcher:
                 batches.append(len(items))
                 return [item + 100 for item in items]
 
-            batcher = MicroBatcher(handler, max_batch=4, max_wait=0.05)
+            batcher = MicroBatcher(handler, max_batch=4)
             batcher.start()
             try:
                 results = await asyncio.gather(
@@ -93,7 +159,7 @@ class TestMicroBatcher:
                 seen.append(list(items))
                 return [item for item in items]
 
-            batcher = MicroBatcher(handler, max_batch=4, max_wait=0.05)
+            batcher = MicroBatcher(handler, max_batch=4)
             batcher.start()
             try:
                 doomed = asyncio.ensure_future(batcher.submit("doomed"))
@@ -120,7 +186,7 @@ class TestMicroBatcher:
                     raise RuntimeError("boom")
                 return list(items)
 
-            batcher = MicroBatcher(handler, max_batch=1, max_wait=0.0)
+            batcher = MicroBatcher(handler, max_batch=1)
             batcher.start()
             try:
                 with pytest.raises(RuntimeError, match="boom"):
@@ -136,7 +202,7 @@ class TestMicroBatcher:
             async def handler(items):
                 return []  # wrong arity
 
-            batcher = MicroBatcher(handler, max_batch=1, max_wait=0.0)
+            batcher = MicroBatcher(handler, max_batch=1)
             batcher.start()
             try:
                 with pytest.raises(RuntimeError, match="returned 0 results"):
@@ -166,7 +232,7 @@ class TestMicroBatcher:
                 await asyncio.sleep(30)
                 return list(items)
 
-            batcher = MicroBatcher(handler, max_batch=1, max_wait=0.0)
+            batcher = MicroBatcher(handler, max_batch=1)
             batcher.start()
             pending = asyncio.ensure_future(batcher.submit("x"))
             await started.wait()
@@ -273,7 +339,7 @@ def agent_fixture_env(name):
 
 @pytest.fixture(scope="module")
 def server():
-    config = ServeConfig(max_batch=4, max_wait_ms=2.0, backend="serial",
+    config = ServeConfig(max_batch=4, backend="serial",
                          cache=False)
     with ServerThread(config, agent=small_agent()) as handle:
         yield handle
@@ -355,9 +421,39 @@ class TestSolveServer:
         assert all(r["area"] > 0 for r in results.values())
 
 
+class TestServeBatching:
+    def test_two_concurrent_sessions_share_step_waves(self):
+        """Two live solve sessions step in lockstep: most policy steps
+        are answered two to a batch, without a batching timer.  A first
+        round builds the per-circuit envs and graph, so the measured
+        round's sessions start together."""
+        config = ServeConfig(max_batch=4, backend="serial", cache=False)
+        with ServerThread(config, agent=small_agent()) as handle:
+            def solve_pair(seeds):
+                barrier = threading.Barrier(len(seeds))
+
+                def work(seed):
+                    with SolveClient(handle.address) as client:
+                        barrier.wait()
+                        client.solve("bias1", seed=seed)
+
+                threads = [threading.Thread(target=work, args=(seed,))
+                           for seed in seeds]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                stats = handle.server.stats()
+                return stats["batched_steps"], stats["batches"]
+
+            warm_steps, warm_batches = solve_pair((0, 1))
+            steps, batches = solve_pair((2, 3))
+        assert (steps - warm_steps) / (batches - warm_batches) > 1.5
+
+
 class TestServeCache:
     def test_warm_cache_repeats_answer_without_recompute(self, tmp_path):
-        config = ServeConfig(max_batch=4, max_wait_ms=2.0, backend="serial",
+        config = ServeConfig(max_batch=4, backend="serial",
                              cache=True, cache_dir=str(tmp_path))
         with ServerThread(config, agent=small_agent()) as handle:
             with SolveClient(handle.address) as client:
@@ -387,7 +483,7 @@ class TestServeCache:
 
     def test_identical_inflight_requests_coalesce(self, tmp_path):
         """Single-flight: N identical cold requests -> one compute."""
-        config = ServeConfig(max_batch=4, max_wait_ms=2.0, backend="serial",
+        config = ServeConfig(max_batch=4, backend="serial",
                              cache=True, cache_dir=str(tmp_path))
         results = []
         with ServerThread(config, agent=small_agent()) as handle:
