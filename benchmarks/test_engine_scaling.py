@@ -21,11 +21,20 @@ from oracles import (
     oarsmt_calls,
     oarsmt_reference,
     pack_reference,
+    pso_reference,
+    rl_sp_reference,
     state_centers,
     wire_mask_reference,
 )
 
-from repro.baselines import SequencePair, inflated_shapes
+from repro.baselines import (
+    PSOConfig,
+    RLSPConfig,
+    SequencePair,
+    inflated_shapes,
+    particle_swarm,
+    rl_sequence_pair,
+)
 from repro.baselines.seqpair import pair_evaluator
 from repro.circuits import get_circuit
 from repro.config import NUM_SHAPES
@@ -104,6 +113,27 @@ def _steiner_or_none(fn, *args):
         return fn(*args)
     except RuntimeError:  # obstacles disconnect the terminals
         return None
+
+
+def _run_speedup(label, run, reference, config):
+    """Time one whole baseline run per Table I circuit against its oracle
+    loop; the results must be equal."""
+    t_ref = t_new = 0.0
+    for name in TABLE1:
+        circuit = get_circuit(name)
+        t0 = time.perf_counter()
+        expected = reference(circuit, config)
+        t_ref += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        result = run(circuit, config)
+        t_new += time.perf_counter() - t0
+        assert result.rects == expected.rects
+        assert result.reward == expected.reward
+    speedup = t_ref / t_new
+    line = (f"{label:<15} reference {t_ref / len(TABLE1) * 1e3:7.1f} ms"
+            f"   fast path  {t_new / len(TABLE1) * 1e3:6.1f} ms"
+            f"   speedup {speedup:5.2f}x")
+    return line, speedup
 
 
 def _hotpath_lines():
@@ -188,7 +218,17 @@ def _hotpath_lines():
         f"   fast       {t_new / len(calls) * 1e3:6.2f} ms"
         f"   speedup {oarsmt_speedup:5.2f}x"
     )
-    return lines, sa_speedup, env_speedup, oarsmt_speedup
+
+    # --- whole RL-SP / PSO runs: per-scalar draws vs bulk replays -------
+    speedups = {"SA evaluation": sa_speedup, "env step": env_speedup,
+                "OARSMT Steiner tree": oarsmt_speedup}
+    for label, run, reference, config in (
+        ("RL-SP run", rl_sequence_pair, rl_sp_reference, RLSPConfig(iterations=20)),
+        ("PSO run", particle_swarm, pso_reference, PSOConfig(iterations=10)),
+    ):
+        line, speedups[label] = _run_speedup(label, run, reference, config)
+        lines.append(line)
+    return lines, speedups
 
 
 def _grid():
@@ -244,21 +284,14 @@ def test_engine_scaling(benchmark, tmp_path):
         assert all(r.cached for r in cached)
         assert t_warm < t_serial
 
-        hot_lines, sa_speedup, env_speedup, oarsmt_speedup = _hotpath_lines()
+        hot_lines, speedups = _hotpath_lines()
         lines.append("")
         lines.extend(hot_lines)
-        assert sa_speedup >= HOTPATH_SPEEDUP_FLOOR, (
-            f"SA evaluation hot path regressed: {sa_speedup:.2f}x "
-            f"< {HOTPATH_SPEEDUP_FLOOR}x floor"
-        )
-        assert env_speedup >= HOTPATH_SPEEDUP_FLOOR, (
-            f"env step hot path regressed: {env_speedup:.2f}x "
-            f"< {HOTPATH_SPEEDUP_FLOOR}x floor"
-        )
-        assert oarsmt_speedup >= HOTPATH_SPEEDUP_FLOOR, (
-            f"OARSMT Steiner tree regressed: {oarsmt_speedup:.2f}x "
-            f"< {HOTPATH_SPEEDUP_FLOOR}x floor"
-        )
+        for label, speedup in speedups.items():
+            assert speedup >= HOTPATH_SPEEDUP_FLOOR, (
+                f"{label} hot path regressed: {speedup:.2f}x "
+                f"< {HOTPATH_SPEEDUP_FLOOR}x floor"
+            )
 
         print("\n" + "\n".join(lines))
 

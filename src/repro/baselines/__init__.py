@@ -12,7 +12,7 @@ from .common import (
     true_shapes,
 )
 from .ga import GAConfig, genetic_algorithm
-from .pso import PSOConfig, decode_keys, particle_swarm
+from .pso import PSOConfig, decode_swarm, particle_swarm
 from .rl_sa import RLSAConfig, rl_simulated_annealing
 from .rl_sp import RLSPConfig, rl_sequence_pair
 from .sa import SAConfig, simulated_annealing
@@ -33,7 +33,7 @@ __all__ = [
     "RLSPConfig",
     "SAConfig",
     "SequencePair",
-    "decode_keys",
+    "decode_swarm",
     "evaluate_coords_population",
     "evaluate_placement",
     "evaluate_population",

@@ -11,10 +11,11 @@ channels, as our methodology provides routing-ready floorplans").
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from operator import add, itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +30,36 @@ logger = get_logger("baselines")
 #: Default congestion-aware spacing: blocks inflated by this fraction per
 #: side before packing (routing channel reservation).
 DEFAULT_SPACING = 0.10
+
+
+def require_budgets(config: Any, *names: str) -> None:
+    """Raise ``ValueError`` unless every named count of ``config`` is >= 1
+    (a zero population or batch has nothing to score or return)."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise ValueError(f"{type(config).__name__}.{name} must be >= 1, got {value}")
+
+
+def require_cooling_schedule(config: Any) -> None:
+    """Raise ``ValueError`` for an annealing schedule that never ends.
+
+    The annealers cool ``temperature *= cooling`` from
+    ``initial_temperature`` until it is no longer above
+    ``final_temperature``; that needs a finite start, a positive end and
+    a factor in (0, 1).
+    """
+    cls = type(config).__name__
+    if not 0.0 < config.cooling < 1.0:
+        raise ValueError(f"{cls}.cooling must be in (0, 1), got {config.cooling}")
+    if not config.final_temperature > 0.0:
+        raise ValueError(
+            f"{cls}.final_temperature must be > 0, got {config.final_temperature}"
+        )
+    if not math.isfinite(config.initial_temperature):
+        raise ValueError(
+            f"{cls}.initial_temperature must be finite, got {config.initial_temperature}"
+        )
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .common import (
     evaluate_placement,
     inflated_shapes,
     publish_result,
+    require_budgets,
 )
 from .seqpair import SequencePair, choose_two, pack, pack_population, random_neighbor
 
@@ -36,6 +37,15 @@ class GAConfig:
     elites: int = 2
     spacing: float = DEFAULT_SPACING
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        require_budgets(self, "population", "tournament")
+        # Tournament picks are drawn without replacement.
+        if self.tournament > self.population:
+            raise ValueError(
+                f"GAConfig.tournament ({self.tournament}) must not exceed "
+                f"population ({self.population})"
+            )
 
 
 def _order_crossover(a: Tuple[int, ...], b: Tuple[int, ...], rng: np.random.Generator) -> Tuple[int, ...]:

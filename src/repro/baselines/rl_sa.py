@@ -10,8 +10,12 @@ stays SA-like (Table I shows ~1-2 s), unlike the from-scratch RL baseline.
 Candidates go through the same per-run machinery as :mod:`.sa`: one
 :func:`~repro.baselines.seqpair.pair_evaluator`, a per-run cost memo and
 :func:`~repro.baselines.seqpair.apply_move` with its exact
-``rng.choice(n, 2, replace=False)`` replay, so results are bit-identical
-to the straightforward numpy loop (golden-tested against it).
+``rng.choice(n, 2, replace=False)`` replay.  The move type's
+``rng.choice(4, p=probs)`` is replayed too: one ``rng.random()`` looked
+up in choice's normalised cumulative sum
+(:func:`~repro.baselines.seqpair.choice_cdf`).  Results are bit-identical to
+the straightforward numpy loop, final bit-generator state included
+(golden-tested against it).
 """
 
 from __future__ import annotations
@@ -25,8 +29,21 @@ import numpy as np
 from ..circuits.netlist import Circuit
 from ..config import NUM_SHAPES
 from ..floorplan.metrics import hpwl_lower_bound
-from .common import DEFAULT_SPACING, FloorplanResult, inflated_shapes, publish_result
-from .seqpair import SequencePair, apply_move, memoized_cost, pack, pair_evaluator
+from .common import (
+    DEFAULT_SPACING,
+    FloorplanResult,
+    inflated_shapes,
+    publish_result,
+    require_cooling_schedule,
+)
+from .seqpair import (
+    SequencePair,
+    apply_move,
+    choice_cdf,
+    memoized_cost,
+    pack,
+    pair_evaluator,
+)
 
 NUM_MOVE_TYPES = 4
 
@@ -40,6 +57,9 @@ class RLSAConfig:
     bandit_lr: float = 0.15
     spacing: float = DEFAULT_SPACING
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        require_cooling_schedule(self)
 
 
 def rl_simulated_annealing(
@@ -69,7 +89,8 @@ def rl_simulated_annealing(
         for _ in range(config.moves_per_temperature):
             probs = np.exp(preferences - preferences.max())
             probs /= probs.sum()
-            move = int(rng.choice(NUM_MOVE_TYPES, p=probs))
+            # rng.choice(NUM_MOVE_TYPES, p=probs), replayed.
+            move = int(choice_cdf(probs).searchsorted(rng.random(), side="right"))
             move_counts[move] += 1
             candidate = apply_move(current, move, NUM_SHAPES, rng)
             cand_cost = cost_of(candidate)

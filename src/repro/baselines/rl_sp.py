@@ -10,6 +10,14 @@ This baseline reproduces the prior method's profile in Table I: it reaches
 good floorplans but pays a long per-instance runtime (it learns from
 scratch every time), which is exactly the gap the paper's transferable
 R-GCN + RL agent closes.
+
+Each iteration draws all its uniforms in one ``rng.random((batch, 3, n))``
+call and replays the per-sample numpy draws from them: the Gumbel noise
+of ``rng.uniform(1e-12, 1.0, n)`` for each permutation, and
+``rng.choice(NUM_SHAPES, p=probs[b])`` per block as a comparison against
+the shape distribution's normalised cumulative sum, computed once per
+iteration.  Results and the final bit-generator state are bit-identical
+to the per-draw loop (``rl_sp_reference`` in the tests' oracles).
 """
 
 from __future__ import annotations
@@ -30,8 +38,9 @@ from .common import (
     evaluate_placement,
     inflated_shapes,
     publish_result,
+    require_budgets,
 )
-from .seqpair import SequencePair, pack, pack_population
+from .seqpair import SequencePair, choice_cdf, pack, pack_population
 
 
 @dataclass
@@ -44,11 +53,8 @@ class RLSPConfig:
     spacing: float = DEFAULT_SPACING
     seed: int = 0
 
-
-def _sample_permutation(scores: np.ndarray, temperature: float, rng: np.random.Generator) -> np.ndarray:
-    """Sample a permutation via the Gumbel / noisy-sort trick (Plackett-Luce)."""
-    gumbel = -np.log(-np.log(rng.uniform(1e-12, 1.0, size=scores.shape)))
-    return np.argsort(-(scores / temperature + gumbel))
+    def __post_init__(self) -> None:
+        require_budgets(self, "iterations", "batch")
 
 
 def rl_sequence_pair(
@@ -74,25 +80,35 @@ def rl_sequence_pair(
     best_reward = -np.inf
     best_pair: Optional[SequencePair] = None
 
+    rank_weight = np.linspace(1.0, -1.0, n)
+    blocks = np.arange(n)
     for step in range(config.iterations):
         grads_plus = np.zeros(n)
         grads_minus = np.zeros(n)
         grads_shape = np.zeros((n, NUM_SHAPES))
+        probs = np.exp(shape_logits - shape_logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        cdf = choice_cdf(probs)
+        # One draw for the iteration, in the per-sample order: n uniforms
+        # for gamma+, n for gamma-, n for the shapes.
+        u = rng.random((config.batch, 3, n))
+        noise = 1e-12 + (1.0 - 1e-12) * u[:, :2]
+        batch_shapes = (cdf <= u[:, 2, :, np.newaxis]).sum(axis=2)
+        plus_keys = plus_scores / config.temperature
+        minus_keys = minus_scores / config.temperature
         samples = []
         pairs = []
         for k in range(config.batch):
-            gp = _sample_permutation(plus_scores, config.temperature, rng)
-            gm = _sample_permutation(minus_scores, config.temperature, rng)
-            probs = np.exp(shape_logits - shape_logits.max(axis=1, keepdims=True))
-            probs /= probs.sum(axis=1, keepdims=True)
-            shapes = np.array([rng.choice(NUM_SHAPES, p=probs[b]) for b in range(n)])
-            pair = SequencePair(
-                tuple(int(b) for b in gp),
-                tuple(int(b) for b in gm),
-                tuple(int(s) for s in shapes),
+            # Gumbel / noisy-sort sample of each permutation (Plackett-Luce).
+            # np.log runs on one sample's length-n row, the array shape
+            # the per-sample draw had, so its results stay bit-identical.
+            gp = np.argsort(-(plus_keys - np.log(-np.log(noise[k, 0]))))
+            gm = np.argsort(-(minus_keys - np.log(-np.log(noise[k, 1]))))
+            shapes = batch_shapes[k]
+            pairs.append(
+                SequencePair(tuple(gp.tolist()), tuple(gm.tolist()), tuple(shapes.tolist()))
             )
-            pairs.append(pair)
-            samples.append((gp, gm, shapes, probs))
+            samples.append((gp, gm, shapes))
 
         # One batched evaluation per iteration instead of `batch` scalar
         # ones, straight from the packed coordinate arrays.
@@ -107,16 +123,15 @@ def rl_sequence_pair(
 
         advantage = rewards - baseline
         baseline = config.baseline_decay * baseline + (1 - config.baseline_decay) * rewards.mean()
-        for k, (gp, gm, shapes, probs) in enumerate(samples):
+        for k, (gp, gm, shapes) in enumerate(samples):
             adv = advantage[k]
             # Score-function gradient for the noisy-sort policy: push the
             # scores of early-ranked blocks up when the outcome beat the
             # baseline (rank-weighted surrogate).
-            rank_weight = np.linspace(1.0, -1.0, n)
             grads_plus[gp] += adv * rank_weight
             grads_minus[gm] += adv * rank_weight
             one_hot = np.zeros((n, NUM_SHAPES))
-            one_hot[np.arange(n), shapes] = 1.0
+            one_hot[blocks, shapes] = 1.0
             grads_shape += adv * (one_hot - probs)
 
         scale = config.learning_rate / config.batch

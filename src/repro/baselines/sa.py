@@ -23,7 +23,13 @@ import numpy as np
 from ..circuits.netlist import Circuit
 from ..config import NUM_SHAPES
 from ..floorplan.metrics import hpwl_lower_bound
-from .common import DEFAULT_SPACING, FloorplanResult, inflated_shapes, publish_result
+from .common import (
+    DEFAULT_SPACING,
+    FloorplanResult,
+    inflated_shapes,
+    publish_result,
+    require_cooling_schedule,
+)
 from .seqpair import SequencePair, memoized_cost, pack, pair_evaluator, random_neighbor
 
 
@@ -37,6 +43,9 @@ class SAConfig:
     moves_per_temperature: int = 40
     spacing: float = DEFAULT_SPACING
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        require_cooling_schedule(self)
 
 
 def simulated_annealing(

@@ -23,7 +23,10 @@ per-call overhead would dominate:
 * :func:`apply_move` is the one neighbourhood move, and
   :func:`choose_two` replays ``rng.choice(n, 2, replace=False)`` draw for
   draw.  The replay is pinned to numpy's current ``Generator.choice``
-  by a hypothesis test that compares pairs *and* bit-generator states.
+  by a hypothesis test that compares pairs *and* bit-generator states;
+  :func:`choice_cdf` does the same for ``rng.choice(k, p=probs)``.
+  A swap or shape change of a valid pair is valid, so the moved pair
+  skips the permutation re-check that ``SequencePair(...)`` runs.
 """
 
 from __future__ import annotations
@@ -58,6 +61,16 @@ class SequencePair:
     @property
     def num_blocks(self) -> int:
         return len(self.gamma_plus)
+
+    @classmethod
+    def _trusted(
+        cls, gamma_plus: Tuple[int, ...], gamma_minus: Tuple[int, ...], shapes: Tuple[int, ...]
+    ) -> "SequencePair":
+        """A pair built from parts already known to be valid (a move of a
+        valid pair), skipping :meth:`__post_init__`'s permutation check."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(gamma_plus=gamma_plus, gamma_minus=gamma_minus, shapes=shapes)
+        return pair
 
     @staticmethod
     def random(n: int, num_shapes: int, rng: np.random.Generator) -> "SequencePair":
@@ -203,6 +216,21 @@ def choose_two(n: int, rng: np.random.Generator) -> Tuple[int, int]:
     return (i, j) if rng.integers(0, 2) else (j, i)
 
 
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The normalised cumulative sum ``rng.choice(k, p=row)`` searches,
+    for each row of ``probs`` (last axis).
+
+    ``choice`` then draws one ``rng.random()`` ``u`` and returns the
+    number of entries ``<= u`` (``cdf.searchsorted(u, side="right")``), so
+    a caller holding the uniforms replays its draws exactly.  Pinned to
+    numpy's ``Generator.choice`` by a hypothesis test that compares draws
+    *and* bit-generator states.
+    """
+    cdf = probs.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
 def _swapped(seq: Tuple[int, ...], i: int, j: int) -> Tuple[int, ...]:
     out = list(seq)
     out[i], out[j] = out[j], out[i]
@@ -223,14 +251,14 @@ def apply_move(
         block = int(rng.integers(0, n))
         shapes = list(pair.shapes)
         shapes[block] = int(rng.integers(0, num_shapes))
-        return SequencePair(pair.gamma_plus, pair.gamma_minus, tuple(shapes))
+        return SequencePair._trusted(pair.gamma_plus, pair.gamma_minus, tuple(shapes))
     i, j = choose_two(n, rng)
     plus, minus = pair.gamma_plus, pair.gamma_minus
     if move != 1:
         plus = _swapped(plus, i, j)
     if move != 0:
         minus = _swapped(minus, i, j)
-    return SequencePair(plus, minus, pair.shapes)
+    return SequencePair._trusted(plus, minus, pair.shapes)
 
 
 def random_neighbor(pair: SequencePair, num_shapes: int, rng: np.random.Generator) -> SequencePair:

@@ -45,7 +45,7 @@ class Module:
     @property
     def dtype(self) -> np.dtype:
         """Dtype of this module's parameters (the active default if none)."""
-        for p in self.parameters():
+        for _, p in self.named_parameters():
             return p.data.dtype
         from .tensor import default_dtype
 

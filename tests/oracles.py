@@ -16,7 +16,9 @@ from repro.baselines import (
     FloorplanResult,
     GAConfig,
     PlacedRect,
+    PSOConfig,
     RLSAConfig,
+    RLSPConfig,
     SAConfig,
     SequencePair,
     evaluate_coords_population,
@@ -375,17 +377,7 @@ def ga_reference(
     hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
 
     def score_all(pairs):
-        coords = [pack_arrays_reference(p, sizes) for p in pairs]
-        _, _, _, rewards = evaluate_coords_population(
-            circuit,
-            np.stack([c[0] for c in coords]),
-            np.stack([c[1] for c in coords]),
-            np.stack([c[2] for c in coords]),
-            np.stack([c[3] for c in coords]),
-            hpwl_min=hmin,
-            target_aspect=target_aspect,
-        )
-        return rewards.tolist()
+        return _score_population_reference(circuit, pairs, sizes, hmin, target_aspect).tolist()
 
     def crossover(pa: SequencePair, pb: SequencePair) -> SequencePair:
         gp = _order_crossover_reference(pa.gamma_plus, pb.gamma_plus, rng)
@@ -424,6 +416,165 @@ def ga_reference(
     return _final_result(
         circuit, "GA", population[best_idx], sizes, hmin, target_aspect,
         {"generations": config.generations, "population": config.population},
+    )
+
+
+def _score_population_reference(circuit, pairs, sizes, hmin, target_aspect) -> np.ndarray:
+    """Rewards of ``pairs``, each packed by :func:`pack_arrays_reference`,
+    stacked and scored in one population pass."""
+    coords = [pack_arrays_reference(p, sizes) for p in pairs]
+    _, _, _, rewards = evaluate_coords_population(
+        circuit,
+        np.stack([c[0] for c in coords]),
+        np.stack([c[1] for c in coords]),
+        np.stack([c[2] for c in coords]),
+        np.stack([c[3] for c in coords]),
+        hpwl_min=hmin,
+        target_aspect=target_aspect,
+    )
+    return rewards
+
+
+def decode_keys_reference(keys: np.ndarray, n: int) -> SequencePair:
+    """Reference for ``decode_swarm``: one particle's random-key vector
+    (3n,) -> SequencePair, a scalar ``np.clip`` per shape key."""
+    gp = tuple(int(b) for b in np.argsort(keys[:n]))
+    gm = tuple(int(b) for b in np.argsort(keys[n:2 * n]))
+    raw = keys[2 * n:3 * n]
+    shapes = tuple(
+        int(np.clip(np.floor((s % 1.0) * NUM_SHAPES), 0, NUM_SHAPES - 1)) for s in np.abs(raw)
+    )
+    return SequencePair(gp, gm, shapes)
+
+
+def pso_reference(
+    circuit: Circuit,
+    config: PSOConfig,
+    hpwl_min: Optional[float] = None,
+    target_aspect: Optional[float] = None,
+) -> FloorplanResult:
+    """Reference for ``particle_swarm``: every particle decoded on its own
+    by :func:`decode_keys_reference`."""
+    rng = np.random.default_rng(config.seed)
+    n = circuit.num_blocks
+    dim = 3 * n
+    sizes = inflated_shapes(circuit, config.spacing)
+    hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
+
+    def score_swarm(pos: np.ndarray):
+        pairs = [decode_keys_reference(pos[p], n) for p in range(pos.shape[0])]
+        return _score_population_reference(circuit, pairs, sizes, hmin, target_aspect), pairs
+
+    positions = rng.uniform(0.0, 1.0, size=(config.particles, dim))
+    velocities = rng.uniform(-0.1, 0.1, size=(config.particles, dim))
+    personal_best = positions.copy()
+    personal_score, pair_cache = score_swarm(positions)
+    global_idx = int(np.argmax(personal_score))
+    global_best = personal_best[global_idx].copy()
+    global_score = personal_score[global_idx]
+    global_pair = pair_cache[global_idx]
+
+    for _ in range(config.iterations):
+        r1 = rng.uniform(size=(config.particles, dim))
+        r2 = rng.uniform(size=(config.particles, dim))
+        velocities = (
+            config.inertia * velocities
+            + config.cognitive * r1 * (personal_best - positions)
+            + config.social * r2 * (global_best[np.newaxis, :] - positions)
+        )
+        positions = positions + velocities
+        rewards, pairs = score_swarm(positions)
+        for p in range(config.particles):
+            reward = rewards[p]
+            if reward > personal_score[p]:
+                personal_score[p] = reward
+                personal_best[p] = positions[p].copy()
+                if reward > global_score:
+                    global_score = reward
+                    global_best = positions[p].copy()
+                    global_pair = pairs[p]
+
+    return _final_result(
+        circuit, "PSO", global_pair, sizes, hmin, target_aspect,
+        {"iterations": config.iterations, "particles": config.particles},
+    )
+
+
+def _sample_permutation_reference(
+    scores: np.ndarray, temperature: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Gumbel / noisy-sort sample of a permutation (Plackett-Luce)."""
+    gumbel = -np.log(-np.log(rng.uniform(1e-12, 1.0, size=scores.shape)))
+    return np.argsort(-(scores / temperature + gumbel))
+
+
+def rl_sp_reference(
+    circuit: Circuit,
+    config: RLSPConfig,
+    hpwl_min: Optional[float] = None,
+    target_aspect: Optional[float] = None,
+) -> FloorplanResult:
+    """Reference for ``rl_sequence_pair``: per-sample ``rng.uniform``
+    permutation noise and one ``rng.choice(NUM_SHAPES, p=...)`` per block."""
+    rng = np.random.default_rng(config.seed)
+    n = circuit.num_blocks
+    sizes = inflated_shapes(circuit, config.spacing)
+    hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
+
+    plus_scores = np.zeros(n)
+    minus_scores = np.zeros(n)
+    shape_logits = np.zeros((n, NUM_SHAPES))
+
+    baseline = 0.0
+    best_reward = -np.inf
+    best_pair: Optional[SequencePair] = None
+
+    for step in range(config.iterations):
+        grads_plus = np.zeros(n)
+        grads_minus = np.zeros(n)
+        grads_shape = np.zeros((n, NUM_SHAPES))
+        samples = []
+        pairs = []
+        for k in range(config.batch):
+            gp = _sample_permutation_reference(plus_scores, config.temperature, rng)
+            gm = _sample_permutation_reference(minus_scores, config.temperature, rng)
+            probs = np.exp(shape_logits - shape_logits.max(axis=1, keepdims=True))
+            probs /= probs.sum(axis=1, keepdims=True)
+            shapes = np.array([rng.choice(NUM_SHAPES, p=probs[b]) for b in range(n)])
+            pair = SequencePair(
+                tuple(int(b) for b in gp),
+                tuple(int(b) for b in gm),
+                tuple(int(s) for s in shapes),
+            )
+            pairs.append(pair)
+            samples.append((gp, gm, shapes, probs))
+
+        rewards = _score_population_reference(circuit, pairs, sizes, hmin, target_aspect)
+        for k in range(config.batch):
+            if rewards[k] > best_reward:
+                best_reward = float(rewards[k])
+                best_pair = pairs[k]
+
+        advantage = rewards - baseline
+        baseline = config.baseline_decay * baseline + (1 - config.baseline_decay) * rewards.mean()
+        for k, (gp, gm, shapes, probs) in enumerate(samples):
+            adv = advantage[k]
+            rank_weight = np.linspace(1.0, -1.0, n)
+            grads_plus[gp] += adv * rank_weight
+            grads_minus[gm] += adv * rank_weight
+            one_hot = np.zeros((n, NUM_SHAPES))
+            one_hot[np.arange(n), shapes] = 1.0
+            grads_shape += adv * (one_hot - probs)
+
+        scale = config.learning_rate / config.batch
+        plus_scores += scale * grads_plus
+        minus_scores += scale * grads_minus
+        shape_logits += scale * grads_shape
+
+    assert best_pair is not None
+    return _final_result(
+        circuit, "RL [13]", best_pair, sizes, hmin, target_aspect,
+        {"iterations": config.iterations, "batch": config.batch},
     )
 
 

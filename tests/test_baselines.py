@@ -1,5 +1,7 @@
 """Tests for sequence-pair packing and the metaheuristic baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from repro.baselines import (
     RLSPConfig,
     SAConfig,
     SequencePair,
-    decode_keys,
+    decode_swarm,
     evaluate_placement,
     genetic_algorithm,
     inflated_shapes,
@@ -27,6 +29,8 @@ from repro.baselines import (
     true_shapes,
 )
 from repro.circuits import get_circuit
+
+from oracles import decode_keys_reference
 
 
 def square_sizes(n, side=1.0):
@@ -89,7 +93,9 @@ class TestSequencePair:
         pair = SequencePair.random(6, 3, rng)
         for _ in range(50):
             pair = random_neighbor(pair, 3, rng)
-        # constructor validates permutations; reaching here means all good
+            # Moves skip the constructor's check; the public one re-runs it.
+            assert SequencePair(pair.gamma_plus, pair.gamma_minus, pair.shapes) == pair
+            assert all(0 <= s < 3 for s in pair.shapes)
         assert pair.num_blocks == 6
 
 
@@ -190,12 +196,56 @@ class TestBaselineRuns:
 
     def test_decode_keys_valid(self):
         rng = np.random.default_rng(0)
-        keys = rng.uniform(size=3 * 7)
-        pair = decode_keys(keys, 7)
-        assert pair.num_blocks == 7
+        swarm = rng.uniform(size=(4, 3 * 7))
+        pairs = decode_swarm(swarm, 7)
+        assert [pair.num_blocks for pair in pairs] == [7] * 4
+        assert pairs == [decode_keys_reference(keys, 7) for keys in swarm]
 
     def test_rl_sa_tracks_move_counts(self):
         ckt = get_circuit("ota_small")
         result = rl_simulated_annealing(ckt, _fast_rlsa())
         counts = result.extra["move_counts"]
         assert sum(counts) > 0
+
+
+class TestConfigValidation:
+    """Budgets that would hang or crash a run are rejected at construction
+    (these tests build configs only; none of them runs)."""
+
+    @pytest.mark.parametrize("config_cls", [SAConfig, RLSAConfig])
+    @pytest.mark.parametrize("overrides", [
+        {"cooling": 1.0},          # never cools: the loop would not end
+        {"cooling": 1.5},
+        {"cooling": 0.0},
+        {"cooling": float("nan")},
+        {"final_temperature": 0.0},
+        {"final_temperature": -1.0},
+        {"initial_temperature": float("inf")},
+    ])
+    def test_annealing_schedule_that_never_ends_rejected(self, config_cls, overrides):
+        with pytest.raises(ValueError):
+            config_cls(**overrides)
+
+    @pytest.mark.parametrize("config_cls, overrides", [
+        (RLSPConfig, {"iterations": 0}),
+        (RLSPConfig, {"batch": 0}),
+        (PSOConfig, {"particles": 0}),
+        (GAConfig, {"population": 0}),
+        (GAConfig, {"tournament": 0}),
+        (GAConfig, {"population": 2, "tournament": 3}),
+    ])
+    def test_empty_budget_rejected(self, config_cls, overrides):
+        with pytest.raises(ValueError):
+            config_cls(**overrides)
+
+    @pytest.mark.parametrize("config", [
+        SAConfig(), RLSAConfig(), RLSPConfig(), PSOConfig(), GAConfig(),
+        SAConfig(cooling=0.99, final_temperature=1e-6),
+        GAConfig(population=3, tournament=3),
+        PSOConfig(particles=1, iterations=0),
+        RLSPConfig(iterations=1, batch=1),
+    ])
+    def test_valid_configs_store_only_their_fields(self, config):
+        # Table I's cache keys are built from the config's attributes, so
+        # validation must add none.
+        assert set(vars(config)) == {f.name for f in dataclasses.fields(config)}

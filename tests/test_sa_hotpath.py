@@ -1,13 +1,19 @@
-"""Golden tests for the annealers' per-move path.
+"""Golden tests for the baselines' hot paths.
 
 ``simulated_annealing``, ``rl_simulated_annealing`` and
 ``genetic_algorithm`` run on a per-run scalar evaluator, a per-run cost
-memo and an exact replay of ``rng.choice(n, 2, replace=False)``.  These
-tests pin every result bit for bit to the numpy loops in ``oracles``
-(per-candidate numpy evaluation, no memo, ``rng.choice`` draws), and pin
-the replay to numpy's own ``Generator.choice``: same pair, same
-bit-generator state afterwards.
+memo and an exact replay of ``rng.choice(n, 2, replace=False)``;
+``rl_simulated_annealing`` and ``rl_sequence_pair`` replay
+``rng.choice(k, p=...)`` from ``choice_cdf``, and ``particle_swarm``
+decodes its whole swarm at once.  These tests pin every result, and the
+bit-generator state each run leaves behind, bit for bit to the numpy
+loops in ``oracles`` (per-candidate numpy evaluation, no memo,
+per-scalar ``rng`` draws), and pin the replays to numpy's own
+``Generator.choice``: same draws, same bit-generator state afterwards.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,17 +23,23 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.baselines import (
     GAConfig,
+    PSOConfig,
     RLSAConfig,
+    RLSPConfig,
     SAConfig,
     SequencePair,
+    decode_swarm,
     genetic_algorithm,
     inflated_shapes,
+    particle_swarm,
     random_neighbor,
+    rl_sequence_pair,
     rl_simulated_annealing,
     simulated_annealing,
 )
 from repro.baselines.seqpair import (
     apply_move,
+    choice_cdf,
     choose_two,
     memoized_cost,
     pack_coords,
@@ -39,11 +51,14 @@ from repro.config import NUM_SHAPES
 
 from oracles import (
     apply_move_reference,
+    decode_keys_reference,
     evaluate_coords_reference,
     ga_reference,
     pack_arrays_reference,
+    pso_reference,
     random_neighbor_reference,
     rl_sa_reference,
+    rl_sp_reference,
     sa_reference,
 )
 
@@ -87,6 +102,59 @@ class TestChooseTwoReplay:
             assert ours.bit_generator.state == numpy_.bit_generator.state
 
 
+@st.composite
+def _probs(draw, k):
+    """A ``p`` for ``choice(k, p=...)``: arbitrary weights, some exactly
+    zero, or one entry within a few ulps of 1 and the rest tiny."""
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-300, 1e3)), min_size=k, max_size=k)))
+        if not weights.sum():
+            weights[draw(st.integers(0, k - 1))] = 1.0
+        return weights / weights.sum()
+    probs = np.full(k, draw(st.sampled_from([0.0, 1e-300, 1e-17, 1e-16])))
+    probs[draw(st.integers(0, k - 1))] = 1.0 - (k - 1) * probs[0]
+    return probs
+
+
+class TestChoiceReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1),
+           rows=st.lists(st.integers(1, 8).flatmap(_probs), min_size=1, max_size=12))
+    def test_searchsorted_replays_numpy_choice_and_state(self, seed, rows):
+        # RL-SA's form: one rng.random() per draw.
+        ours, numpy_ = _same_rng(seed)
+        for probs in rows:
+            expected = int(numpy_.choice(len(probs), p=probs))
+            assert int(choice_cdf(probs).searchsorted(ours.random(), side="right")) == expected
+            assert ours.bit_generator.state == numpy_.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1),
+           rows=st.integers(1, 6).flatmap(lambda k: st.lists(_probs(k), min_size=1, max_size=10)))
+    def test_bulk_rows_replay_numpy_choice_and_state(self, seed, rows):
+        # RL-SP's form: one row of probabilities per block, all uniforms
+        # in one draw, each row's draw the count of its cdf entries <= u.
+        probs = np.array(rows)
+        ours, numpy_ = _same_rng(seed)
+        expected = [int(numpy_.choice(len(row), p=row)) for row in probs]
+        u = ours.random(len(rows))
+        assert (choice_cdf(probs) <= u[:, np.newaxis]).sum(axis=1).tolist() == expected
+        assert ours.bit_generator.state == numpy_.bit_generator.state
+
+
+class TestDecodeSwarm:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 20), particles=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 3.0, 1e3]))
+    def test_matches_per_particle_decode(self, n, particles, seed, scale):
+        # Keys leave [0, 1) as particles fly: negative and > 1 included.
+        positions = np.random.default_rng(seed).normal(0.5, scale, size=(particles, 3 * n))
+        assert decode_swarm(positions, n) == [
+            decode_keys_reference(positions[p], n) for p in range(particles)
+        ]
+
+
 class TestMoves:
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 17])
     def test_random_neighbor_matches_reference(self, n):
@@ -98,6 +166,7 @@ class TestMoves:
                 expected = random_neighbor_reference(pair, NUM_SHAPES, ref)
                 pair = random_neighbor(pair, NUM_SHAPES, ours)
                 assert pair == expected
+                assert hash(pair) == hash(expected)
                 assert ours.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("move", range(4))
@@ -145,14 +214,42 @@ class TestEvaluatorGolden:
         assert len(memo) == 1
 
 
+@contextmanager
+def _generators():
+    """Collect every generator ``np.random.default_rng`` makes inside."""
+    made = []
+    real = np.random.default_rng
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", spy):
+        yield made
+
+
+def _run_with_states(run, circuit, config, target):
+    """``run``'s result and the final state of each generator it made."""
+    with _generators() as made:
+        result = run(circuit, config, target_aspect=target)
+    return result, [g.bit_generator.state for g in made]
+
+
 def _assert_same_result(ours, ref):
     assert ours.rects == ref.rects
-    assert ours.area == ref.area
-    assert ours.hpwl == ref.hpwl
-    assert ours.dead_space == ref.dead_space
-    assert ours.reward == ref.reward
+    for field in ("area", "hpwl", "dead_space", "reward"):
+        assert getattr(ours, field) == getattr(ref, field)
+        assert type(getattr(ours, field)) is type(getattr(ref, field))
     extra = {k: v for k, v in ours.extra.items() if k != "cost_cache_hits"}
     assert extra == ref.extra
+
+
+def _assert_same_run(run, reference, circuit, config, target):
+    ours, our_states = _run_with_states(run, circuit, config, target)
+    ref, ref_states = _run_with_states(reference, circuit, config, target)
+    _assert_same_result(ours, ref)
+    assert len(our_states) == 1
+    assert our_states == ref_states
 
 
 _RUNS = {
@@ -162,6 +259,10 @@ _RUNS = {
               lambda seed: RLSAConfig(moves_per_temperature=3, seed=seed)),
     "ga": (genetic_algorithm, ga_reference,
            lambda seed: GAConfig(population=8, generations=4, seed=seed)),
+    "pso": (particle_swarm, pso_reference,
+            lambda seed: PSOConfig(particles=6, iterations=5, seed=seed)),
+    "rl-sp": (rl_sequence_pair, rl_sp_reference,
+              lambda seed: RLSPConfig(iterations=6, batch=4, seed=seed)),
 }
 
 
@@ -171,13 +272,20 @@ class TestBaselinesBitIdentical:
     def test_matches_reference_loop(self, method, name):
         run, reference, make_config = _RUNS[method]
         circuit = get_circuit(name)
-        for seed in (0, 1):
+        for seed in (0, 1, 2):
             for target in (None, 1.0):
-                config = make_config(seed)
-                _assert_same_result(
-                    run(circuit, config, target_aspect=target),
-                    reference(circuit, config, target_aspect=target),
-                )
+                _assert_same_run(run, reference, circuit, make_config(seed), target)
+
+    @pytest.mark.parametrize("method, config", [
+        ("pso", PSOConfig()),
+        ("rl-sp", RLSPConfig()),
+    ])
+    def test_default_budget_matches_reference_loop(self, method, config):
+        # Long runs drive the shape distributions towards one-hot rows and
+        # the particles far outside [0, 1): the corners of both replays.
+        run, reference, _ = _RUNS[method]
+        for name in available_circuits():
+            _assert_same_run(run, reference, get_circuit(name), config, None)
 
 
 class TestCostCacheHits:

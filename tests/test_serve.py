@@ -512,3 +512,15 @@ class TestServeBaselines:
                 config={"moves_per_temperature": 4})
             assert response["result"]["method"] == "SA"
             assert response["result"]["area"] > 0
+
+    def test_endless_annealing_schedule_is_a_prompt_error(self, server):
+        # cooling = 1.0 would never cool: the config is rejected before
+        # the worker starts annealing, so the answer comes back at once
+        # and the server keeps serving.
+        with SolveClient(server.address, timeout=30.0) as client:
+            response = client.request({
+                "op": "solve", "circuit": "ota_small", "method": "sa",
+                "seed": 0, "config": {"cooling": 1.0}})
+            assert response["ok"] is False
+            assert "cooling" in response["error"]
+            assert client.ping()["pong"] is True
