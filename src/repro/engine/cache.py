@@ -35,7 +35,6 @@ import numpy as np
 from ..baselines.common import FloorplanResult, PlacedRect
 from ..obs import OBS
 from ..obs.metrics import MetricsRegistry
-from ..resil import chaos
 from .task import TaskResult, TaskSpec, canonical_json
 
 DEFAULT_CACHE_DIR = "~/.cache/repro"
@@ -176,10 +175,6 @@ class ArtifactCache:
         """
         key = spec.content_hash()
         meta_path = self._meta_path(key)
-        if chaos.enabled():
-            # Fault-injection point: trash the meta file just before the
-            # read, so the evict-and-recompute path below is what runs.
-            chaos.corrupt_cache_entry(key, meta_path)
         try:
             with open(meta_path) as handle:
                 meta = json.load(handle)

@@ -44,7 +44,6 @@ from ..resil import (
     TaskTimeoutError,
     call_with_retries,
 )
-from ..resil import chaos
 from .cache import ArtifactCache
 from .task import TaskResult, TaskSpec, run_task
 
@@ -259,11 +258,8 @@ class Executor:
                     merge_worker(result.obs, label="engine-worker")
                     result.obs = None
 
-        # The single-pending shortcut must not apply under chaos: an
-        # injected kill_worker would then take out the coordinating
-        # process instead of a pool worker.
         inline = self.backend == "serial" or (
-            len(pending) <= 1 and not self.keep_pool and not chaos.enabled()
+            len(pending) <= 1 and not self.keep_pool
         )
         if inline:
             for i in pending:

@@ -22,8 +22,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
-from ..resil import chaos
-
 #: Bump to invalidate every cached artifact after a semantic change to any
 #: builtin task function.
 CACHE_VERSION = 1
@@ -154,11 +152,6 @@ class TaskResult:
 def run_task(spec: TaskSpec, context: Any = None) -> TaskResult:
     """Execute ``spec`` in the current process, timing the call."""
     fn = get_task(spec.fn)
-    if chaos.enabled():
-        # Fault-injection point for the execution layer: keyed by the
-        # content hash, so the same grid cell is hit on every run
-        # regardless of backend or submission order.
-        chaos.inject_task(spec.content_hash(), spec.label)
     start = time.perf_counter()
     value = fn(spec.params, spec.seed, context)
     return TaskResult(spec=spec, value=value, seconds=time.perf_counter() - start)

@@ -44,7 +44,7 @@ def _rows(header: List[str], rows: List[List[str]]) -> List[str]:
 #: steady-state work; ``render_metrics`` folds them into a dedicated
 #: "resilience" section so retries/sheds/crashes stand out in a post-mortem.
 _RESIL_PREFIXES = (
-    "resil.", "chaos.", "engine.pool_rebuilds", "serve.shed",
+    "resil.", "engine.pool_rebuilds", "serve.shed",
     "serve.deadline_exceeded", "serve.queue_depth", "serve.drained",
     "serve.drain_abandoned",
 )

@@ -1,6 +1,6 @@
-"""Fault tolerance for the execution layer — retries, deadlines, chaos.
+"""Fault tolerance for the execution layer — retries and deadlines.
 
-The package splits into three small pieces, consumed across the engine
+The package splits into two small pieces, consumed across the engine
 and the solve server:
 
 - :mod:`repro.resil.errors` — typed substrate failures
@@ -9,8 +9,9 @@ and the solve server:
 - :mod:`repro.resil.policy` — :class:`RetryPolicy` (retries, per-attempt
   timeout, deterministic exponential backoff — no RNG, preserving the
   bit-identical-when-quiet contract) plus the retry/timeout runners.
-- :mod:`repro.resil.chaos` — the seeded fault-injection harness that
-  proves all of the above actually recovers.
+
+The seeded fault injection that proves all of the above recovers lives
+in the test suite, not in the package.
 """
 
 from .errors import (

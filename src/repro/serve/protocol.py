@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from ..circuits.netlist import Circuit
 from ..engine.task import TaskSpec, canonical_json
+from ..engine.tasks import BASELINE_RUNNERS
 
 #: Protocol revision; bump on incompatible wire changes.
 PROTOCOL_VERSION = 1
@@ -47,7 +49,7 @@ PROTOCOL_VERSION = 1
 #: server process) or one of the metaheuristic baselines (sharded to the
 #: engine's process backend).
 RL_METHOD = "rl"
-BASELINE_METHODS = ("sa", "ga", "pso", "rl-sa", "rl-sp")
+BASELINE_METHODS = tuple(BASELINE_RUNNERS)
 
 #: Upper bound on one request line; longer lines are a protocol error
 #: (and protect the server from unbounded buffering).
@@ -161,21 +163,33 @@ def parse_solve(payload: Mapping[str, Any]) -> SolveRequest:
             f"{list(BASELINE_METHODS)}"
         )
     seed = payload.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ProtocolError("'seed' must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ProtocolError("'seed' must be a non-negative integer")
     attempts = payload.get("attempts", 8)
     if not isinstance(attempts, int) or isinstance(attempts, bool) or attempts < 1:
         raise ProtocolError("'attempts' must be a positive integer")
     target_aspect = payload.get("target_aspect")
-    if target_aspect is not None and not isinstance(target_aspect, (int, float)):
-        raise ProtocolError("'target_aspect' must be a number")
+    if target_aspect is not None and (
+            not isinstance(target_aspect, (int, float))
+            or isinstance(target_aspect, bool)
+            or not (math.isfinite(target_aspect) and target_aspect > 0)):
+        raise ProtocolError("'target_aspect' must be a finite positive number")
     config = payload.get("config", {})
     if not isinstance(config, dict):
         raise ProtocolError("'config' must be an object")
+    if method in BASELINE_METHODS:
+        # The config class checks the overrides (unknown keys, an endless
+        # schedule, an empty budget) here, so a bad request is the
+        # client's error and never reaches the cache or the executor.
+        _, config_cls = BASELINE_RUNNERS[method]
+        try:
+            config_cls(**{**config, "seed": seed})
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"invalid {method} config: {exc}") from None
     deadline_ms = payload.get("deadline_ms")
     if deadline_ms is not None:
         if (not isinstance(deadline_ms, (int, float))
-                or isinstance(deadline_ms, bool) or deadline_ms <= 0):
+                or isinstance(deadline_ms, bool) or not deadline_ms > 0):
             raise ProtocolError("'deadline_ms' must be a positive number")
     return SolveRequest(
         circuit=circuit,

@@ -37,7 +37,6 @@ per request.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -58,7 +57,6 @@ from ..graph.hetero import HeteroGraph
 from ..obs import OBS, drain_worker, get_logger
 from ..obs.metrics import MetricsRegistry
 from ..resil import OverloadedError, QueueFullError
-from ..resil import chaos
 from ..rl.agent import FloorplanAgent, solve_session
 from .batcher import MicroBatcher
 from .protocol import (
@@ -303,12 +301,6 @@ class SolveServer:
                 return  # EOF: client closed
             if not line.strip():
                 continue
-            if chaos.enabled() and chaos.drop_connection(
-                    hashlib.sha256(line).hexdigest()):
-                # Injected fault: die after reading the request, before
-                # any response — the worst spot for a client, which must
-                # reconnect and resend (idempotent by content-addressing).
-                return
             response = await self._dispatch(line.strip())
             try:
                 writer.write(response)

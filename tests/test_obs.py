@@ -456,6 +456,25 @@ class TestReport:
         assert "training iterations" in text
         assert "ppo.update" in text
 
+    def test_resilience_section_folds_fault_counters(self, tmp_path):
+        fault_counters = ("resil.retries", "engine.pool_rebuilds",
+                          "serve.shed")
+        with obs.enabled_scope():
+            obs.inc("env.steps", 10)
+            for name in fault_counters:
+                obs.inc(name)
+            path = obs.write_metrics(str(tmp_path / "m.jsonl"))
+        with open(path) as handle:
+            entries = [json.loads(line) for line in handle]
+        sections = {}
+        for block in obs.render_metrics(entries).split("\n\n"):
+            header, _, body = block.partition("\n")
+            sections[header] = body
+        assert "env.steps" in sections["== counters =="]
+        for name in fault_counters:
+            assert name in sections["== resilience =="]
+            assert name not in sections["== counters =="]
+
     def test_report_subcommand(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -1,7 +1,8 @@
-"""Fault-tolerance layer (repro.resil): policy/chaos units plus
-executor crash paths and the bounded micro-batch queue.
+"""Fault-tolerance layer (repro.resil): policy units, the fault-decision
+units behind the chaos suite, executor crash paths and the bounded
+micro-batch queue.
 
-Deterministic by construction: chaos decisions are pure hashes, backoff
+Deterministic by construction: fault decisions are pure hashes, backoff
 has no jitter, and every kill uses the sentinel ``KILL_EXIT_CODE`` so a
 real crash can never masquerade as an injected one.  None of these tests
 needs pytest-timeout locally; the CI chaos job adds ``--timeout`` as a
@@ -14,6 +15,7 @@ import time
 
 import pytest
 
+from faults import KILL_EXIT_CODE, fires
 from repro.engine import ArtifactCache, Executor, TaskSpec, register_task
 from repro.resil import (
     PoolRebuildLimitError,
@@ -23,8 +25,6 @@ from repro.resil import (
     call_with_retries,
     run_with_timeout,
 )
-from repro.resil import chaos
-from repro.resil.chaos import KILL_EXIT_CODE, ChaosConfig, Injector
 from repro.resil.policy import BACKOFF, MAX_BACKOFF, MULTIPLIER
 from repro.serve import MicroBatcher
 
@@ -129,99 +129,34 @@ class TestCallWithRetries:
 
 
 # ---------------------------------------------------------------------------
-# Chaos configuration & deterministic firing
+# Deterministic fault decisions (tests/faults.py, behind the chaos suite)
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def clean_chaos(monkeypatch):
-    """No chaos active before or after the test, whatever it installs."""
-    monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-    monkeypatch.delenv(chaos.DIR_ENV_VAR, raising=False)
-    chaos.uninstall()
-    yield
-    chaos.uninstall()
-
-
-class TestChaosConfig:
-    def test_parse_full_spec(self):
-        config = ChaosConfig.parse(
-            "kill_worker:rate=0.5,seed=3;delay_task:value=20,once=0")
-        kill = config.get("kill_worker")
-        assert (kill.rate, kill.seed, kill.once) == (0.5, 3, True)
-        delay = config.get("delay_task")
-        assert (delay.magnitude, delay.once) == (20.0, False)
-        assert config.get("hang_task") is None
-
-    def test_value_defaults_per_kind(self):
-        assert Injector("hang_task").magnitude == 3600.0
-        assert Injector("delay_task").magnitude == 50.0
-        assert Injector("kill_worker").magnitude == 0.0
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos kind"):
-            ChaosConfig.parse("explode_disk")
-
-    def test_unknown_option_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos option"):
-            ChaosConfig.parse("kill_worker:colour=red")
-
-    def test_rate_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="rate"):
-            ChaosConfig.parse("kill_worker:rate=1.5")
-
-    def test_empty_segments_skipped(self):
-        config = ChaosConfig.parse(";kill_worker;;")
-        assert set(config.injectors) == {"kill_worker"}
-
-
 class TestChaosFiring:
-    def test_disabled_never_fires(self, clean_chaos):
-        assert not chaos.enabled()
-        assert not chaos.fires("kill_worker", "any-key")
+    def test_rate_one_always_rate_zero_never(self):
+        assert all(fires("kill_worker", f"k{i}", 0, 1.0) for i in range(20))
+        assert not any(fires("kill_worker", f"k{i}", 0, 0.0)
+                       for i in range(20))
 
-    def test_env_var_activates(self, clean_chaos, monkeypatch):
-        monkeypatch.setenv(chaos.ENV_VAR, "delay_task:rate=0")
-        assert chaos.enabled()
-        assert chaos.active().get("delay_task").rate == 0.0
-
-    def test_rate_one_always_rate_zero_never(self, clean_chaos):
-        chaos.install(ChaosConfig.parse("kill_worker:rate=1,once=0"))
-        assert all(chaos.fires("kill_worker", f"k{i}") for i in range(20))
-        chaos.install(ChaosConfig.parse("kill_worker:rate=0,once=0"))
-        assert not any(chaos.fires("kill_worker", f"k{i}") for i in range(20))
-
-    def test_decision_is_pure_function_of_seed_kind_key(self, clean_chaos):
-        chaos.install(ChaosConfig.parse("drop_conn:rate=0.5,seed=7,once=0"))
-        first = [chaos.fires("drop_conn", f"key{i}") for i in range(64)]
-        again = [chaos.fires("drop_conn", f"key{i}") for i in range(64)]
+    def test_decision_is_pure_function_of_seed_kind_key(self):
+        first = [fires("drop_conn", f"key{i}", 7, 0.5) for i in range(64)]
+        again = [fires("drop_conn", f"key{i}", 7, 0.5) for i in range(64)]
         assert first == again
         assert any(first) and not all(first)  # rate 0.5 splits the keys
 
-    def test_different_seed_changes_the_schedule(self, clean_chaos):
+    def test_different_seed_changes_the_schedule(self):
         keys = [f"key{i}" for i in range(64)]
-        chaos.install(ChaosConfig.parse("drop_conn:rate=0.5,seed=7,once=0"))
-        a = [chaos.fires("drop_conn", k) for k in keys]
-        chaos.install(ChaosConfig.parse("drop_conn:rate=0.5,seed=8,once=0"))
-        b = [chaos.fires("drop_conn", k) for k in keys]
+        a = [fires("drop_conn", k, 7, 0.5) for k in keys]
+        b = [fires("drop_conn", k, 8, 0.5) for k in keys]
         assert a != b
 
-    def test_once_marker_local(self, clean_chaos):
-        chaos.install(ChaosConfig.parse("kill_worker:rate=1"))
-        assert chaos.fires("kill_worker", "site")
-        assert not chaos.fires("kill_worker", "site")
-        assert chaos.fires("kill_worker", "other-site")
-
-    def test_once_marker_cross_process_via_dir(self, clean_chaos,
-                                               monkeypatch, tmp_path):
-        monkeypatch.setenv(chaos.DIR_ENV_VAR, str(tmp_path))
-        chaos.install(ChaosConfig.parse("kill_worker:rate=1"))
-        assert chaos.fires("kill_worker", "site")
-        # A respawned worker has no process memory — simulate by clearing
-        # the local fallback set; the on-disk marker must still hold.
-        chaos.uninstall()
-        chaos.install(ChaosConfig.parse("kill_worker:rate=1"))
-        assert not chaos.fires("kill_worker", "site")
-        assert len(list(tmp_path.iterdir())) == 1
+    def test_once_marker_cross_process_via_dir(self, tmp_path):
+        # ``fires`` keeps no process memory: the marker file alone stops
+        # the second hit, as it must in a respawned worker.
+        assert fires("kill_worker", "site", 0, 1.0, str(tmp_path))
+        assert not fires("kill_worker", "site", 0, 1.0, str(tmp_path))
+        assert fires("kill_worker", "other-site", 0, 1.0, str(tmp_path))
+        assert len(list(tmp_path.iterdir())) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +321,13 @@ class TestKeptPool:
         finally:
             ex.close()
         ex.close()  # idempotent
+        assert ex.pools_discarded == 0
+
+    def test_lone_task_runs_inline_without_a_kept_pool(self):
+        # The one inline rule: a single pending task skips the pool
+        # unless the pool is kept (then it goes there, as above).
+        ex = Executor(backend="process", workers=2)
+        assert self._pid(ex) == os.getpid()
         assert ex.pools_discarded == 0
 
     def test_crashed_pool_replaced_and_task_resubmitted(self, tmp_path,

@@ -1,24 +1,31 @@
-"""Seeded fault-injection matrix (repro.resil.chaos) across the process
-boundaries: engine pools and the solve service (connections and its
-baseline pool) — plus the crash-resumable-sweep regression.
+"""Seeded fault-injection matrix across the process boundaries: engine
+pools and the solve service (connections and its baseline pool) — plus
+the crash-resumable-sweep regression.
 
-Every test derives its injector seed from ``$REPRO_CHAOS_SEED`` (the CI
+The faults are fixtures (built on ``tests/faults.py``) that wrap the
+engine's ``run_task``, ``ArtifactCache.get`` or the server's request
+handler, so every scenario runs the production code path unchanged.
+Every test derives its fault seed from ``$REPRO_CHAOS_SEED`` (the CI
 chaos job runs a small seed matrix; locally it defaults to 0), and every
 assertion about "did a fault fire" is computed from the same pure hash
 the injector uses — so these tests are deterministic per seed, never
 probabilistic.
 """
 
-import json
+import asyncio
+import hashlib
 import os
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.engine.executor as engine_executor
+from faults import KILL_EXIT_CODE, faulty_run_task, fires, fraction
 from repro import obs
 from repro.config import TrainConfig
 from repro.engine import (
@@ -30,10 +37,8 @@ from repro.engine import (
     run_sweep,
 )
 from repro.resil import RetryPolicy
-from repro.resil import chaos
-from repro.resil.chaos import KILL_EXIT_CODE, _fraction
 from repro.rl import FloorplanAgent
-from repro.serve import ServeConfig, ServerThread, SolveClient
+from repro.serve import ServeConfig, ServerThread, SolveClient, SolveServer
 
 #: CI matrix leg: shifts every injector seed so each leg exercises a
 #: different deterministic fault schedule.
@@ -62,18 +67,66 @@ def chaos_artifacts():
 
 
 @pytest.fixture
-def chaos_env(monkeypatch, tmp_path):
-    """Arm chaos via the environment (so forked workers inherit it) and
-    guarantee a clean slate before and after."""
-    marker_dir = tmp_path / "chaos-markers"
+def marker_dir(tmp_path):
+    return str(tmp_path / "markers")
 
-    def arm(spec: str) -> None:
-        monkeypatch.setenv(chaos.ENV_VAR, spec)
-        monkeypatch.setenv(chaos.DIR_ENV_VAR, str(marker_dir))
 
-    chaos.uninstall()
-    yield arm
-    chaos.uninstall()
+@pytest.fixture
+def task_fault(monkeypatch, marker_dir):
+    """Arm one task fault on ``repro.engine.executor.run_task``, the name
+    the serial, inline and pool-worker paths all call.  Pools start
+    lazily, so forked workers inherit the patch.  Returns the keys the
+    fault hits in this process."""
+
+    def arm(kind, seed, rate=1.0, seconds=0.0, once=True):
+        wrapper = faulty_run_task(kind, seed, rate, seconds,
+                                  marker_dir if once else None)
+        monkeypatch.setattr(engine_executor, "run_task", wrapper)
+        return wrapper.fired
+
+    return arm
+
+
+@pytest.fixture
+def corrupt_cache(monkeypatch, marker_dir):
+    """Arm: ``ArtifactCache.get`` finds garbage in an entry's meta file
+    (once per entry), so its evict-and-recompute path is what runs."""
+
+    def arm(seed):
+        get = ArtifactCache.get
+
+        def corrupting_get(self, spec):
+            key = spec.content_hash()
+            meta = self._meta_path(key)
+            if fires("corrupt_cache", key, seed, marker_dir=marker_dir) \
+                    and meta.exists():
+                meta.write_text("{corrupted")
+            return get(self, spec)
+
+        monkeypatch.setattr(ArtifactCache, "get", corrupting_get)
+
+    return arm
+
+
+@pytest.fixture
+def drop_conn(monkeypatch, marker_dir):
+    """Arm: the server drops a connection on the first sighting of a
+    request line, after reading it and before any response — the worst
+    spot for a client, which must reconnect and resend."""
+
+    def arm(seed):
+        dispatch = SolveServer._dispatch
+
+        async def dropping_dispatch(self, line):
+            key = hashlib.sha256(line).hexdigest()
+            if fires("drop_conn", key, seed, marker_dir=marker_dir):
+                # The connection handler closes the writer quietly.
+                raise asyncio.CancelledError
+            return await dispatch(self, line)
+
+        monkeypatch.setattr(SolveServer, "_dispatch", dropping_dispatch)
+
+    return arm
 
 
 @pytest.fixture
@@ -101,14 +154,14 @@ def _chaos_echo(params, seed, context):
 class TestEngineChaos:
     @pytest.mark.parametrize("leg", range(2))
     def test_kill_worker_matrix_ordered_results_survive(self, leg,
-                                                        chaos_env, fork_ctx):
+                                                        task_fault, fork_ctx):
         """Seeded kills across the task grid: whatever subset the hash
         selects, results come back complete and ordered."""
         seed = CHAOS_SEED * 100 + leg
         specs = [TaskSpec(fn="chaos_echo", seed=s) for s in range(8)]
         victims = [s.content_hash() for s in specs
-                   if _fraction(seed, "kill_worker", s.content_hash()) < 0.5]
-        chaos_env(f"kill_worker:rate=0.5,seed={seed}")
+                   if fraction(seed, "kill_worker", s.content_hash()) < 0.5]
+        task_fault("kill_worker", seed, rate=0.5)
         ex = Executor(backend="process", workers=2)
         results = ex.map_tasks(specs)
         assert [r.value for r in results] == [s * 7 for s in range(8)]
@@ -118,9 +171,9 @@ class TestEngineChaos:
             assert ex.stats.pool_rebuilds == 0
 
     def test_hang_task_recovered_by_timeout_and_retry_process(self,
-                                                              chaos_env,
+                                                              task_fault,
                                                               fork_ctx):
-        chaos_env(f"hang_task:rate=1,value=60,seed={CHAOS_SEED}")
+        task_fault("hang_task", CHAOS_SEED, seconds=60.0)
         specs = [TaskSpec(fn="chaos_echo", seed=s) for s in range(2)]
         ex = Executor(backend="process", workers=2,
                       policy=RetryPolicy(retries=1, timeout=1.0))
@@ -133,8 +186,8 @@ class TestEngineChaos:
         assert ex.stats.timeouts >= 1
         assert ex.stats.pool_rebuilds >= 1
 
-    def test_hang_task_recovered_serial(self, chaos_env):
-        chaos_env(f"hang_task:rate=1,value=5,seed={CHAOS_SEED}")
+    def test_hang_task_recovered_serial(self, task_fault):
+        task_fault("hang_task", CHAOS_SEED, seconds=5.0)
         ex = Executor(backend="serial",
                       policy=RetryPolicy(retries=1, timeout=0.3))
         results = ex.map_tasks([TaskSpec(fn="chaos_echo", seed=3)])
@@ -142,18 +195,17 @@ class TestEngineChaos:
         assert ex.stats.timeouts == 1
         assert ex.stats.retries == 1
 
-    def test_delay_task_slows_but_never_fails(self, chaos_env):
-        chaos_env(f"delay_task:rate=1,value=20,seed={CHAOS_SEED},once=0")
+    def test_delay_task_slows_but_never_fails(self, task_fault):
+        fired = task_fault("delay_task", CHAOS_SEED, seconds=0.020,
+                           once=False)
         specs = [TaskSpec(fn="chaos_echo", seed=s) for s in range(3)]
-        with obs.enabled_scope():
-            ex = Executor(backend="serial")
-            results = ex.map_tasks(specs)
-            fired = obs.OBS.registry.counters.get("chaos.fired.delay_task", 0)
+        ex = Executor(backend="serial")
+        results = ex.map_tasks(specs)
         assert [r.value for r in results] == [0, 7, 14]
-        assert fired == 3
+        assert len(fired) == 3
         assert ex.stats.wall_seconds >= 3 * 0.020
 
-    def test_corrupt_cache_entry_evicted_and_recomputed(self, chaos_env,
+    def test_corrupt_cache_entry_evicted_and_recomputed(self, corrupt_cache,
                                                         tmp_path):
         spec = TaskSpec(fn="chaos_echo", seed=4)
         root = str(tmp_path / "cache")
@@ -161,7 +213,7 @@ class TestEngineChaos:
         warm.map_tasks([spec])
         assert ArtifactCache(root=root).get(spec) is not None
 
-        chaos_env(f"corrupt_cache:rate=1,seed={CHAOS_SEED}")
+        corrupt_cache(CHAOS_SEED)
         ex = Executor(backend="serial", cache=ArtifactCache(root=root))
         results = ex.map_tasks([spec])
         assert results[0].value == 28   # recomputed, not poisoned
@@ -169,7 +221,7 @@ class TestEngineChaos:
         assert ex.stats.computed == 1
 
         # The once-marker is claimed and the entry was rewritten: the
-        # next read is a clean hit even with chaos still armed.
+        # next read is a clean hit even with the fault still armed.
         again = Executor(backend="serial", cache=ArtifactCache(root=root))
         again.map_tasks([spec])
         assert again.stats.cache_hits == 1
@@ -180,8 +232,8 @@ class TestEngineChaos:
 # ---------------------------------------------------------------------------
 
 class TestServeChaos:
-    def test_drop_conn_recovered_by_client_retry(self, chaos_env, tmp_path):
-        chaos_env(f"drop_conn:rate=1,seed={CHAOS_SEED}")
+    def test_drop_conn_recovered_by_client_retry(self, drop_conn, tmp_path):
+        drop_conn(CHAOS_SEED)
         config = ServeConfig(backend="serial", cache=True,
                              cache_dir=str(tmp_path / "cache"))
         with ServerThread(config, agent=small_agent()) as handle:
@@ -192,8 +244,8 @@ class TestServeChaos:
                 response = client.solve("ota_small", seed=0)
                 assert response["result"]["area"] > 0
 
-    def test_drop_conn_without_retries_surfaces(self, chaos_env, tmp_path):
-        chaos_env(f"drop_conn:rate=1,seed={CHAOS_SEED + 1}")
+    def test_drop_conn_without_retries_surfaces(self, drop_conn):
+        drop_conn(CHAOS_SEED + 1)
         config = ServeConfig(backend="serial", cache=False)
         with ServerThread(config, agent=small_agent()) as handle:
             with SolveClient(handle.address, retries=0) as client:
@@ -258,11 +310,11 @@ class TestServeChaos:
         assert results and results[0]["result"]["area"] > 0
 
     def test_kill_worker_in_baseline_pool_rebuilt_and_resubmitted(
-            self, chaos_env, fork_ctx):
+            self, task_fault, fork_ctx):
         """A killed baseline-pool worker costs one pool rebuild, not the
         request: the executor resubmits the solve on the new pool, and
         the pool then stays up for the next request."""
-        chaos_env(f"kill_worker:rate=1,seed={CHAOS_SEED}")
+        task_fault("kill_worker", CHAOS_SEED)
         config = ServeConfig(backend="process", workers=1, cache=False)
         sa = dict(method="sa", config={"moves_per_temperature": 4})
         with ServerThread(config, agent=small_agent()) as handle:
@@ -289,10 +341,15 @@ class TestServeChaos:
 
 _SWEEP_SCRIPT = textwrap.dedent("""
     import sys
+    import repro.engine.executor as engine_executor
+    from faults import faulty_run_task
     from repro.engine import ArtifactCache, Executor, SweepSpec, run_sweep
+    cache_dir, kill_seed, marker_dir = sys.argv[1:4]
+    engine_executor.run_task = faulty_run_task(
+        "kill_worker", int(kill_seed), rate=0.25, marker_dir=marker_dir)
     spec = SweepSpec(methods=["sa"], circuits=["ota_small"],
                      seeds=range(4), config={"moves_per_temperature": 4})
-    ex = Executor(backend="serial", cache=ArtifactCache(root=sys.argv[1]))
+    ex = Executor(backend="serial", cache=ArtifactCache(root=cache_dir))
     run_sweep(spec, executor=ex)
     print("completed-without-kill")
 """)
@@ -305,33 +362,31 @@ class TestSweepResume:
                          config={"moves_per_temperature": 4})
 
     def _kill_seed(self, keys, victim_index):
-        """The first chaos seed whose schedule kills exactly one cell —
+        """The first fault seed whose schedule kills exactly one cell —
         ``victim_index`` — at rate 0.25 (a pure-hash search, so the CI
         seed matrix shifts which schedule is exercised)."""
         rate = 0.25
         for seed in range(CHAOS_SEED * 1000, CHAOS_SEED * 1000 + 5000):
             fired = [k for k in keys
-                     if _fraction(seed, "kill_worker", k) < rate]
+                     if fraction(seed, "kill_worker", k) < rate]
             if fired == [keys[victim_index]]:
                 return seed
         raise AssertionError("no suitable kill seed found")
 
-    def test_mid_sweep_kill_then_resume_is_bit_identical(self, tmp_path,
-                                                         monkeypatch):
-        monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-        chaos.uninstall()
+    def test_mid_sweep_kill_then_resume_is_bit_identical(self, tmp_path):
         spec = self._spec()
         keys = [s.content_hash() for s in spec.expand()]
         kill_seed = self._kill_seed(keys, victim_index=2)
 
         cache_dir = str(tmp_path / "cache")
+        tests = Path(__file__).resolve().parent
         env = dict(os.environ)
-        env["REPRO_CHAOS"] = f"kill_worker:rate=0.25,seed={kill_seed}"
-        env["REPRO_CHAOS_DIR"] = str(tmp_path / "markers")
         env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ("src", env.get("PYTHONPATH", "")) if p)
+            p for p in (str(tests.parent / "src"), str(tests),
+                        env.get("PYTHONPATH", "")) if p)
         proc = subprocess.run(
-            [sys.executable, "-c", _SWEEP_SCRIPT, cache_dir],
+            [sys.executable, "-c", _SWEEP_SCRIPT, cache_dir, str(kill_seed),
+             str(tmp_path / "markers")],
             env=env, capture_output=True, text=True, timeout=300,
         )
         # The serial sweep process itself is the kill_worker victim: it
@@ -339,7 +394,7 @@ class TestSweepResume:
         assert proc.returncode == KILL_EXIT_CODE, proc.stderr
         assert "completed-without-kill" not in proc.stdout
 
-        # Rerun on the same cache, no chaos: the two finished cells
+        # Rerun on the same cache, no fault: the two finished cells
         # replay from the cache, only the unfinished two compute.
         ex = Executor(backend="serial",
                       cache=ArtifactCache(root=cache_dir))

@@ -524,3 +524,30 @@ class TestServeBaselines:
             assert response["ok"] is False
             assert "cooling" in response["error"]
             assert client.ping()["pong"] is True
+
+    @pytest.mark.parametrize("fields", [
+        {"method": "sa", "config": {"bogus": 1}},
+        {"method": "sa", "config": {"cooling": "x"}},
+        {"method": "sa", "config": {"cooling": 1.0}},
+        {"method": "rl", "seed": -1},
+        {"method": "sa", "seed": -1},
+        {"method": "rl", "target_aspect": 0},
+        {"method": "rl", "target_aspect": -1},
+        {"method": "rl", "target_aspect": float("nan")},
+        {"method": "sa", "deadline_ms": float("nan")},
+    ])
+    def test_bad_solve_request_is_a_client_error(self, server, fields,
+                                                 monkeypatch):
+        # Rejected while parsing: nothing is computed (neither an
+        # executor round trip nor an RL session), and the answer is a
+        # client error rather than an "internal error".
+        computed = []
+        monkeypatch.setattr(server.server, "_compute",
+                            lambda *args: computed.append(args))
+        with SolveClient(server.address, timeout=30.0) as client:
+            response = client.request(
+                {"op": "solve", "circuit": "ota_small", **fields})
+            assert response["ok"] is False
+            assert not response["error"].startswith("internal error")
+            assert computed == []
+            assert client.ping()["pong"] is True
