@@ -11,9 +11,10 @@ channels, as our methodology provides routing-ready floorplans").
 
 from __future__ import annotations
 
-import math
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from operator import add, itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -32,6 +33,32 @@ logger = get_logger("baselines")
 DEFAULT_SPACING = 0.10
 
 
+def require_field_types(config: Any) -> None:
+    """Raise ``ValueError`` unless every field of a baseline config holds
+    a value of its declared type.
+
+    Every field is annotated ``int`` or ``float`` (a string, under
+    ``from __future__ import annotations``).  ``int`` fields need an
+    integral number and ``float`` fields a finite real one; a ``bool`` is
+    neither.  ``spacing`` must also be >= 0: a negative one shrinks the
+    packed blocks in :func:`inflated_shapes`.
+    """
+    cls = type(config).__name__
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        if spec.type == "int":
+            ok, expected = isinstance(value, Integral), "an integer"
+        else:
+            # Rejects NaN, infinities and ints too big for a float (which
+            # would make ``math.isfinite`` raise OverflowError).
+            ok = isinstance(value, Real) and abs(value) <= sys.float_info.max
+            expected = "a finite number"
+        if not ok or isinstance(value, bool):
+            raise ValueError(f"{cls}.{spec.name} must be {expected}, got {value!r}")
+    if config.spacing < 0:
+        raise ValueError(f"{cls}.spacing must be >= 0, got {config.spacing}")
+
+
 def require_budgets(config: Any, *names: str) -> None:
     """Raise ``ValueError`` unless every named count of ``config`` is >= 1
     (a zero population or batch has nothing to score or return)."""
@@ -46,8 +73,9 @@ def require_cooling_schedule(config: Any) -> None:
 
     The annealers cool ``temperature *= cooling`` from
     ``initial_temperature`` until it is no longer above
-    ``final_temperature``; that needs a finite start, a positive end and
-    a factor in (0, 1).
+    ``final_temperature``; that needs a positive end and a factor in
+    (0, 1) (:func:`require_field_types` has already made the start
+    finite).
     """
     cls = type(config).__name__
     if not 0.0 < config.cooling < 1.0:
@@ -55,10 +83,6 @@ def require_cooling_schedule(config: Any) -> None:
     if not config.final_temperature > 0.0:
         raise ValueError(
             f"{cls}.final_temperature must be > 0, got {config.final_temperature}"
-        )
-    if not math.isfinite(config.initial_temperature):
-        raise ValueError(
-            f"{cls}.initial_temperature must be finite, got {config.initial_temperature}"
         )
 
 

@@ -23,6 +23,7 @@ from .common import (
     inflated_shapes,
     publish_result,
     require_budgets,
+    require_field_types,
 )
 from .seqpair import SequencePair, choose_two, pack, pack_population, random_neighbor
 
@@ -39,6 +40,7 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         require_budgets(self, "population", "tournament")
         # Tournament picks are drawn without replacement.
         if self.tournament > self.population:

@@ -31,6 +31,7 @@ from .common import (
     inflated_shapes,
     publish_result,
     require_budgets,
+    require_field_types,
 )
 from .seqpair import SequencePair, pack, pack_population
 
@@ -46,6 +47,7 @@ class PSOConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         require_budgets(self, "particles")
 
 

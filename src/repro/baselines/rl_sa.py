@@ -35,6 +35,7 @@ from .common import (
     inflated_shapes,
     publish_result,
     require_cooling_schedule,
+    require_field_types,
 )
 from .seqpair import (
     SequencePair,
@@ -59,6 +60,7 @@ class RLSAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         require_cooling_schedule(self)
 
 

@@ -39,6 +39,7 @@ from .common import (
     inflated_shapes,
     publish_result,
     require_budgets,
+    require_field_types,
 )
 from .seqpair import SequencePair, choice_cdf, pack, pack_population
 
@@ -54,6 +55,7 @@ class RLSPConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         require_budgets(self, "iterations", "batch")
 
 

@@ -29,6 +29,7 @@ from .common import (
     inflated_shapes,
     publish_result,
     require_cooling_schedule,
+    require_field_types,
 )
 from .seqpair import SequencePair, memoized_cost, pack, pair_evaluator, random_neighbor
 
@@ -45,6 +46,7 @@ class SAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         require_cooling_schedule(self)
 
 

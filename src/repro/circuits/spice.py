@@ -139,8 +139,3 @@ def write_spice(circuit: Circuit, title: Optional[str] = None) -> str:
                 lines.append(f"{d.name} {t.get('P', '0')} {t.get('N', '0')} {d.width}f")
     lines.append(".ends")
     return "\n".join(lines) + "\n"
-
-
-def roundtrip_devices(circuit: Circuit) -> List[Device]:
-    """Serialize then re-parse a circuit (convenience for tests/tools)."""
-    return parse_spice(write_spice(circuit))

@@ -25,12 +25,11 @@ cells replay from it.
 Observability flags (every subcommand): ``--metrics PATH`` / ``--trace
 PATH`` enable ``repro.obs`` telemetry and write metrics / Chrome-trace
 JSONL on exit (the trace covers engine process workers, including the
-serve baseline pool, on one wall-clock axis); ``--profile
-PATH`` runs the sampling profiler and writes collapsed flamegraph
-stacks; ``--log-level LEVEL`` (or ``$REPRO_LOG_LEVEL``) and
-``-q/--quiet`` control diagnostic verbosity.  ``repro report`` renders
-the written files back into summary tables (``--trace-out`` converts a
-trace to a Perfetto-loadable JSON file).
+serve baseline pool, on one wall-clock axis); ``--log-level LEVEL``
+(or ``$REPRO_LOG_LEVEL``) and ``-q/--quiet`` control diagnostic
+verbosity.  ``repro report`` renders the written files back into
+summary tables (``--trace-out`` converts a trace to a Perfetto-loadable
+JSON file).
 """
 
 from __future__ import annotations
@@ -267,10 +266,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Render metrics/trace/profile files into a summary."""
-    if not (args.metrics or args.trace or args.profile):
-        print("repro report: pass --metrics, --trace and/or --profile",
-              file=sys.stderr)
+    """Render metrics/trace files into a summary."""
+    if not (args.metrics or args.trace):
+        print("repro report: pass --metrics and/or --trace", file=sys.stderr)
         raise SystemExit(2)
     if args.trace_out and not args.trace:
         print("repro report: --trace-out needs --trace", file=sys.stderr)
@@ -279,7 +277,6 @@ def cmd_report(args) -> int:
         print(obs.render_report(
             metrics_path=args.metrics,
             trace_path=args.trace,
-            profile_path=args.profile,
         ))
         if args.trace_out:
             events = obs.load_jsonl(args.trace)
@@ -345,11 +342,6 @@ def _obs_flags() -> argparse.ArgumentParser:
                        help="enable telemetry; write metrics JSONL here on exit")
     group.add_argument("--trace", default=None, metavar="PATH",
                        help="enable telemetry; write Chrome-trace JSONL here on exit")
-    group.add_argument("--profile", default=None, metavar="PATH",
-                       help="run the sampling profiler; write collapsed "
-                            "flamegraph stacks here on exit")
-    group.add_argument("--profile-hz", type=float, default=None, metavar="HZ",
-                       help="profiler sampling rate (default 97)")
     group.add_argument("--log-level", default=None, metavar="LEVEL",
                        help="diagnostic verbosity (DEBUG/INFO/WARNING/ERROR; "
                             "default $REPRO_LOG_LEVEL or INFO)")
@@ -466,10 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     # --no-cache.
     p.set_defaults(fn=cmd_serve, backend="process")
 
-    # `report` reads metrics/trace/profile files; its --metrics/--trace
-    # are inputs, so it deliberately does not share the obs parent parser.
-    p = sub.add_parser("report",
-                       help="summarize metrics/trace/profile files")
+    # `report` reads metrics/trace files; its --metrics/--trace are
+    # inputs, so it deliberately does not share the obs parent parser.
+    p = sub.add_parser("report", help="summarize metrics/trace files")
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="metrics JSONL written by --metrics")
     p.add_argument("--trace", default=None, metavar="PATH",
@@ -477,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="also convert --trace into a Perfetto-loadable "
                         "JSON file")
-    p.add_argument("--profile", default=None, metavar="PATH",
-                   help="collapsed stacks written by --profile")
     p.add_argument("--log-level", default=None, help=argparse.SUPPRESS)
     p.add_argument("-q", "--quiet", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_report)
@@ -492,34 +481,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     telemetry = args.command != "report" and bool(
         getattr(args, "metrics", None) or getattr(args, "trace", None)
     )
-    profiling = args.command != "report" and getattr(args, "profile", None)
-    if not telemetry and not profiling:
+    if not telemetry:
         return args.fn(args)
-    # Telemetry run: enable the registry/tracer (and/or the sampling
-    # profiler) for the whole command and write the requested files even
-    # if the command fails.
-    if telemetry:
-        obs.reset()
-        obs.enable()
-    if profiling:
-        obs.start_profiler(hz=getattr(args, "profile_hz", None))
+    # Telemetry run: enable the registry/tracer for the whole command and
+    # write the requested files even if the command fails.
+    obs.reset()
+    obs.enable()
     try:
         return args.fn(args)
     finally:
-        if profiling:
-            prof = obs.stop_profiler()
-            if prof is not None:
-                prof.write_collapsed(args.profile)
-                logger.info("wrote profile (%d samples) to %s",
-                            prof.sample_count, args.profile)
-        if telemetry:
-            if args.metrics:
-                obs.write_metrics(args.metrics)
-                logger.info("wrote metrics to %s", args.metrics)
-            if args.trace:
-                obs.write_trace(args.trace)
-                logger.info("wrote trace to %s", args.trace)
-            obs.disable()
+        if args.metrics:
+            obs.write_metrics(args.metrics)
+            logger.info("wrote metrics to %s", args.metrics)
+        if args.trace:
+            obs.write_trace(args.trace)
+            logger.info("wrote trace to %s", args.trace)
+        obs.disable()
 
 
 if __name__ == "__main__":

@@ -36,11 +36,6 @@ report — and one Perfetto-loadable trace — covers the whole fleet.
 Per-env-step sites (``env.step``, ``env.hpwl``) keep the flag-guarded
 histogram: a null ``with`` block costs about ten times the bare flag
 read.
-
-:mod:`repro.obs.prof` — a sampling profiler (:func:`start_profiler` /
-:func:`stop_profiler`, CLI ``--profile``) — shares the zero-overhead
-contract: phases label its samples, and nothing runs until it is
-started.
 """
 
 from __future__ import annotations
@@ -57,11 +52,9 @@ from .metrics import (
     percentile,
     summarize_values,
 )
-from .prof import SamplingProfiler
 from .report import (
     load_jsonl,
     render_metrics,
-    render_profile,
     render_report,
     render_trace,
 )
@@ -71,7 +64,6 @@ __all__ = [
     "OBS",
     "MetricsRegistry",
     "Tracer",
-    "SamplingProfiler",
     "NULL_PHASE",
     "PERCENTILES",
     "HIST_CAP_ENV",
@@ -88,13 +80,10 @@ __all__ = [
     "set_gauge",
     "record",
     "snapshot",
-    "merge",
     "trace_context",
     "adopt_trace",
     "drain_worker",
     "merge_worker",
-    "start_profiler",
-    "stop_profiler",
     "write_metrics",
     "write_trace",
     "perfetto_json",
@@ -105,7 +94,6 @@ __all__ = [
     "load_jsonl",
     "render_metrics",
     "render_trace",
-    "render_profile",
     "render_report",
 ]
 
@@ -116,16 +104,14 @@ class _ObsState:
     ``enabled`` is the *only* thing hot paths read; the registry and
     tracer objects exist permanently (never ``None``) so instrumented
     code inside an ``if OBS.enabled:`` block needs no further checks.
-    ``profiler`` is ``None`` until :func:`start_profiler`.
     """
 
-    __slots__ = ("enabled", "registry", "tracer", "profiler")
+    __slots__ = ("enabled", "registry", "tracer")
 
     def __init__(self):
         self.enabled = False
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
-        self.profiler: Optional[SamplingProfiler] = None
 
 
 OBS = _ObsState()
@@ -171,38 +157,30 @@ def enabled_scope(fresh: bool = True):
 # ---------------------------------------------------------------------------
 
 class _Phase:
-    """One live :func:`phase`: histogram + span and/or profiler label."""
+    """One live :func:`phase`: a histogram observation plus a span."""
 
-    __slots__ = ("name", "args", "_record", "_profiler", "_ident", "_start")
+    __slots__ = ("name", "args", "_start")
 
-    def __init__(self, name: str, args: Optional[Dict[str, Any]],
-                 record: bool, profiler: Optional[SamplingProfiler]):
+    def __init__(self, name: str, args: Optional[Dict[str, Any]]):
         self.name = name
         self.args = args
-        self._record = record
-        self._profiler = profiler
 
     def __enter__(self) -> "_Phase":
-        if self._profiler is not None:
-            self._ident = self._profiler.push_label(self.name)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         end = time.perf_counter()
-        if self._record:
-            args = self.args
-            if exc_type is not None:
-                args = dict(args or {}, error=exc_type.__name__)
-            OBS.registry.observe(f"{self.name}.seconds", end - self._start)
-            OBS.tracer.add_complete(self.name, self._start, end, args)
-        if self._profiler is not None:
-            self._profiler.pop_label(self._ident)
+        args = self.args
+        if exc_type is not None:
+            args = dict(args or {}, error=exc_type.__name__)
+        OBS.registry.observe(f"{self.name}.seconds", end - self._start)
+        OBS.tracer.add_complete(self.name, self._start, end, args)
         return False
 
 
 class _NullPhase:
-    """Shared no-op phase while telemetry and profiler are off."""
+    """Shared no-op phase while telemetry is off."""
 
     __slots__ = ()
 
@@ -220,15 +198,12 @@ def phase(name: str, **args: Any):
     """Time one phase of the flow (``with obs.phase("ppo.update"):``).
 
     Telemetry on: observes ``<name>.seconds`` and records one ``<name>``
-    span carrying ``args`` (plus ``error`` if the block raises).  Profiler
-    running: labels this thread's samples ``<name>`` for the block.  Both
-    off: returns the shared :data:`NULL_PHASE`.
+    span carrying ``args`` (plus ``error`` if the block raises).  Off:
+    returns the shared :data:`NULL_PHASE`.
     """
-    record = OBS.enabled
-    profiler = OBS.profiler
-    if not record and profiler is None:
+    if not OBS.enabled:
         return NULL_PHASE
-    return _Phase(name, args or None, record, profiler)
+    return _Phase(name, args or None)
 
 
 def inc(name: str, value: float = 1) -> None:
@@ -252,43 +227,12 @@ def record(name: str, data: Mapping[str, Any]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Sampling profiler (repro.obs.prof)
-# ---------------------------------------------------------------------------
-
-def start_profiler(hz: Optional[float] = None) -> SamplingProfiler:
-    """Start (and install as ``OBS.profiler``) a sampling profiler."""
-    if OBS.profiler is not None:
-        raise RuntimeError("a profiler is already running")
-    from .prof import DEFAULT_HZ
-
-    prof = SamplingProfiler(hz=hz or DEFAULT_HZ)
-    prof.start()
-    OBS.profiler = prof
-    return prof
-
-
-def stop_profiler() -> Optional[SamplingProfiler]:
-    """Stop and uninstall the active profiler (returns it, or ``None``)."""
-    prof = OBS.profiler
-    OBS.profiler = None
-    if prof is not None:
-        prof.stop()
-    return prof
-
-
-# ---------------------------------------------------------------------------
 # Aggregation / persistence
 # ---------------------------------------------------------------------------
 
 def snapshot(reset: bool = False) -> Dict[str, Any]:
     """JSON-safe copy of the global registry (see ``MetricsRegistry``)."""
     return OBS.registry.snapshot(reset=reset)
-
-
-def merge(snap: Optional[Mapping[str, Any]]) -> None:
-    """Fold a worker registry snapshot into the global registry."""
-    if snap:
-        OBS.registry.merge(snap)
 
 
 def trace_context() -> Optional[Dict[str, Any]]:

@@ -1,12 +1,11 @@
-"""Render metrics/trace/profile JSONL files into a human-readable report.
+"""Render metrics/trace JSONL files into a human-readable report.
 
 ``repro report --metrics run_metrics.jsonl --trace run_trace.jsonl``
 prints counters, histogram percentiles, per-iteration training records
 (the ``train.iteration`` fold of ``IterationStats``), and — for the
 merged cross-process trace — a per-span aggregation plus a per-process
-table built from the metadata ("M") events.  ``--profile`` adds the
-sampling profiler's self/cumulative attribution — everything a
-post-mortem needs without opening the raw files.  Cross-commit perf
+table built from the metadata ("M") events — everything a post-mortem
+needs without opening the raw files.  Cross-commit perf
 comparison lives in ``perfbench/``, not here.
 """
 
@@ -194,27 +193,9 @@ def render_trace(events: Iterable[Dict[str, Any]]) -> str:
     return "\n\n".join(sections)
 
 
-def render_profile(stacks: Dict[tuple, int], limit: int = 25) -> str:
-    """Self/cumulative attribution table over collapsed profiler stacks."""
-    from .prof import attribution
-
-    total = sum(stacks.values())
-    if not total:
-        return "(no profile samples)"
-    rows = [
-        [row["frame"], f"{row['self']}", f"{row['self_pct']:.1f}%",
-         f"{row['cum']}", f"{row['cum_pct']:.1f}%"]
-        for row in attribution(stacks, limit=limit)
-    ]
-    return "\n".join(
-        [f"== profile ({total} samples) =="]
-        + _rows(["frame", "self", "self%", "cum", "cum%"], rows))
-
-
 def render_report(
     metrics_path: Optional[str] = None,
     trace_path: Optional[str] = None,
-    profile_path: Optional[str] = None,
 ) -> str:
     """Full report over the given files (any subset may be omitted)."""
     sections: List[str] = []
@@ -224,11 +205,6 @@ def render_report(
     if trace_path:
         sections.append(f"# trace: {trace_path}")
         sections.append(render_trace(load_jsonl(trace_path)))
-    if profile_path:
-        from .prof import load_collapsed
-
-        sections.append(f"# profile: {profile_path}")
-        sections.append(render_profile(load_collapsed(profile_path)))
     if not sections:
-        return "nothing to report (pass --metrics, --trace and/or --profile)"
+        return "nothing to report (pass --metrics and/or --trace)"
     return "\n\n".join(sections)

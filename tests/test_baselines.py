@@ -29,6 +29,7 @@ from repro.baselines import (
     true_shapes,
 )
 from repro.circuits import get_circuit
+from repro.experiments.table1 import Table1Scale
 
 from oracles import decode_keys_reference
 
@@ -238,12 +239,43 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             config_cls(**overrides)
 
+    @pytest.mark.parametrize("config_cls", [
+        SAConfig, RLSAConfig, RLSPConfig, PSOConfig, GAConfig])
+    @pytest.mark.parametrize("overrides", [
+        {"seed": "x"},
+        {"seed": 1.5},
+        {"seed": True},
+        {"spacing": "x"},
+        {"spacing": -1.0},     # zero-size blocks once inflated
+        {"spacing": float("nan")},
+        {"spacing": True},
+    ])
+    def test_wrongly_typed_shared_field_rejected(self, config_cls, overrides):
+        with pytest.raises(ValueError):
+            config_cls(**overrides)
+
+    @pytest.mark.parametrize("config_cls, overrides", [
+        (SAConfig, {"moves_per_temperature": "x"}),
+        (SAConfig, {"moves_per_temperature": 2.5}),
+        (RLSAConfig, {"bandit_lr": float("inf")}),
+        (RLSPConfig, {"batch": 8.0}),
+        (PSOConfig, {"inertia": None}),
+        (GAConfig, {"mutation_rate": "0.3"}),
+        (GAConfig, {"crossover_rate": 10 ** 400}),  # overflows float()
+    ])
+    def test_wrongly_typed_field_rejected(self, config_cls, overrides):
+        with pytest.raises(ValueError):
+            config_cls(**overrides)
+
     @pytest.mark.parametrize("config", [
         SAConfig(), RLSAConfig(), RLSPConfig(), PSOConfig(), GAConfig(),
         SAConfig(cooling=0.99, final_temperature=1e-6),
         GAConfig(population=3, tournament=3),
         PSOConfig(particles=1, iterations=0),
         RLSPConfig(iterations=1, batch=1),
+        SAConfig(spacing=0, cooling=np.float64(0.9), seed=np.int64(3)),
+        *(getattr(Table1Scale(), name)
+          for name in ("sa", "ga", "pso", "rl_sa", "rl_sp")),
     ])
     def test_valid_configs_store_only_their_fields(self, config):
         # Table I's cache keys are built from the config's attributes, so

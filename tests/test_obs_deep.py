@@ -1,26 +1,17 @@
-"""Tests for the deep-observability layer (PR 9).
+"""Tests for cross-process trace unification.
 
-Two pillars, each pinned against its acceptance contract:
-
-* **Trace unification** — engine process workers and the solve
-  server buffer spans locally, ship them
-  with the existing metrics payloads, and the parent rebases them onto
-  one wall-clock axis: one merged trace per run, worker span count > 0,
-  parent/child wall-clock containment after normalization.
-* **Sampling profiler** — background sampling over
-  ``sys._current_frames()``, phase labels via ``obs.phase``,
-  collapsed-stack round trip, and the strict nothing-when-off contract.
+Engine process workers and the solve server buffer spans locally, ship
+them with the existing metrics payloads, and the parent rebases them
+onto one wall-clock axis: one merged trace per run, worker span count
+> 0, parent/child wall-clock containment after normalization.
 """
 
 import os
-import threading
-import time
 
 import pytest
 
 from repro import obs
 from repro.engine import Executor, SweepSpec, run_sweep
-from repro.obs import prof as obs_prof
 
 #: Wall-clock containment tolerance (us).  Same-host anchors agree to
 #: sub-microsecond; 2ms absorbs scheduling jitter around the endpoints.
@@ -41,8 +32,6 @@ def clean_obs():
     yield
     obs.disable()
     obs.reset()
-    if obs.OBS.profiler is not None:
-        obs.stop_profiler()
 
 
 def _events_by_name(events):
@@ -204,93 +193,3 @@ class TestServeTraceUnification:
 
         stats = asyncio.run(scenario())
         assert "obs" not in stats
-
-
-class TestSamplingProfiler:
-    def _busy(self, seconds: float) -> None:
-        deadline = time.perf_counter() + seconds
-        while time.perf_counter() < deadline:
-            sum(i * i for i in range(200))
-
-    def test_sampler_captures_stacks(self):
-        prof = obs_prof.SamplingProfiler(hz=200)
-        prof.start()
-        try:
-            self._busy(0.25)
-        finally:
-            prof.stop()
-        assert prof.sample_count > 0
-        stacks = prof.stacks()
-        frames = {frame for stack in stacks for frame in stack}
-        assert any("_busy" in frame for frame in frames)
-
-    def test_phase_tags_samples(self):
-        prof = obs.start_profiler(hz=200)
-        try:
-            with obs.phase("hot.phase"):
-                self._busy(0.25)
-        finally:
-            obs.stop_profiler()
-        tagged = [s for s in prof.stacks() if s and s[0] == "<hot.phase>"]
-        assert tagged, "phase label must prefix the sampled stacks"
-        # Profiler only: telemetry stays off, so nothing is recorded.
-        assert obs.OBS.registry.empty
-        assert not obs.OBS.tracer.events
-        assert not prof._labels  # the label stack unwound
-
-    def test_phase_tags_samples_and_records_when_both_on(self):
-        prof = obs.start_profiler(hz=200)
-        try:
-            with obs.enabled_scope():
-                with obs.phase("hot.phase"):
-                    self._busy(0.1)
-        finally:
-            obs.stop_profiler()
-        assert any(s and s[0] == "<hot.phase>" for s in prof.stacks())
-        assert obs.OBS.registry.histogram_summary("hot.phase.seconds")["count"] == 1
-        assert [e["name"] for e in obs.OBS.tracer.events] == ["hot.phase"]
-
-    def test_phase_is_null_when_off(self):
-        assert obs.OBS.profiler is None
-        assert obs.phase("x") is obs.NULL_PHASE
-        assert obs.phase("x") is obs.phase("y")
-
-    def test_no_sampler_thread_when_off(self):
-        names = {t.name for t in threading.enumerate()}
-        assert "repro-obs-profiler" not in names
-
-    def test_collapsed_round_trip(self, tmp_path):
-        prof = obs_prof.SamplingProfiler(hz=200)
-        prof._samples = {("a", "b", "c"): 3, ("a", "d"): 2}
-        prof.sample_count = 5
-        path = str(tmp_path / "profile.txt")
-        prof.write_collapsed(path)
-        assert obs_prof.load_collapsed(path) == prof._samples
-
-    def test_attribution_self_vs_cumulative(self):
-        stacks = {("main", "f", "g"): 6, ("main", "f"): 3, ("main", "h"): 1}
-        rows = {r["frame"]: r for r in obs_prof.attribution(stacks)}
-        assert rows["g"]["self"] == 6
-        assert rows["f"]["self"] == 3
-        assert rows["f"]["cum"] == 9
-        assert rows["main"]["cum"] == 10
-        assert rows["main"]["self"] == 0
-
-    def test_cli_profile_flag_writes_collapsed(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = str(tmp_path / "profile.txt")
-        assert main(["circuits", "--profile", path, "-q"]) == 0
-        assert os.path.exists(path)
-        assert obs.OBS.profiler is None  # uninstalled on exit
-
-    def test_report_profile_renders_attribution(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = str(tmp_path / "profile.txt")
-        with open(path, "w") as handle:
-            handle.write("main;hot_loop 42\nmain;cold_path 3\n")
-        assert main(["report", "--profile", path]) == 0
-        out = capsys.readouterr().out
-        assert "hot_loop" in out
-        assert "45 samples" in out

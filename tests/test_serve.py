@@ -529,6 +529,10 @@ class TestServeBaselines:
         {"method": "sa", "config": {"bogus": 1}},
         {"method": "sa", "config": {"cooling": "x"}},
         {"method": "sa", "config": {"cooling": 1.0}},
+        {"method": "sa", "config": {"moves_per_temperature": "x"}},
+        {"method": "sa", "config": {"moves_per_temperature": 2.5}},
+        {"method": "sa", "config": {"spacing": "x"}},
+        {"method": "sa", "config": {"spacing": -1.0}},
         {"method": "rl", "seed": -1},
         {"method": "sa", "seed": -1},
         {"method": "rl", "target_aspect": 0},

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import SAConfig, simulated_annealing
 from repro.circuits import DeviceType, get_circuit
-from repro.circuits.spice import parse_spice, roundtrip_devices, write_spice
+from repro.circuits.spice import parse_spice, write_spice
 from repro.layout import generate_layout
 from repro.layout.svg import floorplan_svg, layout_svg
 from repro.routing import detailed_route, route_circuit
@@ -71,7 +71,7 @@ class TestSpiceRoundtrip:
     def test_roundtrip_preserves_devices(self, name):
         circuit = get_circuit(name)
         original = [d for b in circuit.blocks for d in b.devices]
-        parsed = roundtrip_devices(circuit)
+        parsed = parse_spice(write_spice(circuit))
         assert len(parsed) == len(original)
         by_name = {d.name: d for d in parsed}
         for d in original:
@@ -84,7 +84,7 @@ class TestSpiceRoundtrip:
     def test_roundtrip_supports_structure_recognition(self):
         """Parsed netlists feed SR exactly like in-memory circuits."""
         circuit = get_circuit("ota_small")
-        devices = roundtrip_devices(circuit)
+        devices = parse_spice(write_spice(circuit))
         blocks = recognize_rules(devices)
         structures = {b.structure.name for b in blocks}
         assert "DIFFERENTIAL_PAIR" in structures
