@@ -313,7 +313,8 @@ def _engine_flags(retry_policy: bool = True) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("engine")
     group.add_argument("--workers", type=_positive_int, default=None, metavar="N",
-                       help="pool size for the process backend (default: CPU count)")
+                       help="pool size for the process backend (default: the CPUs "
+                       "this process may run on)")
     group.add_argument("--backend", choices=BACKENDS,
                        default="serial", help="task execution backend")
     group.add_argument("--cache", action=argparse.BooleanOptionalAction, default=None,

@@ -22,12 +22,16 @@ pool initializer rather than once per task.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
+import glob
 import multiprocessing
 import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ..obs import (
     OBS,
@@ -56,15 +60,49 @@ START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
 logger = get_logger("engine")
 
 
+def available_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _openblas_threads() -> Optional[ctypes.c_int]:
+    """numpy's bundled OpenBLAS thread count (``blas_cpu_number``).
+
+    ``None`` where numpy ships no OpenBLAS or the library lacks the
+    symbol; the worker cap is then a no-op.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            return ctypes.c_int.in_dll(ctypes.CDLL(path), "blas_cpu_number")
+        except (OSError, ValueError):
+            continue
+    return None
+
+
+#: Resolved once, in the parent; forked workers inherit the handle.
+_BLAS_THREADS = _openblas_threads()
+
 #: Per-worker shared context under the process backend (set by initializer).
 _WORKER_CONTEXT: Any = None
 
 
 def _init_worker(
-    context: Any, obs_enabled: bool = False, trace_ctx: Any = None
+    context: Any, obs_enabled: bool = False, trace_ctx: Any = None,
+    blas_threads: Optional[int] = None,
 ) -> None:
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = context
+    # Lower, never raise, the count OpenBLAS reads per call. A forked
+    # worker has no BLAS server thread (the fork handler stopped it),
+    # and at one thread it never starts one.
+    if (_BLAS_THREADS is not None and blas_threads is not None
+            and _BLAS_THREADS.value > blas_threads):
+        _BLAS_THREADS.value = blas_threads
     # Telemetry state does not survive a spawn (and a forked child holds a
     # copy of the parent's registry *and trace buffer*): (re)arm recording
     # explicitly when the parent had it on, clear both sinks, and join the
@@ -133,7 +171,15 @@ class Executor:
         multi-core scaling for the CPU-bound solvers).
     workers:
         Pool size for the process backend; defaults to
-        ``os.cpu_count()``.
+        :func:`available_cores`.  Each worker lowers numpy's OpenBLAS
+        thread count to ``max(1, cores // pool size)``, so workers ×
+        BLAS threads ≤ cores; the parent keeps its own count (``train``
+        and the server's batched inference use it).  The cap writes
+        OpenBLAS's ``blas_cpu_number`` directly: calling
+        ``openblas_set_num_threads`` in a worker starts a spinning BLAS
+        server thread (perfbench ``sweep`` ``setup_s`` rose about 60%),
+        and setting the count in the parent around the fork restarts
+        the parent's server thread on every pool start.
     cache:
         Optional :class:`ArtifactCache`; pass ``None`` to always compute.
     policy:
@@ -167,7 +213,7 @@ class Executor:
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.backend = backend
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
+        self.workers = workers if workers is not None else available_cores()
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         self.cache = cache
@@ -298,10 +344,11 @@ class Executor:
     # ------------------------------------------------------------------
     def _make_pool(self, context: Any, telemetry: bool, n_pending: int):
         ctx = multiprocessing.get_context(START_METHOD)
+        size = min(self.workers, max(1, n_pending))
         return concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.workers, max(1, n_pending)), mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(context, telemetry, trace_context()),
+            max_workers=size, mp_context=ctx, initializer=_init_worker,
+            initargs=(context, telemetry, trace_context(),
+                      max(1, available_cores() // size)),
         )
 
     def _teardown_pool(self, pool, kill: bool = False) -> None:

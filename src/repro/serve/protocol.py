@@ -174,6 +174,10 @@ def parse_solve(payload: Mapping[str, Any]) -> SolveRequest:
             or isinstance(target_aspect, bool)
             or not (math.isfinite(target_aspect) and target_aspect > 0)):
         raise ProtocolError("'target_aspect' must be a finite positive number")
+    deterministic = payload.get("deterministic", True)
+    unconstrained = payload.get("unconstrained", False)
+    if not isinstance(deterministic, bool) or not isinstance(unconstrained, bool):
+        raise ProtocolError("'deterministic' and 'unconstrained' must be booleans")
     config = payload.get("config", {})
     if not isinstance(config, dict):
         raise ProtocolError("'config' must be an object")
@@ -195,9 +199,9 @@ def parse_solve(payload: Mapping[str, Any]) -> SolveRequest:
         circuit=circuit,
         method=method,
         seed=seed,
-        deterministic=bool(payload.get("deterministic", True)),
+        deterministic=deterministic,
         attempts=attempts,
-        unconstrained=bool(payload.get("unconstrained", False)),
+        unconstrained=unconstrained,
         target_aspect=None if target_aspect is None else float(target_aspect),
         config=config,
         request_id=payload.get("id"),

@@ -1,11 +1,14 @@
 """Tests for the parallel execution & artifact-cache engine (repro.engine)."""
 
 import json
+import os
 import pickle
+import sys
 
 import numpy as np
 import pytest
 
+from repro.engine import executor as executor_mod
 from repro.engine import (
     ArtifactCache,
     Executor,
@@ -112,6 +115,76 @@ class TestExecutor:
         assert ex.stats.computed == 1
         assert ex.stats.cache_hits == 0
         assert ex.stats.wall_seconds > 0
+
+
+def _os_threads() -> int:
+    return (len(os.listdir("/proc/self/task")) if sys.platform == "linux"
+            else 0)
+
+
+@register_task("test_blas_probe")
+def _blas_probe(params, seed, context):
+    """The worker's BLAS thread count, and its OS threads around a GEMM."""
+    before = _os_threads()
+    a = np.random.default_rng(seed).standard_normal((512, 512))
+    a @ a
+    after = _os_threads()
+    handle = executor_mod._BLAS_THREADS
+    return {"blas": None if handle is None else handle.value,
+            "threads_before": before, "threads_after": after}
+
+
+@pytest.mark.skipif(executor_mod._BLAS_THREADS is None,
+                    reason="numpy ships no OpenBLAS")
+class TestBlasCap:
+    """Pool workers cap numpy's OpenBLAS at cores // pool size."""
+
+    def _probe(self):
+        specs = [TaskSpec(fn="test_blas_probe", seed=s) for s in range(2)]
+        return [r.value for r in Executor(backend="process",
+                                          workers=2).map_tasks(specs)]
+
+    def test_worker_capped_parent_untouched(self):
+        parent = executor_mod._BLAS_THREADS.value
+        cap = max(1, executor_mod.available_cores() // 2)
+        for value in self._probe():
+            assert value["blas"] == min(parent, cap)
+        assert executor_mod._BLAS_THREADS.value == parent
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    def test_capped_worker_starts_no_blas_thread(self):
+        if max(1, executor_mod.available_cores() // 2) > 1:
+            pytest.skip("workers keep a threaded BLAS on this many cores")
+        # A forked worker runs on its one thread: the initializer started
+        # no BLAS server thread, and neither did the GEMM.
+        for value in self._probe():
+            assert value["threads_before"] == value["threads_after"] == 1
+
+
+def test_blas_handle_resolves_with_numpy_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas["name"].lower():
+        pytest.skip(f"numpy is built against {blas['name']}")
+    assert executor_mod._BLAS_THREADS is not None
+    assert executor_mod._BLAS_THREADS.value >= 1
+
+
+def test_grid_runs_without_blas_handle(monkeypatch):
+    specs = [TaskSpec(fn="baseline", params=FAST_SA, seed=s) for s in range(2)]
+    capped = Executor(backend="process", workers=2).map_tasks(specs)
+    monkeypatch.setattr(executor_mod, "_BLAS_THREADS", None)
+    plain = Executor(backend="process", workers=2).map_tasks(specs)
+    for a, b in zip(capped, plain):
+        assert a.value.rects == b.value.rects
+        assert a.value.reward == b.value.reward
+
+
+def test_available_cores_follows_affinity():
+    cores = executor_mod.available_cores()
+    assert 1 <= cores <= (os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        assert cores == len(os.sched_getaffinity(0))
+    assert Executor().workers == cores
 
 
 class TestArtifactCache:

@@ -275,6 +275,24 @@ class TestProtocol:
         assert req.deterministic is True
         assert req.attempts == 8
 
+    def test_boolean_flags_keep_their_cache_keys(self):
+        circuit = get_circuit("ota_small")
+        default = parse_solve({"circuit": "ota_small"})
+        for method in ("rl", "sa"):
+            for det in (True, False):
+                for unc in (True, False):
+                    req = parse_solve({"circuit": "ota_small", "method": method,
+                                       "deterministic": det,
+                                       "unconstrained": unc})
+                    assert (req.deterministic, req.unconstrained) == (det, unc)
+                    direct = SolveRequest(circuit="ota_small", method=method,
+                                          deterministic=det, unconstrained=unc)
+                    assert (req.task_spec(circuit, "a").content_hash()
+                            == direct.task_spec(circuit, "a").content_hash())
+        assert default == parse_solve({"circuit": "ota_small",
+                                       "deterministic": True,
+                                       "unconstrained": False})
+
     def test_task_spec_keys_on_netlist_and_agent(self):
         circuit = get_circuit("ota_small")
         req = SolveRequest(circuit="ota_small", seed=1)
@@ -539,6 +557,11 @@ class TestServeBaselines:
         {"method": "rl", "target_aspect": -1},
         {"method": "rl", "target_aspect": float("nan")},
         {"method": "sa", "deadline_ms": float("nan")},
+        {"method": "rl", "deterministic": "false"},
+        {"method": "rl", "deterministic": 0},
+        {"method": "rl", "unconstrained": "false"},
+        {"method": "sa", "unconstrained": 1},
+        {"method": "rl", "deterministic": None},
     ])
     def test_bad_solve_request_is_a_client_error(self, server, fields,
                                                  monkeypatch):
