@@ -2,8 +2,9 @@
 
 These quantify the per-step costs that budget the whole system: mask
 construction (every env step), policy forward (every action), PPO update
-(every iteration), sequence-pair packing (every metaheuristic move) and
-OARSMT construction (every net).
+(every iteration), sequence-pair packing (every metaheuristic move), one
+default-pipeline SA run (the Fig. 1 flow's floorplanner) and OARSMT
+construction (every net).
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.config import TrainConfig
 from repro.floorplan import FloorplanEnv, FloorplanState, observation_masks
 from repro.floorplan.metrics import hpwl_lower_bound
 from repro.nn import Tensor
+from repro.pipeline import default_floorplanner
 from repro.rl import ActorCritic, FloorplanAgent
 from repro.routing import Obstacle, Point, oarsmt
 
@@ -70,6 +72,12 @@ def test_seqpair_pack_speed(benchmark):
     pair = SequencePair.random(circuit.num_blocks, 3, rng)
     rects = benchmark(lambda: pack(pair, sizes))
     assert len(rects) == 19
+
+
+def test_sa_run_speed(benchmark):
+    circuit = get_circuit("bias1")
+    result = benchmark(lambda: default_floorplanner(circuit))
+    assert len(result.rects) == circuit.num_blocks
 
 
 def test_oarsmt_speed(benchmark):

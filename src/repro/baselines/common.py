@@ -204,7 +204,7 @@ def _placement_coords(
     return x, y, w, h
 
 
-def coords_evaluator(
+def placement_scorer(
     circuit: Circuit,
     hpwl_min: Optional[float] = None,
     target_aspect: Optional[float] = None,
@@ -212,31 +212,27 @@ def coords_evaluator(
     beta: float = REWARD_BETA,
     gamma: float = REWARD_GAMMA,
 ) -> Callable[..., Tuple[float, float, float, float]]:
-    """Build the scalar placement cost once: ``(x, y, w, h) -> (area,
-    hpwl, dead_space, reward)`` over per-block sequences.
+    """Build the scalar placement cost once: ``(cx, cy, width, height) ->
+    (area, hpwl, dead_space, reward)`` from per-block centre lists and the
+    bounding box's extents.
 
-    The package's one scalar cost.  Everything that does not depend on
-    the placement is fixed here: one ``itemgetter`` per net over its
-    members in ``circuit.incidence`` (it returns a tuple, since every net
-    has at least two members), the total block area and the HPWL
-    normalizer.  A call is plain Python float arithmetic in a fixed
-    order: block centres are ``x + w / 2.0``, and HPWL adds ``(max - min)
-    + (max - min)`` per net left to right, as the scalar per-net loop
-    does.
+    The package's one scalar cost, shared by :func:`coords_evaluator` and
+    :func:`repro.baselines.seqpair.pair_evaluator` (which computes the
+    centres and extents inside its packing sweep).  Everything that does
+    not depend on the placement is fixed here: one ``itemgetter`` per net
+    over its members in ``circuit.incidence`` (it returns a tuple, since
+    every net has at least two members), the total block area and the
+    HPWL normalizer.  A call is plain Python float arithmetic in a fixed
+    order: HPWL adds ``(max - min) + (max - min)`` per net left to right,
+    as the scalar per-net loop does.
     """
     inc = circuit.incidence
     nets = [itemgetter(*inc.members_of(i).tolist()) for i in range(inc.num_nets)]
     total_area = circuit.total_area
     hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
 
-    def evaluate(x, y, w, h) -> Tuple[float, float, float, float]:
-        minx = min(x)
-        miny = min(y)
-        maxx = max(map(add, x, w))
-        maxy = max(map(add, y, h))
-        area = (maxx - minx) * (maxy - miny)
-        cx = [xb + wb / 2.0 for xb, wb in zip(x, w)]
-        cy = [yb + hb / 2.0 for yb, hb in zip(y, h)]
+    def score(cx, cy, width: float, height: float) -> Tuple[float, float, float, float]:
+        area = width * height
         wirelength = 0.0
         for net in nets:
             xs = net(cx)
@@ -245,10 +241,34 @@ def coords_evaluator(
         ds = 1.0 - total_area / area if area > 0 else 0.0
         cost = alpha * (area / total_area - 1.0) + beta * (wirelength / hmin - 1.0)
         if target_aspect is not None:
-            height = maxy - miny
-            ratio = (maxx - minx) / height if height > 0 else 1.0
+            ratio = width / height if height > 0 else 1.0
             cost += gamma * (target_aspect - ratio) ** 2
         return area, wirelength, ds, -cost
+
+    return score
+
+
+def coords_evaluator(
+    circuit: Circuit,
+    hpwl_min: Optional[float] = None,
+    target_aspect: Optional[float] = None,
+    alpha: float = REWARD_ALPHA,
+    beta: float = REWARD_BETA,
+    gamma: float = REWARD_GAMMA,
+) -> Callable[..., Tuple[float, float, float, float]]:
+    """Build once: ``(x, y, w, h) -> (area, hpwl, dead_space, reward)``
+    over per-block sequences.
+
+    Block centres are ``x + w / 2.0`` and the extents ``max(x + w) -
+    min(x)`` / ``max(y + h) - min(y)``, scored by one
+    :func:`placement_scorer`.
+    """
+    score = placement_scorer(circuit, hpwl_min, target_aspect, alpha, beta, gamma)
+
+    def evaluate(x, y, w, h) -> Tuple[float, float, float, float]:
+        cx = [xb + wb / 2.0 for xb, wb in zip(x, w)]
+        cy = [yb + hb / 2.0 for yb, hb in zip(y, h)]
+        return score(cx, cy, max(map(add, x, w)) - min(x), max(map(add, y, h)) - min(y))
 
     return evaluate
 

@@ -8,14 +8,15 @@ shape changes pay off early while in-both swaps matter late.  Runtime
 stays SA-like (Table I shows ~1-2 s), unlike the from-scratch RL baseline.
 
 Candidates go through the same per-run machinery as :mod:`.sa`: one
-:func:`~repro.baselines.seqpair.pair_evaluator`, a per-run cost memo and
+:func:`~repro.baselines.seqpair.pair_evaluator`, a per-run cost memo,
 :func:`~repro.baselines.seqpair.apply_move` with its exact
-``rng.choice(n, 2, replace=False)`` replay.  The move type's
-``rng.choice(4, p=probs)`` is replayed too: one ``rng.random()`` looked
-up in choice's normalised cumulative sum
-(:func:`~repro.baselines.seqpair.choice_cdf`).  Results are bit-identical to
-the straightforward numpy loop, final bit-generator state included
-(golden-tested against it).
+``rng.choice(n, 2, replace=False)`` replay, and every draw after the
+initial pair taken through a :class:`~repro.baselines.seqpair.DrawReplay`
+of the run's generator.  The move type's ``rng.choice(4, p=probs)`` is
+replayed too: one ``random()`` looked up in choice's normalised
+cumulative sum (:func:`~repro.baselines.seqpair.choice_cdf`).  Results
+are bit-identical to the straightforward numpy loop, final bit-generator
+state included (golden-tested against it).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .common import (
     require_field_types,
 )
 from .seqpair import (
+    DrawReplay,
     SequencePair,
     apply_move,
     choice_cdf,
@@ -87,26 +89,27 @@ def rl_simulated_annealing(
     move_counts = np.zeros(NUM_MOVE_TYPES, dtype=int)
     temperature = config.initial_temperature
 
-    while temperature > config.final_temperature:
-        for _ in range(config.moves_per_temperature):
-            probs = np.exp(preferences - preferences.max())
-            probs /= probs.sum()
-            # rng.choice(NUM_MOVE_TYPES, p=probs), replayed.
-            move = int(choice_cdf(probs).searchsorted(rng.random(), side="right"))
-            move_counts[move] += 1
-            candidate = apply_move(current, move, NUM_SHAPES, rng)
-            cand_cost = cost_of(candidate)
-            delta = cand_cost - current_cost
-            accepted = delta <= 0 or rng.random() < np.exp(-delta / temperature)
-            # Bandit update: reward = realized improvement, clipped to
-            # [-1, 1] (np.clip's min-of-max, on a Python float).
-            gain = min(max(-delta if accepted else 0.0, -1.0), 1.0)
-            preferences[move] += config.bandit_lr * gain * (1.0 - probs[move])
-            if accepted:
-                current, current_cost = candidate, cand_cost
-                if current_cost < best_cost:
-                    best_cost, best_pair = current_cost, current
-        temperature *= config.cooling
+    with DrawReplay(rng) as draws:
+        while temperature > config.final_temperature:
+            for _ in range(config.moves_per_temperature):
+                probs = np.exp(preferences - preferences.max())
+                probs /= probs.sum()
+                # rng.choice(NUM_MOVE_TYPES, p=probs), replayed.
+                move = int(choice_cdf(probs).searchsorted(draws.random(), side="right"))
+                move_counts[move] += 1
+                candidate = apply_move(current, move, NUM_SHAPES, draws)
+                cand_cost = cost_of(candidate)
+                delta = cand_cost - current_cost
+                accepted = delta <= 0 or draws.random() < np.exp(-delta / temperature)
+                # Bandit update: reward = realized improvement, clipped to
+                # [-1, 1] (np.clip's min-of-max, on a Python float).
+                gain = min(max(-delta if accepted else 0.0, -1.0), 1.0)
+                preferences[move] += config.bandit_lr * gain * (1.0 - probs[move])
+                if accepted:
+                    current, current_cost = candidate, cand_cost
+                    if current_cost < best_cost:
+                        best_cost, best_pair = current_cost, current
+            temperature *= config.cooling
 
     evaluations = int(move_counts.sum()) + 1
     area, wirelength, ds, reward = evaluate(best_pair)

@@ -5,10 +5,14 @@ Geometric cooling with the standard Metropolis criterion over the four SP
 moves (swap in gamma+, swap in gamma-, swap in both, change shape).
 
 The per-move path is plain Python (see :mod:`repro.baselines.seqpair`):
-one :func:`~repro.baselines.seqpair.pair_evaluator` built per run, a
-per-run cost memo that skips revisited candidates, and an exact replay of
-``rng.choice(n, 2, replace=False)`` for the swap operands.  Every RNG draw
-and float operation matches the straightforward numpy loop, so results
+one :func:`~repro.baselines.seqpair.pair_evaluator` built per run, which
+scores inside its packing sweep, a per-run cost memo that skips revisited
+candidates, and every draw after the initial pair taken through a
+:class:`~repro.baselines.seqpair.DrawReplay` of the run's generator
+(numpy's bounded integers and uniforms replayed from raw PCG64 words,
+with ``rng.choice(n, 2, replace=False)`` replayed on top for the swap
+operands).  Every RNG draw and float operation matches the
+straightforward numpy loop, so results, and the generator's final state,
 are bit-identical to it (golden-tested against that loop).
 """
 
@@ -31,7 +35,14 @@ from .common import (
     require_cooling_schedule,
     require_field_types,
 )
-from .seqpair import SequencePair, memoized_cost, pack, pair_evaluator, random_neighbor
+from .seqpair import (
+    DrawReplay,
+    SequencePair,
+    memoized_cost,
+    pack,
+    pair_evaluator,
+    random_neighbor,
+)
 
 
 @dataclass
@@ -71,17 +82,18 @@ def simulated_annealing(
 
     temperature = config.initial_temperature
     evaluations = 1
-    while temperature > config.final_temperature:
-        for _ in range(config.moves_per_temperature):
-            candidate = random_neighbor(current, NUM_SHAPES, rng)
-            cand_cost = cost_of(candidate)
-            evaluations += 1
-            delta = cand_cost - current_cost
-            if delta <= 0 or rng.random() < np.exp(-delta / temperature):
-                current, current_cost = candidate, cand_cost
-                if current_cost < best_cost:
-                    best, best_cost = current, current_cost
-        temperature *= config.cooling
+    with DrawReplay(rng) as draws:
+        while temperature > config.final_temperature:
+            for _ in range(config.moves_per_temperature):
+                candidate = random_neighbor(current, NUM_SHAPES, draws)
+                cand_cost = cost_of(candidate)
+                evaluations += 1
+                delta = cand_cost - current_cost
+                if delta <= 0 or draws.random() < np.exp(-delta / temperature):
+                    current, current_cost = candidate, cand_cost
+                    if current_cost < best_cost:
+                        best, best_cost = current, current_cost
+            temperature *= config.cooling
 
     area, wirelength, ds, reward = evaluate(best)
     return publish_result(FloorplanResult(

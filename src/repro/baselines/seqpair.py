@@ -16,15 +16,20 @@ The annealers' per-move path lives here too, all on plain Python
 objects because candidates have at most a few dozen blocks and numpy's
 per-call overhead would dominate:
 
-* :func:`pair_evaluator` builds one scalar cost per run (pack, then
-  :func:`repro.baselines.common.coords_evaluator`);
+* :func:`pair_evaluator` builds one scalar cost per run: the packing
+  sweep records block centres and the bounding box as it goes, and
+  :func:`repro.baselines.common.placement_scorer` scores them;
 * :func:`memoized_cost` wraps it in a per-run ``SequencePair -> cost``
   dict, since annealers often revisit candidates;
+* :class:`DrawReplay` replays ``Generator.integers(low, high)`` and
+  ``Generator.random()`` from raw PCG64 words, and leaves the generator
+  in the state numpy's own calls would have;
 * :func:`apply_move` is the one neighbourhood move, and
   :func:`choose_two` replays ``rng.choice(n, 2, replace=False)`` draw for
-  draw.  The replay is pinned to numpy's current ``Generator.choice``
-  by a hypothesis test that compares pairs *and* bit-generator states;
-  :func:`choice_cdf` does the same for ``rng.choice(k, p=probs)``.
+  draw; both take a ``Generator`` or a :class:`DrawReplay`.
+  :func:`choice_cdf` replays ``rng.choice(k, p=probs)``.  Every replay
+  is pinned to numpy by a hypothesis test that compares the draws *and*
+  the bit-generator states.
   A swap or shape change of a valid pair is valid, so the moved pair
   skips the permutation re-check that ``SequencePair(...)`` runs.
 """
@@ -33,12 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import getitem
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..circuits.netlist import Circuit
-from .common import PlacedRect, coords_evaluator
+from .common import PlacedRect, placement_scorer
 
 Sizes = Sequence[Sequence[Tuple[float, float]]]
 
@@ -159,15 +164,42 @@ def pair_evaluator(
 ) -> Callable[[SequencePair], Tuple[float, float, float, float]]:
     """Build once per run: ``pair -> (area, hpwl, dead_space, reward)``.
 
-    Packs with :func:`pack_coords` and scores with one
-    :func:`repro.baselines.common.coords_evaluator`, so every candidate
-    costs exactly what :func:`repro.baselines.common.evaluate_placement`
-    reports for ``pack(pair, sizes)``.
+    Runs :func:`pack_coords`'s sweep, but records each block's centre
+    ``x + w / 2.0`` as it is placed and takes the extents as the maxima of
+    the sweep's edge lists; one
+    :func:`repro.baselines.common.placement_scorer` scores them.  The
+    packed origin is exactly 0.0 (the first block swept sits on the 0.0
+    sentinels), so ``max(ends_x)`` is the very float ``max(x + w) -
+    min(x)`` is, and every candidate costs exactly what
+    :func:`repro.baselines.common.evaluate_placement` reports for
+    ``pack(pair, sizes)``.
     """
-    evaluate = coords_evaluator(circuit, hpwl_min, target_aspect)
+    n = circuit.num_blocks
+    if len(sizes) != n:
+        raise ValueError(f"expected sizes for {n} blocks, got {len(sizes)}")
+    score = placement_scorer(circuit, hpwl_min, target_aspect)
 
     def evaluate_pair(pair: SequencePair) -> Tuple[float, float, float, float]:
-        return evaluate(*pack_coords(pair, sizes))
+        if pair.num_blocks != n:
+            raise ValueError(f"expected a pair of {n} blocks, got {pair.num_blocks}")
+        dims = list(map(getitem, sizes, pair.shapes))
+        pos_plus = [0] * n
+        for i, b in enumerate(pair.gamma_plus):
+            pos_plus[b] = i
+        cx = [0.0] * n
+        cy = [0.0] * n
+        ends_x = [0.0] * (n + 1)
+        ends_y = [0.0] * (n + 1)
+        for b in pair.gamma_minus:
+            p = pos_plus[b]
+            wb, hb = dims[b]
+            xb = max(ends_x[:p + 1])
+            yb = max(ends_y[p + 1:])
+            cx[b] = xb + wb / 2.0
+            cy[b] = yb + hb / 2.0
+            ends_x[p + 1] = xb + wb
+            ends_y[p] = yb + hb
+        return score(cx, cy, max(ends_x), max(ends_y))
 
     return evaluate_pair
 
@@ -195,10 +227,113 @@ def memoized_cost(
 
 
 # ---------------------------------------------------------------------------
+# numpy's scalar draws, replayed from raw PCG64 words
+# ---------------------------------------------------------------------------
+
+_TWO_TO_MINUS_53 = 2.0 ** -53
+
+
+class DrawReplay:
+    """``Generator.integers(low, high)`` and ``Generator.random()``,
+    replayed from raw PCG64 words; a context manager over one generator.
+
+    A scalar ``Generator`` call costs microseconds of argument handling
+    for a few nanoseconds of arithmetic.  Inside the ``with`` block this
+    object draws 64-bit words in chunks (``bit_generator.random_raw``) and
+    applies numpy's own arithmetic to them in Python:
+
+    * ``next_uint32`` hands out the low half of a fresh word and keeps the
+      high half for the next call (PCG64's ``has_uint32`` / ``uinteger``
+      carry), starting from the generator's carry on entry;
+    * ``integers(low, high)`` is numpy's 32-bit Lemire bounded integer,
+      rejection loop included; ``high - low == 1`` consumes nothing (a
+      span of exactly 2**32, which numpy special-cases as one
+      ``next_uint32``, comes out the same from the Lemire step);
+    * ``random()`` is ``(word >> 11) * 2**-53``.
+
+    On exit the generator is rewound to the start of the current chunk,
+    the consumed words are drawn again and the carry is restored, so it
+    holds the state the same calls on it would have left.  Values and
+    that state are pinned to numpy by a hypothesis test.  The generator
+    itself must not be drawn from inside the block.  Only PCG64 (what
+    ``np.random.default_rng`` builds) is replayed; spans above 2**32
+    take numpy's 64-bit path, which is not.
+    """
+
+    #: Raw words per ``random_raw`` call; an exit re-draws at most this many.
+    CHUNK = 1024
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(f"DrawReplay replays PCG64 only, not {type(bitgen).__name__}")
+        self._bitgen = bitgen
+        state = bitgen.state
+        self._has_uint32 = state["has_uint32"]
+        self._uinteger = state["uinteger"]
+        self._words: List[int] = []
+        # The state before the current chunk was drawn (None: no chunk yet).
+        self._chunk_state: Optional[Dict] = None
+
+    def __enter__(self) -> "DrawReplay":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        bitgen = self._bitgen
+        if self._chunk_state is not None:
+            bitgen.state = self._chunk_state
+            bitgen.random_raw(self.CHUNK - len(self._words))
+        state = bitgen.state
+        state["has_uint32"] = self._has_uint32
+        state["uinteger"] = self._uinteger
+        bitgen.state = state
+
+    def _next64(self) -> int:
+        words = self._words
+        if not words:
+            self._chunk_state = self._bitgen.state
+            words.extend(self._bitgen.random_raw(self.CHUNK)[::-1].tolist())
+        return words.pop()
+
+    def _next32(self) -> int:
+        if self._has_uint32:
+            self._has_uint32 = 0
+            return self._uinteger
+        word = self._next64()
+        self._has_uint32 = 1
+        self._uinteger = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low: int, high: int) -> int:
+        """``int(rng.integers(low, high))``, for ``0 < high - low <= 2**32``."""
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 < span <= 0x100000000:
+            raise ValueError(f"DrawReplay.integers needs 0 < high - low <= 2**32, got {span}")
+        m = self._next32() * span
+        if m & 0xFFFFFFFF < span:
+            # numpy's threshold (UINT32_MAX - (span - 1)) % span.
+            threshold = (0x100000000 - span) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)
+
+    def random(self) -> float:
+        """``rng.random()``."""
+        return (self._next64() >> 11) * _TWO_TO_MINUS_53
+
+
+#: What the moves draw from: a ``Generator`` or a :class:`DrawReplay` of
+#: one.  They call only ``integers(low, high)`` and ``random()``.
+Draws = Union[np.random.Generator, DrawReplay]
+
+
+# ---------------------------------------------------------------------------
 # Neighbourhood moves shared by SA / RL-SA / GA mutation
 # ---------------------------------------------------------------------------
 
-def choose_two(n: int, rng: np.random.Generator) -> Tuple[int, int]:
+def choose_two(n: int, rng: Draws) -> Tuple[int, int]:
     """``tuple(rng.choice(n, 2, replace=False))``, replayed draw for draw.
 
     For two draws without replacement numpy's ``Generator.choice`` runs
@@ -238,7 +373,7 @@ def _swapped(seq: Tuple[int, ...], i: int, j: int) -> Tuple[int, ...]:
 
 
 def apply_move(
-    pair: SequencePair, move: int, num_shapes: int, rng: np.random.Generator
+    pair: SequencePair, move: int, num_shapes: int, rng: Draws
 ) -> SequencePair:
     """Apply one of the four classic SP moves, drawing its operands.
 
@@ -261,6 +396,6 @@ def apply_move(
     return SequencePair._trusted(plus, minus, pair.shapes)
 
 
-def random_neighbor(pair: SequencePair, num_shapes: int, rng: np.random.Generator) -> SequencePair:
+def random_neighbor(pair: SequencePair, num_shapes: int, rng: Draws) -> SequencePair:
     """One random move among the four classic SP move types."""
     return apply_move(pair, int(rng.integers(0, 4)), num_shapes, rng)

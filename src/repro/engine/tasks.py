@@ -65,7 +65,8 @@ def baseline_task(params: Mapping[str, Any], seed: int, context: Any) -> Floorpl
 
     params: ``circuit`` (library name), ``method`` (sa/ga/pso/rl-sa/rl-sp),
     optional ``config`` (overrides for the method's config dataclass),
-    optional ``unconstrained`` (drop placement constraints, as Table I).
+    optional ``unconstrained`` (drop placement constraints, as Table I),
+    optional ``target_aspect`` (the aspect-ratio term of the cost).
     The spec seed overrides any seed inside ``config``.
     """
     method = params["method"]
@@ -77,7 +78,7 @@ def baseline_task(params: Mapping[str, Any], seed: int, context: Any) -> Floorpl
     circuit = _load_circuit(params)
     config = config_cls(**{**dict(params.get("config", {})), "seed": seed})
     hmin = hpwl_lower_bound(circuit)
-    return runner(circuit, config, hpwl_min=hmin)
+    return runner(circuit, config, hpwl_min=hmin, target_aspect=params.get("target_aspect"))
 
 
 def agent_fingerprint(agent: Any) -> str:

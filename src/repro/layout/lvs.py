@@ -15,13 +15,23 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..circuits.netlist import Circuit
 from .geometry import CONNECTIVITY, Layer, Layout, Shape
 
-_CONNECTED_PAIRS: Set[frozenset] = {frozenset((a, b)) for a, b in CONNECTIVITY}
+#: One bit per layer.
+_LAYER_BIT: Dict[Layer, int] = {layer: 1 << k for k, layer in enumerate(Layer)}
 
 
-def _layers_connect(a: Layer, b: Layer) -> bool:
-    if a is b:
-        return a is not Layer.BOUNDARY
-    return frozenset((a, b)) in _CONNECTED_PAIRS
+def _connect_masks() -> Dict[Layer, int]:
+    """Per layer, the bits of the layers its shapes connect to when they
+    overlap: itself (every layer but ``BOUNDARY``) and its
+    :data:`CONNECTIVITY` partners.  Built once, so the pair scan tests an
+    integer mask instead of hashing two ``Layer`` members per pair."""
+    masks = {layer: 0 if layer is Layer.BOUNDARY else _LAYER_BIT[layer] for layer in Layer}
+    for a, b in CONNECTIVITY:
+        masks[a] |= _LAYER_BIT[b]
+        masks[b] |= _LAYER_BIT[a]
+    return masks
+
+
+_CONNECT_MASKS = _connect_masks()
 
 
 @dataclass
@@ -38,8 +48,9 @@ class LVSReport:
 def extract_components(layout: Layout) -> List[Set[int]]:
     """Connected components over labelled (net-carrying) shapes, as sets
     of shape indices ordered by their lowest index."""
-    shapes = [(i, s) for i, s in enumerate(layout.shapes) if s.net is not None]
-    parent = {i: i for i, _ in shapes}
+    shapes = [(i, s, _LAYER_BIT[s.layer]) for i, s in enumerate(layout.shapes)
+              if s.net is not None]
+    parent = {i: i for i, _, _ in shapes}
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -47,14 +58,13 @@ def extract_components(layout: Layout) -> List[Set[int]]:
             i = parent[i]
         return i
 
-    for a_pos in range(len(shapes)):
-        i, a = shapes[a_pos]
-        for b_pos in range(a_pos + 1, len(shapes)):
-            j, b = shapes[b_pos]
-            if _layers_connect(a.layer, b.layer) and a.overlaps(b):
+    for a_pos, (i, a, _) in enumerate(shapes):
+        reach = _CONNECT_MASKS[a.layer]
+        for j, b, bit in shapes[a_pos + 1:]:
+            if reach & bit and a.overlaps(b):
                 parent[find(i)] = find(j)
     components: Dict[int, Set[int]] = {}
-    for i, _ in shapes:
+    for i, _, _ in shapes:
         components.setdefault(find(i), set()).add(i)
     return list(components.values())
 

@@ -120,13 +120,14 @@ class SolveRequest:
         }
         if self.unconstrained:
             params["unconstrained"] = True
+        # Only when set, so the keys of requests without it stay put.
+        if self.target_aspect is not None:
+            params["target_aspect"] = self.target_aspect
         if self.method == RL_METHOD:
             fn = "solve_rl"
             params["agent"] = agent_digest
             params["deterministic"] = self.deterministic
             params["attempts"] = self.attempts
-            if self.target_aspect is not None:
-                params["target_aspect"] = self.target_aspect
         else:
             fn = "baseline"
             params["method"] = self.method

@@ -29,8 +29,7 @@ from repro.config import NUM_SHAPES, REWARD_ALPHA, REWARD_BETA, REWARD_GAMMA
 from repro.floorplan import hpwl_lower_bound
 from repro.floorplan import FloorplanState, placement_mask
 from repro.floorplan.masks import HPWL_MIN_FLOOR
-from repro.layout import Layout
-from repro.layout.lvs import _layers_connect
+from repro.layout import CONNECTIVITY, Layer, Layout
 from repro.nn import Tensor, no_grad
 from repro.pipeline import default_floorplanner
 from repro.routing import (
@@ -747,6 +746,17 @@ def oarsmt_calls(name: str) -> List[Tuple[List[Point], List[Obstacle]]]:
     return calls
 
 
+_CONNECTED_PAIRS = {frozenset(pair) for pair in CONNECTIVITY}
+
+
+def layers_connect_reference(a: Layer, b: Layer) -> bool:
+    """Whether overlapping shapes on ``a`` and ``b`` connect: the same mask
+    layer, or a :data:`CONNECTIVITY` pair."""
+    if a is b:
+        return a is not Layer.BOUNDARY
+    return frozenset((a, b)) in _CONNECTED_PAIRS
+
+
 def extract_components_reference(layout: Layout) -> List[Set[int]]:
     """Reference for ``extract_components``: networkx's connected
     components of the shape-overlap graph, nodes added by shape index."""
@@ -758,7 +768,7 @@ def extract_components_reference(layout: Layout) -> List[Set[int]]:
         i, a = shapes[a_pos]
         for b_pos in range(a_pos + 1, len(shapes)):
             j, b = shapes[b_pos]
-            if _layers_connect(a.layer, b.layer) and a.overlaps(b):
+            if layers_connect_reference(a.layer, b.layer) and a.overlaps(b):
                 graph.add_edge(i, j)
     return [set(c) for c in nx.connected_components(graph)]
 

@@ -4,12 +4,14 @@
 ``genetic_algorithm`` run on a per-run scalar evaluator, a per-run cost
 memo and an exact replay of ``rng.choice(n, 2, replace=False)``;
 ``rl_simulated_annealing`` and ``rl_sequence_pair`` replay
-``rng.choice(k, p=...)`` from ``choice_cdf``, and ``particle_swarm``
-decodes its whole swarm at once.  These tests pin every result, and the
+``rng.choice(k, p=...)`` from ``choice_cdf``, the annealers draw
+through ``DrawReplay``, and ``particle_swarm`` decodes its whole swarm
+at once.  These tests pin every result, and the
 bit-generator state each run leaves behind, bit for bit to the numpy
 loops in ``oracles`` (per-candidate numpy evaluation, no memo,
 per-scalar ``rng`` draws), and pin the replays to numpy's own
-``Generator.choice``: same draws, same bit-generator state afterwards.
+``Generator.choice``, ``integers`` and ``random``: same draws, same
+bit-generator state afterwards.
 """
 
 from contextlib import contextmanager
@@ -38,6 +40,7 @@ from repro.baselines import (
     simulated_annealing,
 )
 from repro.baselines.seqpair import (
+    DrawReplay,
     apply_move,
     choice_cdf,
     choose_two,
@@ -100,6 +103,58 @@ class TestChooseTwoReplay:
             expected = tuple(int(v) for v in numpy_.choice(2, size=2, replace=False))
             assert choose_two(2, ours) == expected
             assert ours.bit_generator.state == numpy_.bit_generator.state
+
+
+# One scalar draw inside a DrawReplay: ("random",) or ("integers", low,
+# span).  The sampled spans hit Lemire's rejection loop often (2**31 + 1
+# rejects almost half the words) and its edges: a span of 1 draws
+# nothing, one of 2**32 returns a raw 32-bit word.
+_SCALAR = st.one_of(
+    st.tuples(st.just("random")),
+    st.tuples(st.just("integers"), st.integers(-2**40, 2**40), st.integers(1, 1 << 32)),
+    st.tuples(st.just("integers"), st.integers(-3, 3),
+              st.sampled_from([1, 2, 3, 4, 5, 2**31 + 1, 2**32 - 1, 2**32])),
+)
+
+
+def _scalar_draws(rng, ops):
+    return [rng.random() if op[0] == "random" else rng.integers(op[1], op[1] + op[2])
+            for op in ops]
+
+
+class TestDrawReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), blocks=st.lists(
+        st.tuples(st.integers(0, 5), st.lists(_SCALAR, max_size=60)), min_size=1, max_size=4))
+    def test_replays_numpy_draws_and_state(self, seed, blocks):
+        # Each block follows an array draw, which leaves a carried
+        # half-word when it takes an odd number of 32-bit draws.
+        ours, numpy_ = _same_rng(seed)
+        for before, ops in blocks:
+            assert np.array_equal(ours.integers(0, 7, size=before),
+                                  numpy_.integers(0, 7, size=before))
+            with DrawReplay(ours) as draws:
+                assert _scalar_draws(draws, ops) == _scalar_draws(numpy_, ops)
+            assert ours.bit_generator.state == numpy_.bit_generator.state
+
+    @pytest.mark.parametrize("span", [1, 2, 2**31 + 1, 2**32 - 1, 2**32])
+    def test_runs_past_one_chunk(self, span):
+        ops = [("integers", 5, span), ("random",)] * (DrawReplay.CHUNK + 7)
+        for carry in (0, 1):
+            ours, numpy_ = _same_rng(carry)
+            ours.integers(0, 3, size=carry)
+            numpy_.integers(0, 3, size=carry)
+            with DrawReplay(ours) as draws:
+                assert _scalar_draws(draws, ops) == _scalar_draws(numpy_, ops)
+            assert ours.bit_generator.state == numpy_.bit_generator.state
+
+    def test_rejects_other_bit_generators_and_spans(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            DrawReplay(np.random.Generator(np.random.MT19937(0)))
+        with DrawReplay(np.random.default_rng(0)) as draws:
+            for low, high in ((0, 0), (3, 1), (0, 2**32 + 1)):
+                with pytest.raises(ValueError):
+                    draws.integers(low, high)
 
 
 @st.composite
@@ -279,6 +334,8 @@ class TestBaselinesBitIdentical:
     @pytest.mark.parametrize("method, config", [
         ("pso", PSOConfig()),
         ("rl-sp", RLSPConfig()),
+        # The Fig. 1 pipeline's floorplanner: thousands of replayed draws.
+        ("sa", SAConfig(moves_per_temperature=25, seed=0)),
     ])
     def test_default_budget_matches_reference_loop(self, method, config):
         # Long runs drive the shape distributions towards one-hot rows and

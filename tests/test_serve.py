@@ -303,6 +303,15 @@ class TestProtocol:
         c = req.task_spec(edited, "agentA").content_hash()
         assert a != c  # edited netlist -> different key
 
+    def test_baseline_target_aspect_keys_the_request(self):
+        circuit = get_circuit("ota1")
+        plain = SolveRequest(circuit="ota1", method="sa").task_spec(circuit, "a")
+        aimed = SolveRequest(circuit="ota1", method="sa",
+                             target_aspect=3.0).task_spec(circuit, "a")
+        assert "target_aspect" not in plain.params
+        assert aimed.params["target_aspect"] == 3.0
+        assert plain.content_hash() != aimed.content_hash()
+
     def test_circuit_fingerprint_stable_per_content(self):
         a = circuit_fingerprint(get_circuit("ota_small"))
         b = circuit_fingerprint(get_circuit("ota_small"))
@@ -530,6 +539,25 @@ class TestServeBaselines:
                 config={"moves_per_temperature": 4})
             assert response["result"]["method"] == "SA"
             assert response["result"]["area"] > 0
+
+    def test_baseline_target_aspect_served_as_offline(self, server):
+        from repro.baselines import SAConfig, simulated_annealing
+        from repro.floorplan.metrics import hpwl_lower_bound
+
+        circuit = get_circuit("ota1")
+        config = {"moves_per_temperature": 4}
+        offline = simulated_annealing(
+            circuit, SAConfig(**config, seed=0),
+            hpwl_min=hpwl_lower_bound(circuit), target_aspect=3.0)
+        with SolveClient(server.address) as client:
+            aimed = client.solve("ota1", method="sa", seed=0, config=config,
+                                 target_aspect=3.0)["result"]
+            plain = client.solve("ota1", method="sa", seed=0,
+                                 config=config)["result"]
+        assert aimed["reward"] == offline.reward
+        assert aimed["area"] == offline.area
+        assert aimed["hpwl"] == offline.hpwl
+        assert plain["reward"] != aimed["reward"]
 
     def test_endless_annealing_schedule_is_a_prompt_error(self, server):
         # cooling = 1.0 would never cool: the config is rejected before
