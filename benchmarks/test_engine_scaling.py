@@ -17,23 +17,29 @@ import pytest
 from _util import check
 from oracles import (
     escape_graph_reference,
+    ga_reference,
     hpwl,
     oarsmt_calls,
     oarsmt_reference,
     pack_reference,
     pso_reference,
+    rl_sa_reference,
     rl_sp_reference,
     state_centers,
     wire_mask_reference,
 )
 
 from repro.baselines import (
+    GAConfig,
     PSOConfig,
+    RLSAConfig,
     RLSPConfig,
     SequencePair,
+    genetic_algorithm,
     inflated_shapes,
     particle_swarm,
     rl_sequence_pair,
+    rl_simulated_annealing,
 )
 from repro.baselines.seqpair import pair_evaluator
 from repro.circuits import get_circuit
@@ -219,12 +225,15 @@ def _hotpath_lines():
         f"   speedup {oarsmt_speedup:5.2f}x"
     )
 
-    # --- whole RL-SP / PSO runs: per-scalar draws vs bulk replays -------
+    # --- whole baseline runs: per-scalar numpy draws vs replays --------
     speedups = {"SA evaluation": sa_speedup, "env step": env_speedup,
                 "OARSMT Steiner tree": oarsmt_speedup}
     for label, run, reference, config in (
         ("RL-SP run", rl_sequence_pair, rl_sp_reference, RLSPConfig(iterations=20)),
         ("PSO run", particle_swarm, pso_reference, PSOConfig(iterations=10)),
+        ("GA run", genetic_algorithm, ga_reference, GAConfig(generations=10)),
+        ("RL-SA run", rl_simulated_annealing, rl_sa_reference,
+         RLSAConfig(moves_per_temperature=10)),
     ):
         line, speedups[label] = _run_speedup(label, run, reference, config)
         lines.append(line)

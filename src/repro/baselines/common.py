@@ -219,25 +219,38 @@ def placement_scorer(
     The package's one scalar cost, shared by :func:`coords_evaluator` and
     :func:`repro.baselines.seqpair.pair_evaluator` (which computes the
     centres and extents inside its packing sweep).  Everything that does
-    not depend on the placement is fixed here: one ``itemgetter`` per net
-    over its members in ``circuit.incidence`` (it returns a tuple, since
-    every net has at least two members), the total block area and the
-    HPWL normalizer.  A call is plain Python float arithmetic in a fixed
-    order: HPWL adds ``(max - min) + (max - min)`` per net left to right,
-    as the scalar per-net loop does.
+    not depend on the placement is fixed here: each net's members in
+    ``circuit.incidence``, the total block area and the HPWL normalizer.
+    A call is plain Python float arithmetic in a fixed order: HPWL adds
+    ``(max - min) + (max - min)`` per net left to right, as the scalar
+    per-net loop does.  A two-pin net ``(a, b)`` adds ``abs(cx[a] -
+    cx[b]) + abs(cy[a] - cy[b])``, which is that very float: IEEE
+    subtraction is exact up to sign symmetry, so ``abs(a - b)`` is
+    ``max - min`` bit for bit (``+0.0`` for equal centres).  Larger nets
+    take their coordinates with one ``itemgetter``.
     """
     inc = circuit.incidence
-    nets = [itemgetter(*inc.members_of(i).tolist()) for i in range(inc.num_nets)]
+    # (a, b, None) for a two-pin net, (0, 0, itemgetter) for a larger one.
+    nets = []
+    for i in range(inc.num_nets):
+        members = inc.members_of(i).tolist()
+        if len(members) == 2:
+            nets.append((members[0], members[1], None))
+        else:
+            nets.append((0, 0, itemgetter(*members)))
     total_area = circuit.total_area
     hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
 
     def score(cx, cy, width: float, height: float) -> Tuple[float, float, float, float]:
         area = width * height
         wirelength = 0.0
-        for net in nets:
-            xs = net(cx)
-            ys = net(cy)
-            wirelength += (max(xs) - min(xs)) + (max(ys) - min(ys))
+        for a, b, net in nets:
+            if net is None:
+                wirelength += abs(cx[a] - cx[b]) + abs(cy[a] - cy[b])
+            else:
+                xs = net(cx)
+                ys = net(cy)
+                wirelength += (max(xs) - min(xs)) + (max(ys) - min(ys))
         ds = 1.0 - total_area / area if area > 0 else 0.0
         cost = alpha * (area / total_area - 1.0) + beta * (wirelength / hmin - 1.0)
         if target_aspect is not None:

@@ -2,13 +2,25 @@
 
 Order-crossover (OX) on both permutations, uniform crossover on shape
 genes, swap/shape mutations, tournament selection with elitism.
+
+Every draw after the initial population goes through a
+:class:`~repro.baselines.seqpair.DrawReplay` of the run's generator: the
+crossover and mutation coin flips, the per-gene ``random()``, the
+tournament's ``rng.choice(population, tournament, replace=False)`` and
+the OX cut points (both through :func:`~repro.baselines.seqpair.choose`,
+its draw-for-draw replay) and the mutation moves (the annealers'
+:func:`~repro.baselines.seqpair.apply_move`).  OX children of two
+permutations are permutations, so they skip the constructor's re-check.
+Each generation is still packed and scored in one numpy pass.  Results
+are bit-identical to the per-scalar numpy loop, final bit-generator
+state included (golden-tested against it).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +37,15 @@ from .common import (
     require_budgets,
     require_field_types,
 )
-from .seqpair import SequencePair, choose_two, pack, pack_population, random_neighbor
+from .seqpair import (
+    DrawReplay,
+    Draws,
+    SequencePair,
+    choose,
+    pack,
+    pack_population,
+    random_neighbor,
+)
 
 
 @dataclass
@@ -50,29 +70,23 @@ class GAConfig:
             )
 
 
-def _order_crossover(a: Tuple[int, ...], b: Tuple[int, ...], rng: np.random.Generator) -> Tuple[int, ...]:
+def _order_crossover(a: Tuple[int, ...], b: Tuple[int, ...], draws: Draws) -> Tuple[int, ...]:
     """Classic OX: copy a slice from parent a, fill the rest in b's order."""
-    n = len(a)
-    i, j = sorted(choose_two(n, rng))
-    child: List[Optional[int]] = [None] * n
-    child[i:j + 1] = a[i:j + 1]
-    used = set(child[i:j + 1])
-    fill = [g for g in b if g not in used]
-    k = 0
-    for idx in range(n):
-        if child[idx] is None:
-            child[idx] = fill[k]
-            k += 1
-    return tuple(child)  # type: ignore[arg-type]
+    i, j = sorted(choose(len(a), 2, draws))
+    middle = a[i:j + 1]
+    used = set(middle)
+    fill = tuple(g for g in b if g not in used)
+    return fill[:i] + middle + fill[i:]
 
 
-def _crossover(pa: SequencePair, pb: SequencePair, rng: np.random.Generator) -> SequencePair:
-    gp = _order_crossover(pa.gamma_plus, pb.gamma_plus, rng)
-    gm = _order_crossover(pa.gamma_minus, pb.gamma_minus, rng)
+def _crossover(pa: SequencePair, pb: SequencePair, draws: Draws) -> SequencePair:
+    gp = _order_crossover(pa.gamma_plus, pb.gamma_plus, draws)
+    gm = _order_crossover(pa.gamma_minus, pb.gamma_minus, draws)
     shapes = tuple(
-        pa.shapes[k] if rng.random() < 0.5 else pb.shapes[k] for k in range(len(pa.shapes))
+        sa if draws.random() < 0.5 else sb for sa, sb in zip(pa.shapes, pb.shapes)
     )
-    return SequencePair(gp, gm, shapes)
+    # OX of two permutations is a permutation.
+    return SequencePair._trusted(gp, gm, shapes)
 
 
 def genetic_algorithm(
@@ -103,24 +117,25 @@ def genetic_algorithm(
     ]
     scored = score_all(population)
 
-    def tournament_pick() -> SequencePair:
-        picks = rng.choice(len(population), size=config.tournament, replace=False)
-        best_idx = max(picks, key=lambda k: scored[k])
-        return population[best_idx]
+    with DrawReplay(rng) as draws:
 
-    for _ in range(config.generations):
-        ranked = sorted(range(len(population)), key=lambda k: -scored[k])
-        next_pop = [population[k] for k in ranked[: config.elites]]
-        while len(next_pop) < config.population:
-            if rng.random() < config.crossover_rate:
-                child = _crossover(tournament_pick(), tournament_pick(), rng)
-            else:
-                child = tournament_pick()
-            if rng.random() < config.mutation_rate:
-                child = random_neighbor(child, NUM_SHAPES, rng)
-            next_pop.append(child)
-        population = next_pop
-        scored = score_all(population)
+        def tournament_pick() -> SequencePair:
+            picks = choose(len(population), config.tournament, draws)
+            return population[max(picks, key=scored.__getitem__)]
+
+        for _ in range(config.generations):
+            ranked = sorted(range(len(population)), key=lambda k: -scored[k])
+            next_pop = [population[k] for k in ranked[: config.elites]]
+            while len(next_pop) < config.population:
+                if draws.random() < config.crossover_rate:
+                    child = _crossover(tournament_pick(), tournament_pick(), draws)
+                else:
+                    child = tournament_pick()
+                if draws.random() < config.mutation_rate:
+                    child = random_neighbor(child, NUM_SHAPES, draws)
+                next_pop.append(child)
+            population = next_pop
+            scored = score_all(population)
 
     best_idx = max(range(len(population)), key=lambda k: scored[k])
     best_rects = pack(population[best_idx], sizes)

@@ -14,7 +14,10 @@ Candidates go through the same per-run machinery as :mod:`.sa`: one
 initial pair taken through a :class:`~repro.baselines.seqpair.DrawReplay`
 of the run's generator.  The move type's ``rng.choice(4, p=probs)`` is
 replayed too: one ``random()`` looked up in choice's normalised
-cumulative sum (:func:`~repro.baselines.seqpair.choice_cdf`).  Results
+cumulative sum (:func:`~repro.baselines.seqpair.choice_cdf`).  The
+bandit keeps ``probs`` and that cdf as Python lists and recomputes them,
+with the numpy expressions on the 4-vector, only when a preference
+moves: a rejected or zero-gain move leaves both bit-unchanged.  Results
 are bit-identical to the straightforward numpy loop, final bit-generator
 state included (golden-tested against it).
 """
@@ -22,8 +25,9 @@ state included (golden-tested against it).
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +70,16 @@ class RLSAConfig:
         require_cooling_schedule(self)
 
 
+def _move_distribution(preferences: List[float]) -> Tuple[List[float], List[float]]:
+    """The bandit's softmax over move types and its ``choice`` cdf, as
+    lists; numpy's expressions on the 4-vector, so every float is the
+    one the numpy loop computes."""
+    prefs = np.array(preferences)
+    probs = np.exp(prefs - prefs.max())
+    probs /= probs.sum()
+    return probs.tolist(), choice_cdf(probs).tolist()
+
+
 def rl_simulated_annealing(
     circuit: Circuit,
     config: Optional[RLSAConfig] = None,
@@ -85,17 +99,17 @@ def rl_simulated_annealing(
     current_cost = cost_of(current)
     best_cost, best_pair = current_cost, current
 
-    preferences = np.zeros(NUM_MOVE_TYPES)
-    move_counts = np.zeros(NUM_MOVE_TYPES, dtype=int)
+    preferences = [0.0] * NUM_MOVE_TYPES
+    probs, cdf = _move_distribution(preferences)
+    move_counts = [0] * NUM_MOVE_TYPES
     temperature = config.initial_temperature
 
     with DrawReplay(rng) as draws:
         while temperature > config.final_temperature:
             for _ in range(config.moves_per_temperature):
-                probs = np.exp(preferences - preferences.max())
-                probs /= probs.sum()
-                # rng.choice(NUM_MOVE_TYPES, p=probs), replayed.
-                move = int(choice_cdf(probs).searchsorted(draws.random(), side="right"))
+                # rng.choice(NUM_MOVE_TYPES, p=probs), replayed: the count
+                # of cdf entries <= u (the cdf is non-decreasing).
+                move = bisect_right(cdf, draws.random())
                 move_counts[move] += 1
                 candidate = apply_move(current, move, NUM_SHAPES, draws)
                 cand_cost = cost_of(candidate)
@@ -104,14 +118,19 @@ def rl_simulated_annealing(
                 # Bandit update: reward = realized improvement, clipped to
                 # [-1, 1] (np.clip's min-of-max, on a Python float).
                 gain = min(max(-delta if accepted else 0.0, -1.0), 1.0)
-                preferences[move] += config.bandit_lr * gain * (1.0 - probs[move])
+                step = config.bandit_lr * gain * (1.0 - probs[move])
+                if step:
+                    # A zero step leaves the preference bit-unchanged (it is
+                    # never -0.0), and with it the distribution.
+                    preferences[move] += step
+                    probs, cdf = _move_distribution(preferences)
                 if accepted:
                     current, current_cost = candidate, cand_cost
                     if current_cost < best_cost:
                         best_cost, best_pair = current_cost, current
             temperature *= config.cooling
 
-    evaluations = int(move_counts.sum()) + 1
+    evaluations = sum(move_counts) + 1
     area, wirelength, ds, reward = evaluate(best_pair)
     return publish_result(FloorplanResult(
         circuit_name=circuit.name,
@@ -123,7 +142,7 @@ def rl_simulated_annealing(
         reward=reward,
         runtime=time.perf_counter() - start,
         extra={
-            "move_counts": move_counts.tolist(),
+            "move_counts": move_counts,
             "cost_cache_hits": evaluations - len(memo),
         },
     ), started=start, evaluations=evaluations, name="rl_sa")

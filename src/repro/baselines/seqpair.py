@@ -1,4 +1,4 @@
-"""Sequence-Pair floorplan representation, packing and the SA move path.
+"""Sequence-Pair floorplan representation, packing and the baselines' move path.
 
 The classic topological model (Murata et al.; paper refs [14]) used by all
 metaheuristic baselines: a pair of permutations ``(gamma_plus,
@@ -12,9 +12,9 @@ Packing evaluates the two constraint graphs with a longest-path sweep
 over position-rank lists (:func:`pack_coords`), golden-tested
 bit-identical to the classic O(n^2) double loop.
 
-The annealers' per-move path lives here too, all on plain Python
-objects because candidates have at most a few dozen blocks and numpy's
-per-call overhead would dominate:
+The per-move path of the annealers and the GA lives here too, all on
+plain Python objects because candidates have at most a few dozen blocks
+and numpy's per-call overhead would dominate:
 
 * :func:`pair_evaluator` builds one scalar cost per run: the packing
   sweep records block centres and the bounding box as it goes, and
@@ -23,10 +23,12 @@ per-call overhead would dominate:
   dict, since annealers often revisit candidates;
 * :class:`DrawReplay` replays ``Generator.integers(low, high)`` and
   ``Generator.random()`` from raw PCG64 words, and leaves the generator
-  in the state numpy's own calls would have;
-* :func:`apply_move` is the one neighbourhood move, and
-  :func:`choose_two` replays ``rng.choice(n, 2, replace=False)`` draw for
-  draw; both take a ``Generator`` or a :class:`DrawReplay`.
+  in the state numpy's own calls would have; SA, RL-SA and GA draw
+  through it after their initial candidates;
+* :func:`apply_move` is the one neighbourhood move (SA, RL-SA and GA
+  mutation), and :func:`choose` replays ``rng.choice(n, k,
+  replace=False)`` draw for draw (the swap operands, GA's tournament and
+  OX cut points); both take a ``Generator`` or a :class:`DrawReplay`.
   :func:`choice_cdf` replays ``rng.choice(k, p=probs)``.  Every replay
   is pinned to numpy by a hypothesis test that compares the draws *and*
   the bit-generator states.
@@ -333,22 +335,47 @@ Draws = Union[np.random.Generator, DrawReplay]
 # Neighbourhood moves shared by SA / RL-SA / GA mutation
 # ---------------------------------------------------------------------------
 
-def choose_two(n: int, rng: Draws) -> Tuple[int, int]:
-    """``tuple(rng.choice(n, 2, replace=False))``, replayed draw for draw.
+def choose(n: int, k: int, rng: Draws) -> List[int]:
+    """``rng.choice(n, k, replace=False).tolist()``, replayed draw for draw.
 
-    For two draws without replacement numpy's ``Generator.choice`` runs
-    Floyd's sampler (Bentley & Floyd, CACM 1987) — a draw in ``[0, n-2]``,
-    then one in ``[0, n-1]`` that becomes ``n-1`` on a collision — and
-    then shuffles the two with one draw in ``[0, 1]``.  Each step is an
-    ``rng.integers`` call on the same bounded-integer path, so the pair
-    and the bit-generator state afterwards are identical, at about half
-    the cost of the ``choice`` call.
+    Without weights numpy's ``Generator.choice`` runs Floyd's sampler
+    (Bentley & Floyd, CACM 1987): for ``j`` from ``n - k`` to ``n - 1`` a
+    draw in ``[0, j]``, which becomes ``j`` when it was already picked.
+    It then shuffles the picks with one draw in ``[0, i]`` for ``i`` from
+    ``k - 1`` down to 1.  Each step is an ``rng.integers`` call on the
+    same bounded-integer path, so the picks and the bit-generator state
+    afterwards are identical, at a fraction of the cost of the ``choice``
+    call.  For ``n > 10_000`` and ``k > n // 50`` numpy shuffles the tail
+    of ``arange(n)`` instead; that is replayed too, on a sparse map of the
+    moved slots.
     """
-    i = int(rng.integers(0, n - 1))
-    j = int(rng.integers(0, n))
-    if j == i:
-        j = n - 1
-    return (i, j) if rng.integers(0, 2) else (j, i)
+    if k == 2:
+        # The moves' swap operands (numpy never tail-shuffles k = 2): Floyd's
+        # two draws and one shuffle, unrolled.
+        i = int(rng.integers(0, n - 1))
+        j = int(rng.integers(0, n))
+        if j == i:
+            j = n - 1
+        return [i, j] if rng.integers(0, 2) else [j, i]
+    if n > 10_000 and k > n // 50:
+        # Fisher-Yates over slots n-1 .. max(n-k, 1) of arange(n).
+        moved: Dict[int, int] = {}
+        for i in range(n - 1, max(n - k, 1) - 1, -1):
+            s = int(rng.integers(0, i + 1))
+            moved[i], moved[s] = moved.get(s, s), moved.get(i, i)
+        return [moved.get(i, i) for i in range(n - k, n)]
+    picks: List[int] = []
+    seen = set()
+    for j in range(n - k, n):
+        v = int(rng.integers(0, j + 1))
+        if v in seen:
+            v = j
+        seen.add(v)
+        picks.append(v)
+    for i in range(k - 1, 0, -1):
+        s = int(rng.integers(0, i + 1))
+        picks[i], picks[s] = picks[s], picks[i]
+    return picks
 
 
 def choice_cdf(probs: np.ndarray) -> np.ndarray:
@@ -387,7 +414,7 @@ def apply_move(
         shapes = list(pair.shapes)
         shapes[block] = int(rng.integers(0, num_shapes))
         return SequencePair._trusted(pair.gamma_plus, pair.gamma_minus, tuple(shapes))
-    i, j = choose_two(n, rng)
+    i, j = choose(n, 2, rng)
     plus, minus = pair.gamma_plus, pair.gamma_minus
     if move != 1:
         plus = _swapped(plus, i, j)

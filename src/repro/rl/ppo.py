@@ -211,10 +211,16 @@ class MaskedPPO:
         Batched entry for externally-supplied observations (the serving
         micro-batcher): ``rng`` may be a *sequence* of per-row generators
         and ``deterministic`` a per-row boolean sequence.  Row ``i`` then
-        samples exactly as a batch-of-one call with ``rngs[i]`` /
-        ``deterministic[i]`` would, so a request's actions do not depend
-        on which other requests shared the coalesced batch
-        (:meth:`MaskedCategorical.sample_rows`).
+        consumes only ``rngs[i]``, as much of it as a batch-of-one call
+        would, and samples exactly what that call would sample *given the
+        row's logits* (:meth:`MaskedCategorical.sample_rows`).  The logits
+        themselves may differ in the last bits with the batch a row
+        shares: numpy runs a one-row dense layer as a matrix-vector
+        product and a multi-row one as a matrix product, whose float32
+        sums round differently (ota1's first observation batched with
+        bias2's moves its logits by up to ~2e-7).  An action or log-prob
+        can therefore change only when such a difference moves the
+        sampled argmax.
         """
         per_row_rng = rng is not None and not isinstance(rng, np.random.Generator)
         per_row_det = not isinstance(deterministic, (bool, np.bool_))

@@ -484,10 +484,14 @@ class SolveServer:
         """One :func:`~repro.rl.agent.solve_session` whose policy steps go
         through the micro-batcher.
 
-        Bit-identical to the offline :meth:`FloorplanAgent.solve`: the
-        episode loop is the same code, every session owns its
-        seed-derived generator, and the per-row ``act`` entry consumes it
-        exactly as a batch-of-one call would.
+        The episode loop is the offline :meth:`FloorplanAgent.solve`'s
+        code, every session owns its seed-derived generator, and the
+        per-row ``act`` entry consumes it exactly as a batch-of-one call
+        would.  Each step samples what the offline solve samples given
+        the same logits; a row's logits can differ in the last bits with
+        the requests it is batched with (see :meth:`MaskedPPO.act`), so
+        a served episode equals the offline one unless such a difference
+        moves a sampled or greedy argmax.
         """
         env_key = (request.circuit, request.unconstrained, request.target_aspect)
         env = self._acquire_env(env_key, circuit, request.target_aspect)

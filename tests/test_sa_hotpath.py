@@ -1,17 +1,17 @@
 """Golden tests for the baselines' hot paths.
 
 ``simulated_annealing``, ``rl_simulated_annealing`` and
-``genetic_algorithm`` run on a per-run scalar evaluator, a per-run cost
-memo and an exact replay of ``rng.choice(n, 2, replace=False)``;
+``genetic_algorithm`` draw through ``DrawReplay`` and take
+``rng.choice(n, k, replace=False)`` from its exact replay ``choose``;
+the annealers run on a per-run scalar evaluator and cost memo;
 ``rl_simulated_annealing`` and ``rl_sequence_pair`` replay
-``rng.choice(k, p=...)`` from ``choice_cdf``, the annealers draw
-through ``DrawReplay``, and ``particle_swarm`` decodes its whole swarm
-at once.  These tests pin every result, and the
+``rng.choice(k, p=...)`` from ``choice_cdf``, and ``particle_swarm``
+decodes its whole swarm at once.  These tests pin every result, and the
 bit-generator state each run leaves behind, bit for bit to the numpy
 loops in ``oracles`` (per-candidate numpy evaluation, no memo,
-per-scalar ``rng`` draws), and pin the replays to numpy's own
-``Generator.choice``, ``integers`` and ``random``: same draws, same
-bit-generator state afterwards.
+per-scalar ``rng`` draws), pin the scalar scorer to the numpy one, and
+pin the replays to numpy's own ``Generator.choice``, ``integers`` and
+``random``: same draws, same bit-generator state afterwards.
 """
 
 from contextlib import contextmanager
@@ -39,11 +39,12 @@ from repro.baselines import (
     rl_simulated_annealing,
     simulated_annealing,
 )
+from repro.baselines.common import placement_scorer
 from repro.baselines.seqpair import (
     DrawReplay,
     apply_move,
     choice_cdf,
-    choose_two,
+    choose,
     memoized_cost,
     pack_coords,
     pack_population,
@@ -92,16 +93,55 @@ class TestChooseTwoReplay:
                 assert ours.integers(0, draw[1]) == numpy_.integers(0, draw[1])
             else:
                 n = draw[1]
-                expected = tuple(int(v) for v in numpy_.choice(n, size=2, replace=False))
-                assert choose_two(n, ours) == expected
+                assert choose(n, 2, ours) == numpy_.choice(n, size=2, replace=False).tolist()
             assert ours.bit_generator.state == numpy_.bit_generator.state
 
     def test_smallest_population(self):
         # n = 2: the first Floyd draw is in [0, 0] and consumes nothing.
         for seed in range(50):
             ours, numpy_ = _same_rng(seed)
-            expected = tuple(int(v) for v in numpy_.choice(2, size=2, replace=False))
-            assert choose_two(2, ours) == expected
+            assert choose(2, 2, ours) == numpy_.choice(2, size=2, replace=False).tolist()
+            assert ours.bit_generator.state == numpy_.bit_generator.state
+
+
+# One ``choice(n, k, replace=False)``: n and k small enough to hit Floyd's
+# collision branch, the edges k = 1, k = n and n = 1, a wider Floyd range,
+# and both sides of numpy's tail-shuffle cutoff (n > 10_000, k > n // 50).
+_CHOICE = st.one_of(
+    st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 3), (30, 1), (30, 30), (10_000, 10_000)]),
+    st.integers(31, 20_000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 30))),
+    st.integers(10_001, 20_000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(n // 50 - 3, n // 50 + 3))),
+)
+
+
+class TestChooseReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), carry=st.integers(0, 1), replay=st.booleans(),
+           picks=st.lists(_CHOICE, min_size=1, max_size=6))
+    def test_replays_numpy_choice_and_state(self, seed, carry, replay, picks):
+        ours, numpy_ = _same_rng(seed)
+        # One 32-bit draw leaves a carried half-word for the next one.
+        assert np.array_equal(ours.integers(0, 7, size=carry), numpy_.integers(0, 7, size=carry))
+        expected = [numpy_.choice(n, k, replace=False).tolist() for n, k in picks]
+        if replay:
+            with DrawReplay(ours) as draws:
+                assert [choose(n, k, draws) for n, k in picks] == expected
+        else:
+            assert [choose(n, k, ours) for n, k in picks] == expected
+        assert ours.bit_generator.state == numpy_.bit_generator.state
+
+    @pytest.mark.parametrize("n, k", [(10_001, 200), (10_001, 201), (10_001, 10_001),
+                                      (20_000, 400), (20_000, 401)])
+    def test_tail_shuffle_cutoff(self, n, k):
+        # Above the cutoff numpy shuffles the tail of arange(n) instead.
+        for carry in (0, 1):
+            ours, numpy_ = _same_rng(n + k + carry)
+            ours.integers(0, 3, size=carry)
+            numpy_.integers(0, 3, size=carry)
+            with DrawReplay(ours) as draws:
+                assert choose(n, k, draws) == numpy_.choice(n, k, replace=False).tolist()
             assert ours.bit_generator.state == numpy_.bit_generator.state
 
 
@@ -249,6 +289,27 @@ class TestEvaluatorGolden:
                     circuit, *pack_arrays_reference(pair, sizes), target_aspect=target
                 )
 
+    @pytest.mark.parametrize("name", ["ota1", "rs_latch", "bias2", "driver"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), target=st.sampled_from([None, 1.0]))
+    def test_placement_scorer_matches_numpy_reference(self, name, data, target):
+        # Centres off the packer's grid: equal, negative and signed-zero
+        # ones, where a two-pin net's abs(a - b) must still be max - min.
+        circuit = get_circuit(name)
+        n = circuit.num_blocks
+        value = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5, 7.25]),
+                          st.floats(-1e3, 1e3, allow_subnormal=False))
+        cx = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+        cy = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+        # Widths of -0.0 keep x + w / 2.0 == x bit for bit, signed zeros too.
+        w = np.full(n, -0.0)
+        width = float((cx + w).max()) - float(cx.min())
+        height = float((cy + w).max()) - float(cy.min())
+        score = placement_scorer(circuit, target_aspect=target)
+        assert score(cx.tolist(), cy.tolist(), width, height) == evaluate_coords_reference(
+            circuit, cx, cy, w, w, target_aspect=target
+        )
+
     def test_pack_population_stacks_pack_coords(self):
         circuit = get_circuit("driver")
         sizes = inflated_shapes(circuit)
@@ -336,6 +397,11 @@ class TestBaselinesBitIdentical:
         ("rl-sp", RLSPConfig()),
         # The Fig. 1 pipeline's floorplanner: thousands of replayed draws.
         ("sa", SAConfig(moves_per_temperature=25, seed=0)),
+        ("ga", GAConfig()),
+        ("rl-sa", RLSAConfig()),
+        # perfbench sweep's budgets (tournament of 3 in a population of 30).
+        ("ga", GAConfig(population=30, generations=20)),
+        ("rl-sa", RLSAConfig(moves_per_temperature=10)),
     ])
     def test_default_budget_matches_reference_loop(self, method, config):
         # Long runs drive the shape distributions towards one-hot rows and
