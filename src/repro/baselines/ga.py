@@ -68,6 +68,12 @@ class GAConfig:
                 f"GAConfig.tournament ({self.tournament}) must not exceed "
                 f"population ({self.population})"
             )
+        # Above this numpy's choice() stops using the Floyd sampler that
+        # seqpair.choose replays, for large tournaments.
+        if self.population > 10_000:
+            raise ValueError(
+                f"GAConfig.population must be <= 10_000, got {self.population}"
+            )
 
 
 def _order_crossover(a: Tuple[int, ...], b: Tuple[int, ...], draws: Draws) -> Tuple[int, ...]:

@@ -345,25 +345,24 @@ def choose(n: int, k: int, rng: Draws) -> List[int]:
     ``k - 1`` down to 1.  Each step is an ``rng.integers`` call on the
     same bounded-integer path, so the picks and the bit-generator state
     afterwards are identical, at a fraction of the cost of the ``choice``
-    call.  For ``n > 10_000`` and ``k > n // 50`` numpy shuffles the tail
-    of ``arange(n)`` instead; that is replayed too, on a sparse map of the
-    moved slots.
+    call.  ``k = 2`` (every swap move) runs the same draws unrolled.
+    For ``n > 10_000`` and ``k > n // 50`` numpy shuffles the tail
+    of ``arange(n)`` instead; that corner raises ``ValueError`` (no caller
+    reaches it: ``GAConfig`` caps the population at 10_000).
     """
+    if n > 10_000 and k > n // 50:
+        raise ValueError(
+            f"choose replays Floyd's sampler, which numpy skips for n > 10_000 "
+            f"and k > n // 50; got n={n}, k={k}"
+        )
     if k == 2:
-        # The moves' swap operands (numpy never tail-shuffles k = 2): Floyd's
-        # two draws and one shuffle, unrolled.
+        # Every swap move: the loop's draws, unrolled (the loop's set and
+        # ranges cost ~0.8 us a call, ~2% of an annealing run).
         i = int(rng.integers(0, n - 1))
         j = int(rng.integers(0, n))
         if j == i:
             j = n - 1
         return [i, j] if rng.integers(0, 2) else [j, i]
-    if n > 10_000 and k > n // 50:
-        # Fisher-Yates over slots n-1 .. max(n-k, 1) of arange(n).
-        moved: Dict[int, int] = {}
-        for i in range(n - 1, max(n - k, 1) - 1, -1):
-            s = int(rng.integers(0, i + 1))
-            moved[i], moved[s] = moved.get(s, s), moved.get(i, i)
-        return [moved.get(i, i) for i in range(n - k, n)]
     picks: List[int] = []
     seen = set()
     for j in range(n - k, n):

@@ -234,6 +234,9 @@ class TestConfigValidation:
         (GAConfig, {"population": 0}),
         (GAConfig, {"tournament": 0}),
         (GAConfig, {"population": 2, "tournament": 3}),
+        # Beyond 10_000 numpy's choice() leaves the Floyd sampler that
+        # seqpair.choose replays.
+        (GAConfig, {"population": 10_001}),
     ])
     def test_empty_budget_rejected(self, config_cls, overrides):
         with pytest.raises(ValueError):
@@ -276,6 +279,7 @@ class TestConfigValidation:
         SAConfig(spacing=0, cooling=np.float64(0.9), seed=np.int64(3)),
         *(getattr(Table1Scale(), name)
           for name in ("sa", "ga", "pso", "rl_sa", "rl_sp")),
+        GAConfig(population=10_000, tournament=10_000),
     ])
     def test_valid_configs_store_only_their_fields(self, config):
         # Table I's cache keys are built from the config's attributes, so
