@@ -354,8 +354,8 @@ def evaluate_coords_population(
     gamma: float = REWARD_GAMMA,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`evaluate_population` on stacked ``(P, num_blocks)``
-    coordinate arrays (the object-free batch path behind GA / PSO /
-    RL-SP generations)."""
+    coordinate arrays (the object-free batch path behind PSO and RL-SP
+    generations)."""
     minx = x.min(axis=1)
     miny = y.min(axis=1)
     maxx = (x + w).max(axis=1)

@@ -11,9 +11,12 @@ the OX cut points (both through :func:`~repro.baselines.seqpair.choose`,
 its draw-for-draw replay) and the mutation moves (the annealers'
 :func:`~repro.baselines.seqpair.apply_move`).  OX children of two
 permutations are permutations, so they skip the constructor's re-check.
-Each generation is still packed and scored in one numpy pass.  Results
-are bit-identical to the per-scalar numpy loop, final bit-generator
-state included (golden-tested against it).
+Individuals are scored through the annealers' per-run
+:func:`~repro.baselines.seqpair.memoized_cost` over
+:func:`~repro.baselines.seqpair.pair_evaluator`, so elites and unchanged
+copies are packed once per run, not once per generation.  Results are
+bit-identical to the per-scalar numpy loop, final bit-generator state
+included (golden-tested against it).
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from ..floorplan.metrics import hpwl_lower_bound
 from .common import (
     DEFAULT_SPACING,
     FloorplanResult,
-    evaluate_coords_population,
-    evaluate_placement,
     inflated_shapes,
     publish_result,
     require_budgets,
@@ -42,8 +43,9 @@ from .seqpair import (
     Draws,
     SequencePair,
     choose,
+    memoized_cost,
     pack,
-    pack_population,
+    pair_evaluator,
     random_neighbor,
 )
 
@@ -107,30 +109,23 @@ def genetic_algorithm(
     start = time.perf_counter()
     sizes = inflated_shapes(circuit, config.spacing)
     hmin = hpwl_min if hpwl_min is not None else hpwl_lower_bound(circuit)
-
-    def score_all(pairs):
-        """Pack each pair, then batch-evaluate the whole generation in
-        one numpy pass (no PlacedRect round trip)."""
-        _, _, _, rewards = evaluate_coords_population(
-            circuit, *pack_population(pairs, sizes),
-            hpwl_min=hmin, target_aspect=target_aspect,
-        )
-        return rewards.tolist()
+    evaluate = pair_evaluator(circuit, sizes, hmin, target_aspect)
+    cost_of, _ = memoized_cost(evaluate)
 
     population = [
         SequencePair.random(circuit.num_blocks, NUM_SHAPES, rng)
         for _ in range(config.population)
     ]
-    scored = score_all(population)
+    costs = list(map(cost_of, population))
 
     with DrawReplay(rng) as draws:
 
         def tournament_pick() -> SequencePair:
             picks = choose(len(population), config.tournament, draws)
-            return population[max(picks, key=scored.__getitem__)]
+            return population[min(picks, key=costs.__getitem__)]
 
         for _ in range(config.generations):
-            ranked = sorted(range(len(population)), key=lambda k: -scored[k])
+            ranked = sorted(range(len(population)), key=costs.__getitem__)
             next_pop = [population[k] for k in ranked[: config.elites]]
             while len(next_pop) < config.population:
                 if draws.random() < config.crossover_rate:
@@ -141,17 +136,14 @@ def genetic_algorithm(
                     child = random_neighbor(child, NUM_SHAPES, draws)
                 next_pop.append(child)
             population = next_pop
-            scored = score_all(population)
+            costs = list(map(cost_of, population))
 
-    best_idx = max(range(len(population)), key=lambda k: scored[k])
-    best_rects = pack(population[best_idx], sizes)
-    area, wirelength, ds, reward = evaluate_placement(
-        circuit, best_rects, hpwl_min=hmin, target_aspect=target_aspect
-    )
+    best = population[min(range(len(population)), key=costs.__getitem__)]
+    area, wirelength, ds, reward = evaluate(best)
     return publish_result(FloorplanResult(
         circuit_name=circuit.name,
         method="GA",
-        rects=best_rects,
+        rects=pack(best, sizes),
         area=area,
         hpwl=wirelength,
         dead_space=ds,

@@ -87,6 +87,30 @@ def _openblas_threads() -> Optional[ctypes.c_int]:
 #: Resolved once, in the parent; forked workers inherit the handle.
 _BLAS_THREADS = _openblas_threads()
 
+
+def lower_blas_threads(count: int) -> Optional[int]:
+    """Lower, never raise, the thread count OpenBLAS reads per call.
+
+    Returns the count found (``None`` without a handle), for
+    :func:`restore_blas_threads`.  The write starts and stops no thread:
+    at one thread OpenBLAS runs every call on the caller's thread, and a
+    process that has no BLAS server thread yet (a forked worker: the
+    fork handler stopped it) never starts one.
+    """
+    if _BLAS_THREADS is None:
+        return None
+    found = _BLAS_THREADS.value
+    if found > count:
+        _BLAS_THREADS.value = count
+    return found
+
+
+def restore_blas_threads(count: Optional[int]) -> None:
+    """Put back a count :func:`lower_blas_threads` found."""
+    if _BLAS_THREADS is not None and count is not None:
+        _BLAS_THREADS.value = count
+
+
 #: Per-worker shared context under the process backend (set by initializer).
 _WORKER_CONTEXT: Any = None
 
@@ -97,12 +121,8 @@ def _init_worker(
 ) -> None:
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = context
-    # Lower, never raise, the count OpenBLAS reads per call. A forked
-    # worker has no BLAS server thread (the fork handler stopped it),
-    # and at one thread it never starts one.
-    if (_BLAS_THREADS is not None and blas_threads is not None
-            and _BLAS_THREADS.value > blas_threads):
-        _BLAS_THREADS.value = blas_threads
+    if blas_threads is not None:
+        lower_blas_threads(blas_threads)
     # Telemetry state does not survive a spawn (and a forked child holds a
     # copy of the parent's registry *and trace buffer*): (re)arm recording
     # explicitly when the parent had it on, clear both sinks, and join the
@@ -173,8 +193,10 @@ class Executor:
         Pool size for the process backend; defaults to
         :func:`available_cores`.  Each worker lowers numpy's OpenBLAS
         thread count to ``max(1, cores // pool size)``, so workers ×
-        BLAS threads ≤ cores; the parent keeps its own count (``train``
-        and the server's batched inference use it).  The cap writes
+        BLAS threads ≤ cores.  The parent keeps its own count, which
+        ``train`` uses; a started
+        :class:`~repro.serve.server.SolveServer` lowers it to one, since
+        its pool already takes every core.  The cap writes
         OpenBLAS's ``blas_cpu_number`` directly: calling
         ``openblas_set_num_threads`` in a worker starts a spinning BLAS
         server thread (perfbench ``sweep`` ``setup_s`` rose about 60%),

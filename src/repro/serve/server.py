@@ -26,6 +26,12 @@ order of preference:
    :class:`~repro.engine.executor.Executor`, which keeps one worker pool
    for the server's lifetime, so the event loop never blocks.
 
+While a server is started, the process runs numpy's OpenBLAS on one
+thread; the count found is restored when the last started server
+closes.  The pool already takes every core, so a second BLAS thread
+for the 1–8-row forwards only competes with the event loop and the
+pool.  The forward is bit-identical at either count.
+
 Telemetry goes through ``repro.obs`` shapes only: a per-server
 always-on :class:`MetricsRegistry` (the ``stats`` op and the load
 benchmark read it) mirrored into the global ``OBS`` registry/tracer when
@@ -37,6 +43,7 @@ per request.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -48,7 +55,12 @@ from ..circuits.library import available_circuits, get_circuit
 from ..circuits.netlist import Circuit
 from ..config import TrainConfig
 from ..engine.cache import ArtifactCache, floorplan_result_to_dict
-from ..engine.executor import BACKENDS, Executor
+from ..engine.executor import (
+    BACKENDS,
+    Executor,
+    lower_blas_threads,
+    restore_blas_threads,
+)
 from ..engine.task import TaskResult, TaskSpec
 from ..engine.tasks import agent_fingerprint
 from ..floorplan.env import FloorplanEnv, Observation
@@ -75,6 +87,28 @@ logger = get_logger("serve")
 
 #: Crashed baseline-pool rebuilds allowed per request.
 POOL_REBUILDS = 2
+
+#: Started servers in this process, and the OpenBLAS thread count found
+#: when the first of them started (restored when the last one closes).
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_found: Optional[int] = None
+
+
+def _hold_one_blas_thread() -> None:
+    global _blas_holders, _blas_found
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_found = lower_blas_threads(1)
+        _blas_holders += 1
+
+
+def _release_blas_threads() -> None:
+    global _blas_holders
+    with _blas_lock:
+        _blas_holders -= 1
+        if _blas_holders == 0:
+            restore_blas_threads(_blas_found)
 
 
 @dataclass
@@ -164,6 +198,8 @@ class SolveServer:
             max_pool_rebuilds=POOL_REBUILDS, keep_pool=True,
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Whether this server holds OpenBLAS at one thread (start/close).
+        self._holds_blas = False
         #: Solve requests currently being processed (admission control).
         self._admitted = 0
         #: Live compute tasks, so close() can drain them gracefully.
@@ -181,7 +217,8 @@ class SolveServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the socket and start the micro-batcher."""
+        """Bind the socket, start the micro-batcher, and hold numpy's
+        OpenBLAS at one thread until the last started server closes."""
         if self._server is not None:
             raise RuntimeError("server already started")
         self._batcher.start()
@@ -189,6 +226,8 @@ class SolveServer:
             self._handle_conn, host=self.config.host, port=self.config.port,
             limit=MAX_LINE_BYTES,
         )
+        _hold_one_blas_thread()
+        self._holds_blas = True
         logger.info("serving on %s (max_batch=%d, cache=%s)",
                     self.endpoint, self.config.max_batch,
                     "off" if self.cache is None else self.cache.root)
@@ -246,6 +285,9 @@ class SolveServer:
                 task.cancel()
         await self._batcher.stop()
         self.executor.close()
+        if self._holds_blas:
+            self._holds_blas = False
+            _release_blas_threads()
 
     # ------------------------------------------------------------------
     # Telemetry: the per-server registry, mirrored into ``OBS`` when on
@@ -516,7 +558,8 @@ class SolveServer:
         rngs = [item.rng for item in items]
         self._observe("serve.batch_size", len(items))
         # numpy GEMMs release the GIL; running the forward off-loop keeps
-        # the server accepting connections during inference.
+        # the server accepting connections during inference.  It runs on
+        # one OpenBLAS thread (see start()), so it takes one core.
         actions, _, _ = await asyncio.to_thread(
             self.agent.ppo.act, stacked, deterministic, rngs
         )

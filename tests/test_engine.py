@@ -161,6 +161,48 @@ class TestBlasCap:
             assert value["threads_before"] == value["threads_after"] == 1
 
 
+@pytest.mark.skipif(executor_mod._BLAS_THREADS is None,
+                    reason="numpy ships no OpenBLAS")
+class TestServerBlasHold:
+    """A started solve server runs its process's OpenBLAS on one thread
+    and puts the count back when the last started server closes."""
+
+    @pytest.fixture(scope="class")
+    def agent(self):
+        from repro.config import TrainConfig
+        from repro.rl import FloorplanAgent
+
+        return FloorplanAgent(config=TrainConfig(seed=0))
+
+    @staticmethod
+    def _server(agent, **overrides):
+        from repro.serve import ServeConfig, ServerThread
+
+        config = dict(backend="serial", cache=False)
+        config.update(overrides)
+        return ServerThread(ServeConfig(**config), agent=agent)
+
+    def test_overlapping_servers_restore_the_count_found(self, agent):
+        handle = executor_mod._BLAS_THREADS
+        before = handle.value
+        with self._server(agent) as first:
+            assert handle.value == 1
+            with self._server(agent):
+                assert handle.value == 1
+                first.stop()
+                assert handle.value == 1
+            assert handle.value == before
+        assert handle.value == before
+
+    def test_pool_worker_inherits_one_thread(self, agent):
+        # One worker alone would be capped at every core; forked from a
+        # serving process it keeps that process's single thread.
+        with self._server(agent, backend="process", workers=1) as handle:
+            (result,) = handle.server.executor.map_tasks(
+                [TaskSpec(fn="test_blas_probe", seed=0)])
+        assert result.value["blas"] == 1
+
+
 def test_blas_handle_resolves_with_numpy_openblas():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if "openblas" not in blas["name"].lower():

@@ -9,6 +9,7 @@ import pytest
 
 from repro.circuits import get_circuit
 from repro.config import TrainConfig
+from repro.engine import executor as executor_mod
 from repro.floorplan import FloorplanEnv, VecEnv
 from repro.rl import FloorplanAgent, MaskedPPO, TrainHistory, solve_session
 
@@ -185,3 +186,50 @@ class TestSolveSession:
         session = solve_session(FloorplanEnv(get_circuit("ota_small")), attempts=0)
         with pytest.raises(RuntimeError, match="0 attempts"):
             session.send(None)
+
+
+@pytest.mark.skipif(executor_mod._BLAS_THREADS is None
+                    or executor_mod.available_cores() < 2,
+                    reason="no OpenBLAS handle, or one core: one count only")
+class TestBlasThreadCount:
+    """Inference and the update are bit-identical at one OpenBLAS thread
+    and at the default count: the solve server and the engine's pool
+    workers lower it, and served == offline rests on this."""
+
+    @staticmethod
+    def _at_one_thread(fn):
+        found = executor_mod.lower_blas_threads(1)
+        try:
+            return fn()
+        finally:
+            executor_mod.restore_blas_threads(found)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 8])
+    def test_act(self, rows):
+        agent = FloorplanAgent(config=tiny_config())
+        names = ("ota_small", "bias_small", "ota1", "bias1")
+        observations = [FloorplanEnv(get_circuit(names[i % len(names)])).reset()
+                        for i in range(rows)]
+
+        def act():
+            return agent.ppo.act(
+                observations, deterministic=np.zeros(rows, dtype=bool),
+                rng=[np.random.default_rng(i) for i in range(rows)])
+
+        default, single = act(), self._at_one_thread(act)
+        for a, b in zip(default, single):
+            assert np.array_equal(a, b)
+
+    def test_update(self):
+        def updated_weights():
+            agent = FloorplanAgent(config=tiny_config())
+            vec = VecEnv([FloorplanEnv(get_circuit("ota_small")) for _ in range(2)])
+            buffer, _, _ = agent.ppo.collect(vec, vec.reset())
+            agent.ppo.update(buffer)
+            return [p.data for p in agent.encoder.parameters()
+                    + agent.policy.parameters()]
+
+        default, single = updated_weights(), self._at_one_thread(updated_weights)
+        assert len(default) == len(single)
+        for a, b in zip(default, single):
+            assert np.array_equal(a, b)
