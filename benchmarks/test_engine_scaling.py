@@ -17,8 +17,11 @@ import pytest
 from _util import check
 from oracles import (
     escape_graph_reference,
+    fold_product_reference,
     ga_reference,
     hpwl,
+    linear_primitive_reference,
+    nn_kernel_calls,
     oarsmt_calls,
     oarsmt_reference,
     pack_reference,
@@ -26,6 +29,7 @@ from oracles import (
     rl_sa_reference,
     rl_sp_reference,
     state_centers,
+    weight_grad_reference,
     wire_mask_reference,
 )
 
@@ -48,6 +52,9 @@ from repro.engine import ArtifactCache, Executor, TaskSpec
 from repro.floorplan import FloorplanEnv
 from repro.floorplan.masks import dead_space_mask, positional_mask
 from repro.floorplan.metrics import hpwl_lower_bound
+from repro.nn import Tensor
+from repro.nn import functional as F
+from repro.rl.policy import _FLAT_DIM
 from repro.routing import build_escape_graph
 from repro.routing.oarsmt import steiner_tree_edges
 
@@ -240,6 +247,51 @@ def _hotpath_lines():
     return lines, speedups
 
 
+def _time_pair(reference, fast, calls, repeats=15):
+    """Median seconds of one pass of ``reference`` and of ``fast`` over
+    ``calls``, alternated; each call's outputs must be byte-equal."""
+    for args in calls:
+        assert fast(*args).tobytes() == reference(*args).tobytes()
+    t_ref, t_new = [], []
+    for _ in range(repeats):
+        for fn, times in ((reference, t_ref), (fast, t_new)):
+            t0 = time.perf_counter()
+            for args in calls:
+                fn(*args)
+            times.append(time.perf_counter() - t0)
+    return float(np.median(t_ref)), float(np.median(t_new))
+
+
+def _nn_kernel_lines():
+    """The policy's kernels against the ones they replaced: the 4096 -> 512
+    fc forward at the row counts serve, collect and update run, and every
+    conv/deconv weight grad and stride-2 interleave of a 64-row backward.
+    Printed only: a ~2x fc gain sits too close to the hot-path floor."""
+    lines = ["nn kernel: reference vs BLAS operand order / strided interleave"]
+    rng = np.random.default_rng(0)
+    weight = Tensor(rng.normal(size=(512, _FLAT_DIM)).astype(np.float32))
+    bias = Tensor(np.zeros(512, dtype=np.float32))
+
+    def forward(linear):
+        return lambda x: linear(x, weight, bias).data
+
+    for rows in (1, 2, 4, 64):
+        x = Tensor(rng.normal(size=(rows, _FLAT_DIM)).astype(np.float32))
+        t_ref, t_new = _time_pair(forward(linear_primitive_reference), forward(F.linear), [(x,)])
+        lines.append(f"nn kernel fc 4096->512 x{rows:<3} reference {t_ref * 1e3:6.2f} ms"
+                     f"   new {t_new * 1e3:6.2f} ms   speedup {t_ref / t_new:5.2f}x")
+    calls = nn_kernel_calls(64, np.float32)
+    for label, reference, fast, args in (
+        ("weight grads", weight_grad_reference, F._weight_grad, calls["_weight_grad"]),
+        ("s2 interleaves", fold_product_reference, F._fold_product,
+         [a for a in calls["_fold_product"] if a[5] == 2]),
+    ):
+        t_ref, t_new = _time_pair(reference, fast, args)
+        lines.append(f"nn kernel {len(args)} {label:<14} x64 reference {t_ref * 1e3:6.2f} ms"
+                     f"   new {t_new * 1e3:6.2f} ms   speedup {t_ref / t_new:5.2f}x")
+    return lines
+
+
 def _grid():
     return [
         TaskSpec(
@@ -302,6 +354,8 @@ def test_engine_scaling(benchmark, tmp_path):
                 f"< {HOTPATH_SPEEDUP_FLOOR}x floor"
             )
 
+        lines.append("")
+        lines.extend(_nn_kernel_lines())
         print("\n" + "\n".join(lines))
 
     check(benchmark, body)

@@ -16,8 +16,22 @@ et al. 2006):
   transposing copy;
 * col2im (``conv_transpose2d``'s forward, strided grad-input) folds each
   kernel tap into one sub-pixel phase as a single contiguous add, in
-  place of a strided scatter per tap;
+  place of a strided scatter per tap, and interleaves the phases
+  (Shi et al. 2016) with one strided copy each;
 * backward computes grad-input only for inputs that require grad.
+
+Two rules pick the form of every product:
+
+* operand order decides which BLAS call numpy makes, and so its cost.
+  OpenBLAS packs the large operand of a GEMM (Goto & van de Geijn 2008),
+  so ``linear``'s few-row forward runs as ``(W @ x.T).T`` and
+  ``_weight_grad``'s per-sample products as ``b_n @ a_n.T``.  Both compute
+  the same dot products as ``x @ W.T`` and ``a_n @ b_n.T``; on the
+  kernels tier-1 pins they round them the same way
+  (``tests/test_nn_kernels.py::TestOperandOrder``);
+* outputs stay C-ordered (or keep the layout of the graph they replaced)
+  because the reductions downstream (bias grads, ``clip_grad_norm``)
+  run in memory order, so a transposed layout would regroup their sums.
 
 Each output keeps the per-sample kernels' summation: a batch-folded GEMM
 only adds columns to the same dot products, col2im taps are added in the
@@ -27,7 +41,8 @@ order, and bias grads are grouped like ``grad.sum(axis=(0, 2, 3))``.
 groups those small products differently once folded.  PPO training
 amplifies any regrouped sum into different learned floorplans, so this
 keeps the trained agent, and every golden built from it, as it was.
-The per-sample kernels live on in ``tests/oracles.py`` as references.
+The per-sample kernels, and these products in their order before the
+operand swaps, live on in ``tests/oracles.py`` as references.
 """
 
 from __future__ import annotations
@@ -73,7 +88,7 @@ def _fold_product(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """col2im of the columns ``w_t @ src``, as a channel-major (C, N, H, W) view.
+    """col2im of the columns ``w_t @ src``, as a channel-major (C, N, H, W) array.
 
     ``src`` is (N, K, oh, ow) and ``w_t`` is (C*kh*kw, K).  Padded position
     ``(y, x)`` lives in sub-pixel phase ``(y % s, x % s)``; tap ``(i, j)``
@@ -81,8 +96,11 @@ def _fold_product(
     with zeros to the phase grid, so each tap is one contiguous add over
     all samples: its overhang adds exact zeros to neighbouring positions,
     which leaves them unchanged.  Taps are added in row-major order,
-    which fixes each output's summation; one interleave assembles the
-    phases.
+    which fixes each output's summation.  At stride 1 the one phase,
+    cropped, is returned as a view.  Otherwise each phase is copied into
+    its strided positions of a C-ordered buffer: s*s copies with
+    contiguous source rows cost a fraction of one 6-D transpose whose
+    innermost run is s elements.
     """
     c, n, h, w = shape
     s = stride
@@ -95,8 +113,21 @@ def _fold_product(
         for j in range(kw):
             start = (i // s) * cols + j // s
             phases[i % s, j % s, :, start:start + span] += taps[:, i, j]
-    padded = phases[..., :span].reshape(s, s, c, n, rows, cols).transpose(2, 3, 4, 0, 5, 1)
-    return padded.reshape(c, n, rows * s, cols * s)[:, :, padding:padding + h, padding:padding + w]
+    grid = phases[..., :span].reshape(s, s, c, n, rows, cols)
+    if s == 1:
+        return grid[0, 0, :, :, padding:padding + h, padding:padding + w]
+    # Output row y is padded row y + padding: phase (y + padding) % s, row
+    # (y + padding) // s of it.
+    out = np.empty(shape, dtype=taps.dtype)
+    for py in range(s):
+        y0 = (py - padding) % s
+        ny = len(range(y0, h, s))
+        for px in range(s):
+            x0 = (px - padding) % s
+            nx = len(range(x0, w, s))
+            top, left = (y0 + padding) // s, (x0 + padding) // s
+            out[:, :, y0::s, x0::s] = grid[py, px, :, :, top:top + ny, left:left + nx]
+    return out
 
 
 def _channel_major(a: np.ndarray) -> np.ndarray:
@@ -121,13 +152,16 @@ def _weight_grad(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
     One GEMM per sample, summed over the samples in order, as the
     per-sample kernels grouped it (one batch-wide GEMM would regroup the
-    sums).
+    sums).  Each product runs as ``b_n @ a_n.T``: the same dot products,
+    with the larger im2col operand on the left, the order OpenBLAS runs
+    faster.  The (B, A) sum is transposed back into a C-ordered grad,
+    because ``clip_grad_norm`` reduces in memory order.
     """
     per_sample = np.matmul(
-        a.reshape(a.shape[0], n, -1).transpose(1, 0, 2),
-        b.reshape(b.shape[0], n, -1).transpose(1, 2, 0),
+        b.reshape(b.shape[0], n, -1).transpose(1, 0, 2),
+        a.reshape(a.shape[0], n, -1).transpose(1, 2, 0),
     )
-    return per_sample.sum(axis=0)
+    return np.ascontiguousarray(per_sample.sum(axis=0).T)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -206,13 +240,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map ``x @ W.T + b`` matching ``torch.nn.functional.linear``.
 
     One primitive in place of the matmul/transpose/add graph, with the
-    input grad computed only when ``x`` requires it.  The weight grad
-    keeps that graph's layout (the transpose of ``x.T @ grad``):
-    ``clip_grad_norm`` reduces in memory order, so a C-ordered copy would
-    regroup the clipped norm.
+    input grad computed only when ``x`` requires it.  The forward runs as
+    ``(W @ x.T).T``: the same dot products, with the large ``W`` on the
+    left, the order OpenBLAS runs faster for the 2-8-row forwards of
+    rollouts and serving.  The result is copied
+    back to C order, because the next layer's bias grad reduces in
+    memory order.  The weight grad keeps the composite graph's layout
+    (the transpose of ``x.T @ grad``): ``clip_grad_norm`` reduces in
+    memory order, so a C-ordered copy would regroup the clipped norm.
     """
     x_mat = x.data.reshape(-1, x.shape[-1])
-    out = x_mat @ weight.data.T
+    out = np.ascontiguousarray((weight.data @ x_mat.T).T)
     out += bias.data
     out_data = out.reshape(x.shape[:-1] + (weight.shape[0],))
 

@@ -2,9 +2,10 @@
 
 Each function here is the straightforward version of a vectorized or
 incremental path in ``repro``; the golden tests assert the fast path is
-bit-identical to it (the NN kernels, whose summation order differs, to a
-stated relative tolerance), and the hot-path benchmarks time against it.  They
-live with the tests because nothing in the package calls them.
+bit-identical to it (the per-sample NN kernels, whose summation order
+differs, to a stated relative tolerance), and the hot-path benchmarks
+time against it.  They live with the tests because nothing in the
+package calls them.
 """
 
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -30,8 +31,10 @@ from repro.floorplan import hpwl_lower_bound
 from repro.floorplan import FloorplanState, placement_mask
 from repro.floorplan.masks import HPWL_MIN_FLOOR
 from repro.layout import CONNECTIVITY, Layer, Layout
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor, dtype_scope, no_grad
+from repro.nn import functional as F
 from repro.pipeline import default_floorplanner
+from repro.rl import ActorCritic
 from repro.routing import (
     Obstacle,
     Point,
@@ -883,3 +886,96 @@ def conv_transpose2d_reference(
 def linear_reference(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Reference for ``linear``: the composite ``x @ W.T + b`` graph."""
     return x @ weight.T + bias
+
+
+# The batch-folded kernels as they ran before their BLAS operand order and
+# the strided sub-pixel interleave: the byte-for-byte references for
+# ``repro.nn.functional.linear``, ``_weight_grad`` and ``_fold_product``.
+
+
+def linear_primitive_reference(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """The ``linear`` primitive with its forward as ``x @ W.T``."""
+    x_mat = x.data.reshape(-1, x.shape[-1])
+    out = x_mat @ weight.data.T
+    out += bias.data
+    out_data = out.reshape(x.shape[:-1] + (weight.shape[0],))
+
+    def backward(grad, send):
+        g = grad.reshape(-1, grad.shape[-1])
+        send(bias, g.sum(axis=0))
+        send(weight, (x_mat.T @ g).T)
+        if x.requires_grad:
+            send(x, (g @ weight.data).reshape(x.shape))
+
+    return Tensor._make(out_data, (x, weight, bias), backward)
+
+
+def weight_grad_reference(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """``sum_n a_n @ b_n.T``: one ``a_n @ b_n.T`` GEMM per sample, summed
+    over the samples in order."""
+    per_sample = np.matmul(
+        a.reshape(a.shape[0], n, -1).transpose(1, 0, 2),
+        b.reshape(b.shape[0], n, -1).transpose(1, 2, 0),
+    )
+    return per_sample.sum(axis=0)
+
+
+def fold_product_reference(
+    w_t: np.ndarray,
+    src: np.ndarray,
+    shape: Tuple[int, int, int, int],
+    kh: int,
+    kw: int,
+    stride: int,
+    padding: int,
+) -> np.ndarray:
+    """col2im of ``w_t @ src`` with the phases interleaved by one 6-D
+    transpose."""
+    c, n, h, w = shape
+    s = stride
+    rows, cols = -(-(h + 2 * padding) // s), -(-(w + 2 * padding) // s)
+    span = n * rows * cols
+    wide = F._pad_channel_major(src, 0, rows, cols).reshape(src.shape[1], span)
+    taps = (w_t @ wide).reshape(c, kh, kw, span)
+    phases = np.zeros((s, s, c, span + ((kh - 1) // s + 1) * cols), dtype=taps.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            start = (i // s) * cols + j // s
+            phases[i % s, j % s, :, start:start + span] += taps[:, i, j]
+    padded = phases[..., :span].reshape(s, s, c, n, rows, cols).transpose(2, 3, 4, 0, 5, 1)
+    return padded.reshape(c, n, rows * s, cols * s)[:, :, padding:padding + h, padding:padding + w]
+
+
+def policy_inputs(rows: int, dtype, seed: int = 0) -> Tuple[Tensor, Tensor, Tensor]:
+    """Random binary masks and normal embeddings for ``rows`` policy rows."""
+    rng = np.random.default_rng(seed)
+    masks = (rng.random((rows, 6, 32, 32)) < 0.5).astype(dtype)
+    node_emb = rng.normal(size=(rows, 32)).astype(dtype)
+    graph_emb = rng.normal(size=(rows, 32)).astype(dtype)
+    return Tensor(masks), Tensor(node_emb), Tensor(graph_emb)
+
+
+def nn_kernel_calls(rows: int, dtype) -> Dict[str, List[tuple]]:
+    """The arguments of every ``_weight_grad`` and ``_fold_product`` call
+    in one forward and backward of ``ActorCritic`` at ``rows`` rows: every
+    conv and deconv geometry of the policy, with its operands' layouts."""
+    calls: Dict[str, List[tuple]] = {"_weight_grad": [], "_fold_product": []}
+    originals = {name: getattr(F, name) for name in calls}
+
+    def spy(name):
+        def record(*args):
+            calls[name].append(args)
+            return originals[name](*args)
+        return record
+
+    with dtype_scope(dtype):
+        model = ActorCritic(rng=np.random.default_rng(0))
+    for name in calls:
+        setattr(F, name, spy(name))
+    try:
+        logits, values = model(*policy_inputs(rows, dtype))
+        (logits.sum() + values.sum()).backward()
+    finally:
+        for name, fn in originals.items():
+            setattr(F, name, fn)
+    return calls

@@ -6,6 +6,17 @@ taps folded in the same order, bias grads grouped the same way), but a
 BLAS library may group a batch-folded GEMM's dot products differently
 from per-sample ones, so values and gradients are pinned by a norm-wise
 relative error bound rather than bit equality.
+
+``TestOperandOrder`` pins the later rewrites byte for byte against the
+kernels they replaced (``linear_primitive_reference``,
+``weight_grad_reference`` and ``fold_product_reference``): the swapped
+GEMM operands of ``linear``'s forward and ``_weight_grad``, and the
+strided sub-pixel interleave of ``_fold_product``.  The interleave only
+moves values, so it is exact everywhere.  The operand swaps compute the
+same dot products, but whether OpenBLAS rounds them the same way in
+both operand orders depends on the kernel it picks for the CPU, as it
+does for ``test_gnn_batched``'s bitwise tests: these pass on the
+SkylakeX and Sandybridge kernels, and fail on Haswell's.
 """
 
 import numpy as np
@@ -14,10 +25,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import nn
+from repro.config import TrainConfig
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.circuits import get_circuit
+from repro.floorplan import FloorplanEnv, VecEnv
+from repro.rl import ActorCritic, FloorplanAgent
+from repro.rl.policy import _FLAT_DIM
 
-from oracles import conv2d_reference, conv_transpose2d_reference, linear_reference
+from oracles import (
+    conv2d_reference,
+    conv_transpose2d_reference,
+    fold_product_reference,
+    linear_primitive_reference,
+    linear_reference,
+    nn_kernel_calls,
+    policy_inputs,
+    weight_grad_reference,
+)
 
 TOLERANCE = {np.float64: 1e-12, np.float32: 1e-6}
 
@@ -122,6 +147,111 @@ class TestKernelsMatchOracles:
         x, w, b = Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1))
         with pytest.raises(ValueError):
             F.conv_transpose2d(x, w, b, stride=1, padding=1)  # a 0x0 output
+
+
+DTYPES = [np.float32, np.float64]
+
+
+def _use_oracle_kernels(monkeypatch):
+    monkeypatch.setattr(F, "linear", linear_primitive_reference)
+    monkeypatch.setattr(F, "_weight_grad", weight_grad_reference)
+    monkeypatch.setattr(F, "_fold_product", fold_product_reference)
+
+
+class TestOperandOrder:
+    """The operand-swapped GEMMs and the strided interleave equal the
+    kernels they replaced byte for byte (see the module docstring for the
+    OpenBLAS kernels this holds on)."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 8, 64])
+    @pytest.mark.parametrize("shape", [(_FLAT_DIM, 512), (ActorCritic.STATE_DIM, 512), (64, 1)])
+    def test_linear(self, shape, rows, dtype):
+        """The extractor's and the policy head's fc, and the value head's
+        last layer."""
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, shape[0])).astype(dtype)
+        w = (rng.normal(size=(shape[1], shape[0])) / np.sqrt(shape[0])).astype(dtype)
+        b = rng.normal(size=shape[1]).astype(dtype)
+        got = _run(F.linear, x, w, b, x_grad=True)
+        want = _run(linear_primitive_reference, x, w, b, x_grad=True)
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+        assert got[0].flags.c_contiguous
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("rows", [1, 4, 64])
+    def test_weight_grad_on_every_policy_layer(self, dtype, rows):
+        calls = nn_kernel_calls(rows, dtype)["_weight_grad"]
+        assert len(calls) == 5 + 4  # five convs; three deconvs and the 1x1 projection
+        for a, b, n in calls:
+            got = F._weight_grad(a, b, n)
+            want = weight_grad_reference(a, b, n)
+            assert got.flags.c_contiguous and want.flags.c_contiguous
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_fold_product_on_every_policy_layer(self, dtype, rows):
+        """The three k4/s2/p1 deconv forwards, the grad-inputs of the four
+        extractor convs past the first (k3, strides 1 and 2) and of the 1x1
+        projection."""
+        calls = nn_kernel_calls(rows, dtype)["_fold_product"]
+        kernel_strides = sorted((args[3], args[5]) for args in calls)
+        assert kernel_strides == [(1, 1), (3, 1), (3, 1), (3, 2), (3, 2), (4, 2), (4, 2), (4, 2)]
+        for args in calls:
+            got, want = F._fold_product(*args), fold_product_reference(*args)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(geometry)
+    @settings(max_examples=120, deadline=None)
+    def test_fold_product_any_geometry(self, g):
+        k, s, p = g["k"], g["stride"], g["padding"]
+        assume(g["h"] + 2 * p >= k and g["w"] + 2 * p >= k)
+        out_h, out_w = (g["h"] + 2 * p - k) // s + 1, (g["w"] + 2 * p - k) // s + 1
+        rng = np.random.default_rng(g["seed"])
+        w_t = rng.normal(size=(g["c_out"] * k * k, g["c_in"])).astype(g["dtype"])
+        src = rng.normal(size=(g["n"], g["c_in"], out_h, out_w)).astype(g["dtype"])
+        args = (w_t, src, (g["c_out"], g["n"], g["h"], g["w"]), k, k, s, p)
+        got, want = F._fold_product(*args), fold_product_reference(*args)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestNetworkOnOracleKernels:
+    """``ActorCritic`` on the new kernels equals the same model run on the
+    kernels they replaced: forwards at every batch size the trainer, the
+    collector and the server run, and the weights after a PPO update."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_forward(self, monkeypatch, dtype):
+        with nn.dtype_scope(dtype):
+            model = ActorCritic(rng=np.random.default_rng(0))
+        for rows in (1, 2, 3, 4, 5, 8, 16, 31, 64):
+            inputs = policy_inputs(rows, dtype, seed=rows)
+            with nn.no_grad():
+                got = model(*inputs)
+                with monkeypatch.context() as patch:
+                    _use_oracle_kernels(patch)
+                    want = model(*inputs)
+            for g, r in zip(got, want):
+                assert g.data.tobytes() == r.data.tobytes(), rows
+
+    def test_update(self, monkeypatch):
+        config = TrainConfig(num_envs=2, rollout_steps=32, ppo_epochs=1,
+                             minibatch_size=64, seed=0)
+        new, oracle = FloorplanAgent(config=config), FloorplanAgent(config=config)
+        vec = VecEnv([FloorplanEnv(get_circuit("ota_small")) for _ in range(2)])
+        buffer, _, _ = new.ppo.collect(vec, vec.reset())
+        new.ppo.rng = np.random.default_rng(1)
+        new.ppo.update(buffer)
+        oracle.ppo.rng = np.random.default_rng(1)
+        with monkeypatch.context() as patch:
+            _use_oracle_kernels(patch)
+            oracle.ppo.update(buffer)
+        got, want = new.policy.state_dict(), oracle.policy.state_dict()
+        assert got.keys() == want.keys()
+        for name in got:
+            assert np.array_equal(got[name], want[name]), name
 
 
 class TestLeafOnlyBackward:
